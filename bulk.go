@@ -184,8 +184,9 @@ func (m *StringMap) DeleteAll(keys []string) int {
 	return m.sum.DeleteAll(probes)
 }
 
-// InsertAll inserts every key (insert phase), growing as needed, and
-// returns how many grew the set. It panics on the reserved key 0; use
+// InsertAll inserts every key (insert phase), growing once before the
+// batch runs if it needs to, and returns how many keys were new. It
+// panics on the reserved key 0; use
 // TryInsertAll to get an error instead.
 func (s *GrowSet) InsertAll(keys []uint64) int { return s.t.InsertAll(keys) }
 

@@ -3,11 +3,15 @@ package phasehash
 import "phasehash/internal/core"
 
 // GrowSet is a Set that resizes itself during insert phases — the
-// paper's Section 4 resizing scheme (incremental migration to a table of
-// twice the size, at least two elements copied per insert, at most two
-// tables live). The phase discipline matches Set's; Elements and Count
-// finish any in-progress migration, and the quiescent layout after a
-// drain is deterministic exactly like Set's.
+// paper's Section 4 resizing extension. It keeps one live table: when
+// the count of insert calls reaches half the capacity, one insert
+// rehashes every key into a larger table while the other inserts wait,
+// then they continue on the new table. Insert results are exact (the
+// true results of a phase count its new keys, bulk and per-element
+// alike), and the layout — hence Elements' order — is deterministic
+// exactly like Set's. The price is progress: inserts may block while a
+// resize runs, where Set's operations never block. The phase discipline
+// matches Set's.
 type GrowSet struct {
 	t *core.GrowTable[core.SetOps]
 }
@@ -33,7 +37,7 @@ func (s *GrowSet) Contains(k uint64) bool { return s.t.Contains(k) }
 func (s *GrowSet) Delete(k uint64) bool { return s.t.Delete(k) }
 
 // Elements returns the keys in a deterministic order (quiescent callers
-// only; completes any migration first).
+// only).
 func (s *GrowSet) Elements() []uint64 { return s.t.Elements() }
 
 // Count returns the number of keys (quiescent callers only).

@@ -73,10 +73,9 @@ var checkedWrapper = map[string]string{
 // and cross-checked against phaseFacts at init, so a future fact
 // addition cannot silently subject them to the discipline.
 var phaseNeutral = map[factKey]bool{
-	{"phasehash", "ShardedSet", "ShardStats"}:                        true,
-	{"phasehash", "ShardedMap32", "ShardStats"}:                      true,
-	{"phasehash/internal/core", "ShardedTable", "ShardStats"}:        true,
-	{"phasehash/internal/core", "ShardedCompactTable", "ShardStats"}: true,
+	{"phasehash", "ShardedSet", "ShardStats"}:                 true,
+	{"phasehash", "ShardedMap32", "ShardStats"}:               true,
+	{"phasehash/internal/core", "ShardedTable", "ShardStats"}: true,
 }
 
 func addFacts(pkg, typ string, methods map[string]methodFact) {
@@ -188,22 +187,21 @@ func init() {
 	})
 	// internal/core tables (generic; looked up by their generic name).
 	addFacts(core, "WordTable", map[string]methodFact{
-		"Insert":        {phase: PhaseInsert},
-		"TryInsert":     {phase: PhaseInsert},
-		"InsertAll":     {phase: PhaseInsert},
-		"TryInsertAll":  {phase: PhaseInsert},
-		"InsertLimited": {phase: PhaseInsert},
-		"Delete":        {phase: PhaseDelete},
-		"DeleteAll":     {phase: PhaseDelete},
-		"Find":          {phase: PhaseRead},
-		"FindAll":       {phase: PhaseRead},
-		"Contains":      {phase: PhaseRead},
-		"ContainsAll":   {phase: PhaseRead},
-		"Elements":      {phase: PhaseRead, capture: true},
-		"ElementsInto":  {phase: PhaseRead, capture: true},
-		"Count":         {phase: PhaseRead, capture: true},
-		"CountAtomic":   {phase: PhaseRead, capture: true},
-		"ForEach":       {phase: PhaseRead},
+		"Insert":       {phase: PhaseInsert},
+		"TryInsert":    {phase: PhaseInsert},
+		"InsertAll":    {phase: PhaseInsert},
+		"TryInsertAll": {phase: PhaseInsert},
+		"Delete":       {phase: PhaseDelete},
+		"DeleteAll":    {phase: PhaseDelete},
+		"Find":         {phase: PhaseRead},
+		"FindAll":      {phase: PhaseRead},
+		"Contains":     {phase: PhaseRead},
+		"ContainsAll":  {phase: PhaseRead},
+		"Elements":     {phase: PhaseRead, capture: true},
+		"ElementsInto": {phase: PhaseRead, capture: true},
+		"Count":        {phase: PhaseRead, capture: true},
+		"CountAtomic":  {phase: PhaseRead, capture: true},
+		"ForEach":      {phase: PhaseRead},
 	})
 	addFacts(core, "PtrTable", map[string]methodFact{
 		"Insert":       {phase: PhaseInsert},
@@ -248,22 +246,6 @@ func init() {
 		"ElementsInto": {phase: PhaseRead, capture: true},
 		"Count":        {phase: PhaseRead, capture: true},
 		"CountAtomic":  {phase: PhaseRead, capture: true},
-		"ForEach":      {phase: PhaseRead},
-	})
-	addFacts(core, "ShardedCompactTable", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"ElementsInto": {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
 		"ForEach":      {phase: PhaseRead},
 	})
 	addFacts(core, "GrowTable", map[string]methodFact{

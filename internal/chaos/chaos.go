@@ -45,8 +45,7 @@ const (
 	SitePtrInsertMerge                    // duplicate-merge CAS in PtrTable.Insert
 	SitePtrInsertDisplace                 // displacement CAS in PtrTable.Insert
 	SitePtrDeleteProbe                    // PtrTable delete probe/replacement loops
-	SiteGrowMigrate                       // per-element step of GrowTable.migrate
-	SiteGrowDrain                         // per-element step of GrowTable.drainLocked
+	SiteGrowRehash                        // per-element step of GrowTable's rehash
 	SiteParallelWorker                    // worker goroutine start in parallel.For/Do
 	SiteEpochAdmit                        // epoch.Server.Submit admission path
 	SiteEpochFlush                        // start of each epoch flush (delayed flush / stalled worker)

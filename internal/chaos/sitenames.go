@@ -16,8 +16,7 @@ const (
 	SiteNamePtrInsertMerge     = "ptr-insert-merge"
 	SiteNamePtrInsertDisplace  = "ptr-insert-displace"
 	SiteNamePtrDeleteProbe     = "ptr-delete-probe"
-	SiteNameGrowMigrate        = "grow-migrate"
-	SiteNameGrowDrain          = "grow-drain"
+	SiteNameGrowRehash         = "grow-rehash"
 	SiteNameParallelWorker     = "parallel-worker"
 	SiteNameEpochAdmit         = "epoch-admit"
 	SiteNameEpochFlush         = "epoch-flush"
@@ -43,8 +42,7 @@ var siteNames = [NumSites]string{
 	SitePtrInsertMerge:     SiteNamePtrInsertMerge,
 	SitePtrInsertDisplace:  SiteNamePtrInsertDisplace,
 	SitePtrDeleteProbe:     SiteNamePtrDeleteProbe,
-	SiteGrowMigrate:        SiteNameGrowMigrate,
-	SiteGrowDrain:          SiteNameGrowDrain,
+	SiteGrowRehash:         SiteNameGrowRehash,
 	SiteParallelWorker:     SiteNameParallelWorker,
 	SiteEpochAdmit:         SiteNameEpochAdmit,
 	SiteEpochFlush:         SiteNameEpochFlush,

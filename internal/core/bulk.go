@@ -363,16 +363,14 @@ func (t *PtrTable[T, O]) DeleteAll(probes []*T) int {
 
 // --- GrowTable bulk kernels ---
 //
-// The growing table's cells move during a phase (migration), so homes
-// cannot be staged against a stable backing array; its kernels are
-// monomorphic blocked loops over the per-element operations, which
-// still removes the closure dispatch and the per-phase goroutine
-// spawns — the costs that dominate the iterative apps.
+// The growing table has one live WordTable, so its kernels are
+// WordTable's staged kernels. InsertAll counts its whole batch first and
+// grows once, before the phase starts, then runs the batch against a
+// table that cannot move under it.
 
 // InsertAll inserts every element (insert phase only), growing as
-// needed, and returns how many grew the targeted table's count (see
-// Insert for the mid-migration caveat on attribution). Panics on the
-// reserved empty element; use TryInsertAll for an error instead.
+// needed, and returns how many keys were absent. Panics on the reserved
+// empty element; use TryInsertAll for an error instead.
 func (g *GrowTable[O]) InsertAll(elems []uint64) int {
 	n, err := g.TryInsertAll(elems)
 	if err != nil {
@@ -382,74 +380,39 @@ func (g *GrowTable[O]) InsertAll(elems []uint64) int {
 }
 
 // TryInsertAll is InsertAll returning ErrReservedKey (via errors.Is)
-// instead of panicking; every non-reserved element is inserted.
+// instead of panicking; every non-reserved element is inserted and
+// counted as one call, exactly as a per-element TryInsert loop would.
 func (g *GrowTable[O]) TryInsertAll(elems []uint64) (int, error) {
-	var added atomic.Int64
-	var firstErr atomic.Pointer[error]
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		a := 0
-		for i := lo; i < hi; i++ {
-			ok, err := g.TryInsert(elems[i])
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-				continue
-			}
-			if ok {
-				a++
-			}
+	n := 0
+	for _, v := range elems {
+		if v != Empty {
+			n++
 		}
-		if a != 0 {
-			added.Add(int64(a))
-		}
-	})
-	if e := firstErr.Load(); e != nil {
-		return int(added.Load()), *e
 	}
-	return int(added.Load()), nil
+	g.reserve(n)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	t := g.table.Load()
+	if n < len(elems) {
+		return t.TryInsertAll(elems)
+	}
+	return t.InsertAll(elems), nil
 }
 
 // FindAll looks up every key (find/elements phase only), returning how
 // many are present; dst as in WordTable.FindAll.
 func (g *GrowTable[O]) FindAll(keys []uint64, dst []uint64) int {
-	var found atomic.Int64
-	parallel.ForBlocked(len(keys), 0, func(lo, hi int) {
-		n := 0
-		for i := lo; i < hi; i++ {
-			e, ok := g.Find(keys[i])
-			if ok {
-				n++
-			}
-			if dst != nil {
-				dst[i] = e
-			}
-		}
-		if n != 0 {
-			found.Add(int64(n))
-		}
-	})
-	return int(found.Load())
+	return g.table.Load().FindAll(keys, dst)
 }
 
 // ContainsAll reports how many of the keys are present (find/elements
 // phase only).
 func (g *GrowTable[O]) ContainsAll(keys []uint64) int {
-	return g.FindAll(keys, nil)
+	return g.table.Load().ContainsAll(keys)
 }
 
 // DeleteAll deletes every key (delete phase only), returning how many
 // were removed by this call's deletes.
 func (g *GrowTable[O]) DeleteAll(keys []uint64) int {
-	var deleted atomic.Int64
-	parallel.ForBlocked(len(keys), 0, func(lo, hi int) {
-		n := 0
-		for i := lo; i < hi; i++ {
-			if g.Delete(keys[i]) {
-				n++
-			}
-		}
-		if n != 0 {
-			deleted.Add(int64(n))
-		}
-	})
-	return int(deleted.Load())
+	return g.table.Load().DeleteAll(keys)
 }

@@ -234,11 +234,9 @@ func TestGrowBulkMatchesPerElement(t *testing.T) {
 
 	perElem := NewGrowTable[IdentOps](64)
 	parallel.ForGrain(n, 1, func(i int) { perElem.Insert(keys[i]) })
-	perElem.FinishMigration()
 
 	bulk := NewGrowTable[IdentOps](64)
 	bulk.InsertAll(keys)
-	bulk.FinishMigration()
 
 	if !bytes.Equal(layoutBytes(perElem.Snapshot()), layoutBytes(bulk.Snapshot())) {
 		t.Fatal("grow-table quiescent layouts differ between per-element and bulk insert")

@@ -29,16 +29,16 @@ import (
 // lanes whose byte is <= the probe's own fingerprint — exactly the
 // slots that can end the probe:
 //
-//   - a lane *below* the pattern is an empty slot, a transient
-//     tombstone, or a full slot with a strictly smaller hash prefix;
-//     all three prove the key absent under the descending-priority
-//     invariant, with no cell load at all. A uniform miss therefore
+//   - a lane *below* the pattern is an empty slot or a full slot with
+//     a strictly smaller hash prefix; both prove the key absent under
+//     the descending-priority invariant, with no cell load at all. A
+//     uniform miss therefore
 //     resolves in ~one ctrl word: the expected number of higher-or-tie
 //     lanes skipped before a sub-pattern lane is ~1 even at load 0.9.
 //   - a lane *equal* to the pattern is a candidate: load the cell,
 //     compare full hashes (then keys on a tie) to get hit / miss /
-//     keep-scanning. Ties are 1-in-2^(7-k) per full lane under a
-//     2^k-shard radix, so hits touch the cell array about once.
+//     keep-scanning. Ties are about 1-in-128 per full lane, so hits
+//     touch the cell array about once.
 //
 // The table stays fast at load factor ~0.9 because the extra probe
 // steps of a long cluster cost ctrl *bytes*, not cell words: 9
@@ -56,9 +56,9 @@ import (
 // byte is a pure function of its cell: Fingerprint(Hash(cell)) or zero
 // (see syncCtrl for why every schedule converges there, and
 // hashx.Fingerprint for why the fingerprint bits are disjoint from the
-// home-bucket and shard-radix bits). The detres oracle pins
-// (cells ++ ctrl) byte-identity across its seed × worker ×
-// chaos-profile grid, with a serial rebuild as the reference layout.
+// home-bucket bits). The detres oracle pins (cells ++ ctrl)
+// byte-identity across its seed × worker × chaos-profile grid, with a
+// serial rebuild as the reference layout.
 //
 // The write paths never *read* the control array — inserts and deletes
 // compare priorities via cells and Hash alone. This is load-bearing for
@@ -78,20 +78,10 @@ type CompactTable[O Ops] struct {
 }
 
 // Ctrl byte encoding. A slot's byte is ctrlEmpty when its cell is
-// Empty, the element's fingerprint (bit 7 set: [0x80, 0xFF]) when full,
-// and ctrlTombstone *transiently* inside the serial owner-computes
-// delete while the victim's replacement is being located — never at
-// quiescence (CheckInvariant rejects it), and never on the atomic
-// path, whose delete publishes only final bytes. Both non-full states
-// keep bit 7 clear, so they compare below every fingerprint and read
-// as stop lanes to the SWAR scan; no find runs concurrently with a
-// delete under the phase discipline, so the tombstone's real job is
-// making a mid-phase crash or invariant dump show exactly which slot
-// was being vacated.
-const (
-	ctrlEmpty     byte = 0x00
-	ctrlTombstone byte = 0x01
-)
+// Empty and the element's fingerprint (bit 7 set: [0x80, 0xFF]) when
+// full. The empty byte keeps bit 7 clear, so it compares below every
+// fingerprint and reads as a stop lane to the SWAR scan.
+const ctrlEmpty byte = 0x00
 
 // NewCompactTable returns a compact table with size rounded up to the
 // next power of two m cells (at least 8, so the control array is a
@@ -188,8 +178,8 @@ const (
 // priority scan. patd is swarLSB * uint64(fp), hoisted by the caller;
 // fp must have bit 7 set (a full-slot fingerprint).
 //
-// Why it is exact, per lane: MSB-clear lanes (empty, tombstone) are
-// flagged by ^w & swarMSB directly. For the rest, w &^ swarMSB holds
+// Why it is exact, per lane: MSB-clear lanes (empty) are flagged by
+// ^w & swarMSB directly. For the rest, w &^ swarMSB holds
 // each lane's low seven bits, a value <= 0x7F, while each patd lane is
 // fp >= 0x80 — so the per-lane subtraction patd - (w &^ swarMSB) can
 // never go negative and therefore never borrows across a lane
@@ -392,8 +382,7 @@ func (t *CompactTable[O]) Find(v uint64) (uint64, bool) {
 //   - byte < fp: an empty slot ends v's cluster, and a full slot's
 //     fingerprint below fp proves Hash(cell) < hv — under the
 //     descending cmpPri invariant, v cannot live at or past this slot.
-//     Either way, miss, with zero cell loads. (A transient tombstone
-//     cannot be seen here: finds share a phase with no deletes.)
+//     Either way, miss, with zero cell loads.
 //   - byte == fp: a candidate. Load the cell and compare full hashes:
 //     hc > hv keeps scanning (still in the higher-priority prefix),
 //     hc < hv is a miss by the same ordering argument, and on hc == hv
@@ -487,9 +476,9 @@ func (t *CompactTable[O]) Contains(v uint64) bool {
 // semantics exactly as WordTable.Delete. The probe and replacement
 // scans read cells, not ctrl — the back-shift walk needs every cell's
 // hash anyway — and each successful replacement CAS publishes the
-// slot's new ctrl byte through syncCtrl, so the atomic path never
-// exposes a tombstone: the byte goes straight from the old fingerprint
-// to the replacement's (or to empty when the cluster ends).
+// slot's new ctrl byte through syncCtrl: the byte goes straight from
+// the old fingerprint to the replacement's (or to empty when the
+// cluster ends).
 func (t *CompactTable[O]) Delete(v uint64) bool {
 	h := t.ops.Hash(v)
 	return t.deleteFrom(v, h, int(h)&t.mask)
@@ -648,9 +637,9 @@ func (t *CompactTable[O]) Clear() {
 
 // CheckInvariant verifies WordTable's ordering invariant over the
 // cells AND the control-array invariant: every ctrl byte equals the
-// derived encoding of its cell — in particular no tombstone and no
-// stale fingerprint survives to quiescence. Quiescent use only;
-// exported for tests and the fuzzing harness.
+// derived encoding of its cell — in particular no stale fingerprint
+// survives to quiescence. Quiescent use only; exported for tests and
+// the fuzzing harness.
 //
 //phasehash:serial quiescent use only: invariant checks run between phases with no operation in flight
 func (t *CompactTable[O]) CheckInvariant() error {

@@ -248,71 +248,10 @@ func TestCompactClearResetsCtrl(t *testing.T) {
 	}
 }
 
-func TestShardedCompactBasic(t *testing.T) {
-	tab := NewShardedCompactTable[SetOps](1<<14, 8)
-	if tab.NumShards() != 8 {
-		t.Fatalf("NumShards = %d, want 8", tab.NumShards())
-	}
-	keys := randKeys(5000, 31)
-	model := map[uint64]bool{}
-	for _, k := range keys {
-		model[k] = true
-	}
-	if added := tab.InsertAll(keys); added != len(model) {
-		t.Fatalf("InsertAll added %d, want %d distinct", added, len(model))
-	}
-	if err := tab.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]uint64, len(keys))
-	if found := tab.FindAll(keys, dst); found != len(keys) {
-		t.Fatalf("FindAll found %d of %d", found, len(keys))
-	}
-	for i, e := range dst {
-		if e != keys[i] {
-			t.Fatalf("FindAll dst[%d] = %#x, want %#x", i, e, keys[i])
-		}
-	}
-	// Per-element path agrees with the bulk build: a sharded compact
-	// table built per-element must be byte-identical, ctrl included.
-	ref := NewShardedCompactTable[SetOps](1<<14, 8)
-	for _, k := range keys {
-		ref.Insert(k)
-	}
-	a, b := tab.Snapshot(), ref.Snapshot()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("cell %d differs between bulk and per-element build", i)
-		}
-	}
-	ac, bc := tab.CtrlSnapshot(), ref.CtrlSnapshot()
-	for i := range ac {
-		if ac[i] != bc[i] {
-			t.Fatalf("ctrl word %d differs between bulk and per-element build", i)
-		}
-	}
-	st := tab.ShardStats()
-	if st.Total != len(model) {
-		t.Fatalf("ShardStats.Total = %d, want %d", st.Total, len(model))
-	}
-	if deleted := tab.DeleteAll(keys); deleted != len(model) {
-		t.Fatalf("DeleteAll removed %d, want %d", deleted, len(model))
-	}
-	if got := tab.Count(); got != 0 {
-		t.Fatalf("Count = %d after deleting everything", got)
-	}
-	if err := tab.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCompactBytes pins the 9-bytes-per-slot memory accounting the
 // benchmarks' bytes/elem metric divides from.
 func TestCompactBytes(t *testing.T) {
 	if got := NewCompactTable[SetOps](1 << 10).Bytes(); got != (1<<10)*9 {
 		t.Fatalf("CompactTable(1024).Bytes() = %d, want %d", got, (1<<10)*9)
-	}
-	if got := NewShardedCompactTable[SetOps](1<<12, 4).Bytes(); got != (1<<12)*9 {
-		t.Fatalf("ShardedCompactTable(4096, 4).Bytes() = %d, want %d", got, (1<<12)*9)
 	}
 }

@@ -1,34 +1,16 @@
 package core
 
-import (
-	"math/bits"
+import "phasehash/internal/obs"
 
-	"phasehash/internal/hashx"
-	"phasehash/internal/obs"
-)
-
-// This file holds the non-atomic serial probe loops of CompactTable,
-// exactly as serialprobe.go does for WordTable: the same algorithms as
-// the exported phase-concurrent operations with plain loads and stores,
-// for the owner-computes path of ShardedCompactTable — after the radix
-// partition exactly one worker streams one shard, so the CAS machinery
-// and the syncCtrl convergence loop both evaporate (a plain ctrl byte
-// write is trivially the final word when nobody races it).
-//
-// History independence makes the substitution sound for the cells (see
-// serialprobe.go); for the ctrl array it is immediate, because the
-// serial path writes each touched slot's derived byte at the same
-// program points where the atomic path converges to it, and the derived
-// byte is a pure function of the cell. The serial delete is also where
-// the transient ctrlTombstone appears: the victim's slot is marked
-// while findReplacementSerial walks the cluster, then overwritten with
-// the replacement's byte (or empty) when the hole fills — a crash or
-// invariant check mid-phase shows exactly which slot was being vacated,
-// and CheckInvariant proves no tombstone survives to quiescence.
+// This file holds CompactTable's sequential reference insert: the same
+// algorithm as the phase-concurrent insert with plain loads and stores,
+// for tables no other goroutine can reach. Tests rebuild a key set with
+// it and byte-compare the result (cells and ctrl) against tables built
+// by the concurrent paths — history independence says they must agree.
 
 // setCtrlSerial writes slot p's ctrl byte with plain memory operations.
 //
-//phasehash:serial owner-computes: exactly one worker streams this shard after the radix partition, so no syncCtrl convergence is needed
+//phasehash:serial sequential reference: the table is reachable from one goroutine only, so no syncCtrl convergence is needed
 func (t *CompactTable[O]) setCtrlSerial(p int, b byte) {
 	s := p & t.mask
 	w := s >> 3
@@ -41,7 +23,7 @@ func (t *CompactTable[O]) setCtrlSerial(p int, b byte) {
 // fingerprint (claims and displacements; merges keep the key and hence
 // the fingerprint).
 //
-//phasehash:serial owner-computes: exactly one worker streams this shard after the radix partition, and history independence makes the serial replay land in the same quiescent layout
+//phasehash:serial sequential reference: the table is reachable from one goroutine only, and history independence makes the serial replay land in the same quiescent layout
 func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 	var obsDisp uint64
 	hv := t.ops.Hash(v)
@@ -89,215 +71,4 @@ func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 			}
 		}
 	}
-}
-
-// findSerial is findFrom with plain loads of the ctrl words and cells;
-// the SWAR scan and its verdict logic are identical (see findFrom for
-// the soundness argument of skipping non-matching lanes).
-//
-//phasehash:serial owner-computes: the shard is exclusively owned for the whole bulk find phase, so no store can race these loads
-func (t *CompactTable[O]) findSerial(v uint64) (uint64, bool) {
-	hv := t.ops.Hash(v)
-	fp := hashx.Fingerprint(hv)
-	i := int(hv) & t.mask
-	var obsWords, obsFalse uint64
-	start := i
-	patd := swarLSB * uint64(fp)
-	limit := i + len(t.cells)
-	for p := i; p < limit; p = p&^7 + 8 {
-		base := p &^ 7
-		w := t.ctrl[(base&t.mask)>>3]
-		if obs.Enabled {
-			obsWords++
-		}
-		stop := swarStop(w, patd)
-		stop &= ^uint64(0) << (uint(p-base) * 8)
-		for ; stop != 0; stop &= stop - 1 {
-			l := bits.TrailingZeros64(stop) >> 3
-			q := base + l
-			b := byte(w >> (uint(l) * 8))
-			if b != fp {
-				// Empty, tombstone, or a strictly lower hash prefix: miss
-				// (a tombstone shortens the very cluster being deleted
-				// from; findSerial never runs concurrently with
-				// deleteSerial under the phase discipline, so only the
-				// empty/lower-prefix cases are live).
-				if obs.Enabled {
-					obs.RecordCompactFind(start, uint64(q-start), obsWords, obsFalse, false)
-				}
-				return Empty, false
-			}
-			c := t.cells[q&t.mask]
-			hc := t.ops.Hash(c)
-			if hc == hv {
-				cmp := t.ops.Cmp(v, c)
-				if cmp == 0 {
-					if obs.Enabled {
-						obs.RecordCompactFind(start, uint64(q-start), obsWords, obsFalse, true)
-					}
-					return c, true
-				}
-				if cmp > 0 {
-					if obs.Enabled {
-						obs.RecordCompactFind(start, uint64(q-start), obsWords, obsFalse+1, false)
-					}
-					return Empty, false
-				}
-			} else if hc < hv {
-				if obs.Enabled {
-					obs.RecordCompactFind(start, uint64(q-start), obsWords, obsFalse+1, false)
-				}
-				return Empty, false
-			}
-			if obs.Enabled {
-				obsFalse++
-			}
-		}
-	}
-	// Full sweep without a verdict: the shard is saturated and v absent.
-	if obs.Enabled {
-		obs.RecordCompactFind(start, uint64(len(t.cells)), obsWords, obsFalse, false)
-	}
-	return Empty, false
-}
-
-// deleteSerial is WordTable.deleteSerial over the compact arrays: the
-// direct hole-filling recursion, with the victim's ctrl byte holding
-// ctrlTombstone while the replacement scan runs and the slot's final
-// byte written together with its cell.
-//
-//phasehash:serial owner-computes: exclusive shard ownership removes the concurrent deletes the atomic version's re-scans exist to chase
-func (t *CompactTable[O]) deleteSerial(v uint64) bool {
-	var obsScan, obsRepl uint64
-	hv := t.ops.Hash(v)
-	home := int(hv) & t.mask
-	k := home
-	// Bounded like findSerial; see WordTable.deleteSerial for why the
-	// post-sweep cell cannot match v.
-	for k < home+len(t.cells) {
-		c := t.cells[k&t.mask]
-		if c == Empty || t.cmpPri(v, hv, c, t.ops.Hash(c)) >= 0 {
-			break
-		}
-		k++
-	}
-	if obs.Enabled {
-		obsScan = uint64(k - home)
-	}
-	for {
-		c := t.cells[k&t.mask]
-		if c == Empty || t.ops.Cmp(v, c) != 0 {
-			if obs.Enabled {
-				obs.RecordDelete(home, obsScan, obsRepl, 0)
-			}
-			return false
-		}
-		t.setCtrlSerial(k, ctrlTombstone)
-		j, w := t.findReplacementSerial(k)
-		t.cells[k&t.mask] = w
-		t.setCtrlSerial(k, t.ctrlByteFor(w))
-		if w == Empty {
-			if obs.Enabled {
-				obs.RecordDelete(home, obsScan, obsRepl, 0)
-			}
-			return true
-		}
-		if obs.Enabled {
-			obsRepl++
-		}
-		// Two copies of w exist now; delete the original at j. The loop
-		// re-enters with v = w already matching cells[j].
-		v = w
-		k = j
-	}
-}
-
-// findReplacementSerial is WordTable.findReplacementSerial over the
-// compact cells: the upward scan alone, stopping at the first eligible
-// position.
-//
-//phasehash:serial owner-computes: only called from deleteSerial under the same exclusive shard ownership
-func (t *CompactTable[O]) findReplacementSerial(i int) (int, uint64) {
-	j := i
-	for j < i+len(t.cells)-1 {
-		j++
-		w := t.cells[j&t.mask]
-		if w == Empty || t.lift(t.ops.Hash(w)&uint64(t.mask), j) <= i {
-			return j, w
-		}
-	}
-	return j, Empty
-}
-
-// insertRangeSerial drives insertSerial over a contiguous run of
-// elements (one shard's partition run). full returns the index within
-// elems of a saturating element, or -1; reserved elements panic exactly
-// as Insert does.
-func (t *CompactTable[O]) insertRangeSerial(elems []uint64) (added, full int) {
-	for i, v := range elems {
-		if v == Empty {
-			panic("core: CompactTable: cannot insert the reserved empty element")
-		}
-		a, f := t.insertSerial(v)
-		if f {
-			return added, i
-		}
-		if a {
-			added++
-		}
-	}
-	return added, -1
-}
-
-// tryInsertRangeSerial is insertRangeSerial with TryInsert semantics:
-// every element is attempted (duplicate keys can still merge into a
-// saturated shard), and the first error is reported.
-func (t *CompactTable[O]) tryInsertRangeSerial(elems []uint64) (added int, err error) {
-	for _, v := range elems {
-		if v == Empty {
-			if err == nil {
-				err = reservedErr()
-			}
-			continue
-		}
-		a, f := t.insertSerial(v)
-		if f {
-			if err == nil {
-				err = t.fullErr()
-			}
-			continue
-		}
-		if a {
-			added++
-		}
-	}
-	return added, err
-}
-
-// findRangeSerial counts how many of the keys are present; when dst is
-// non-nil, dst[i] receives the stored element for keys[i] or Empty.
-func (t *CompactTable[O]) findRangeSerial(keys, dst []uint64) int {
-	n := 0
-	for i, v := range keys {
-		e, ok := t.findSerial(v)
-		if ok {
-			n++
-		}
-		if dst != nil {
-			dst[i] = e
-		}
-	}
-	return n
-}
-
-// deleteRangeSerial deletes every key of the run, returning how many
-// were present.
-func (t *CompactTable[O]) deleteRangeSerial(keys []uint64) int {
-	n := 0
-	for _, v := range keys {
-		if t.deleteSerial(v) {
-			n++
-		}
-	}
-	return n
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -14,55 +12,44 @@ import (
 // an outline and under future work; implemented here): a deterministic
 // phase-concurrent table that grows itself during insert phases.
 //
-// When an insert's probe sequence exceeds a logarithmic threshold the
-// table is declared overfull: an insert takes the allocation lock,
-// publishes a table of twice the size, and subsequent inserts go to the
-// new table. While the old table is non-empty every insert additionally
-// migrates up to two elements from old to new (deleting from the old
-// table keeps its history-independent layout intact, so finds that fall
-// through to the old table still work). Since inserts outnumber the
-// elements left to copy, the old table drains before the new one fills
-// and at most two tables are ever live — exactly the scheme the paper
-// sketches.
+// There is one live WordTable at all times. Every insert first counts
+// its call; while the count is at least half the table size, the
+// goroutine that sees the threshold crossed takes the write side of a
+// sync.RWMutex, rehashes every element once into a table of the final
+// power-of-two size and publishes it. Inserts hold the read side while
+// they probe, so a doubling runs between operations, never alongside
+// one — the resize shape of Maier–Sanders' growing tables rather than
+// the paper's incremental two-table migration.
 //
-// Phase discipline is unchanged: {insert}, {delete}, {find, elements}.
-// Finds and deletes consult both tables while a migration is in
-// progress. Determinism: at any quiescent point where the old table has
-// fully drained — Elements() forces this by finishing the migration —
-// the layout is the history-independent layout of the key set, so
-// Elements() is deterministic exactly as for WordTable. (Mid-migration,
-// *which* table holds a key depends on scheduling; the paper's outline
-// shares this property.)
+// What this buys:
+//
+//   - Results are exact. An insert probes the one table that holds every
+//     key, so the true results of a phase sum to the number of distinct
+//     keys it added, on every schedule, per-element and bulk alike.
+//   - The layout is deterministic. Growth keys off the call count — the
+//     same count on every schedule — so the final size, and with it the
+//     history-independent layout, depend only on the operations
+//     performed. (Counting calls rather than distinct keys over-provisions
+//     duplicate-heavy workloads; it is what keeps the size
+//     schedule-independent.)
+//   - The table never fills. A call is counted before it probes, so
+//     every probing insert sees a table more than twice the size of all
+//     calls so far: load stays below 1/2 and ErrFull cannot occur.
+//
+// What it costs: inserts may wait while a doubling runs. The fixed-size
+// tables keep the paper's non-blocking progress; GrowTable trades it
+// for the resize. Finds and deletes never lock — by the phase
+// discipline ({insert}, {delete}, {find, elements}) no doubling can be
+// in flight when they run.
 type GrowTable[O Ops] struct {
-	ops   O
-	state atomic.Pointer[growState[O]]
-	count atomic.Int64 // total Insert calls (drives growth; see Insert)
-	mu    sync.Mutex   // serializes grow operations
+	table atomic.Pointer[WordTable[O]]
+	count atomic.Int64 // Insert calls so far (non-reserved keys), bulk and per-element
+	// mu excludes doublings from inserts: inserts hold the read side
+	// while probing, grow holds the write side while rehashing.
+	mu sync.RWMutex
 }
 
-type growState[O Ops] struct {
-	table  *WordTable[O] // receives all new inserts
-	old    *WordTable[O] // draining; nil when no migration is active
-	cursor atomic.Int64  // next old-table cell to scan for migration
-	// inflight counts inserts currently targeting table. The counter
-	// belongs to the *table*, not the state: states published by retire
-	// and FinishMigration keep the same table and must share its
-	// counter, or stragglers from a pre-retire state handle would
-	// escape the next grow's migration gate.
-	inflight *atomic.Int64
-	// oldInflight is the old table's insert counter: migration (deletes
-	// on the old table) must wait until straggler inserts that entered
-	// before the grow have drained, or the old table would see inserts
-	// and deletes in the same phase.
-	oldInflight *atomic.Int64
-}
-
-// migrationQuota is how many old-table elements each insert moves; > 1
-// guarantees the old table empties before the new one fills.
-const migrationQuota = 2
-
-// minGrowSize is the smallest backing array; headroom between the
-// growth threshold (half full) and full keeps straggler inserts safe.
+// minGrowSize is the smallest backing array.
 const minGrowSize = 64
 
 // NewGrowTable returns a growing table with the given initial capacity.
@@ -71,41 +58,14 @@ func NewGrowTable[O Ops](initial int) *GrowTable[O] {
 		initial = minGrowSize
 	}
 	g := &GrowTable[O]{}
-	st := &growState[O]{table: NewWordTable[O](initial), inflight: new(atomic.Int64)}
-	g.state.Store(st)
+	g.table.Store(NewWordTable[O](initial))
 	return g
 }
 
-// probeLimit bounds how far an insert probes before concluding the
-// table needs to grow: a safety net behind the count threshold (probe
-// sequences this long do not occur below 50% load except with
-// adversarial hash functions).
-func probeLimit(size int) int {
-	l := 0
-	for s := size; s > 1; s >>= 1 {
-		l++
-	}
-	limit := 8 * (l + 1)
-	if limit > size/2 {
-		limit = size / 2
-	}
-	return limit
-}
-
-// Insert adds element v (insert phase only), growing as needed. It
-// reports whether the targeted table's key count grew; note that during
-// a migration a key resident in the old table is counted as new by the
-// new table — duplicates across the two tables merge when the old table
-// drains, so quiescent contents are exact.
-//
-// Growth is triggered by a deterministic threshold on the total number
-// of Insert calls (the table doubles when calls reach half its
-// capacity): the crossing happens at the same call count on every
-// schedule, so the final table size — and therefore the quiescent
-// layout — is deterministic. (Counting calls rather than distinct keys
-// over-provisions duplicate-heavy workloads; distinct-key counts are
-// not schedule-independent during migration.) The probe-limit abort
-// inside InsertLimited is a safety net only.
+// Insert adds element v (insert phase only), growing as needed, and
+// reports whether the key was absent. Like WordTable.Insert, the count
+// of true results over a phase is deterministic. It panics on the
+// reserved empty element; use TryInsert to get an error instead.
 func (g *GrowTable[O]) Insert(v uint64) bool {
 	added, err := g.TryInsert(v)
 	if err != nil {
@@ -115,263 +75,106 @@ func (g *GrowTable[O]) Insert(v uint64) bool {
 }
 
 // TryInsert is Insert returning ErrReservedKey (satisfying errors.Is)
-// instead of panicking on the reserved empty element. A growing table
-// never reports ErrFull: saturation triggers a grow instead.
+// instead of panicking on the reserved empty element, which is not
+// counted as a call. A growing table never reports ErrFull.
 func (g *GrowTable[O]) TryInsert(v uint64) (bool, error) {
 	if v == Empty {
-		return false, fmt.Errorf("%w: %#x is the reserved empty element", ErrReservedKey, Empty)
+		return false, reservedErr()
 	}
-	for {
-		st := g.state.Load()
-		st.inflight.Add(1)
-		if g.state.Load() != st {
-			// Lost a race with a grow; re-enter through the new state.
-			st.inflight.Add(-1)
-			continue
-		}
-		if st.old != nil {
-			g.migrate(st, migrationQuota)
-		}
-		added, ok := st.table.InsertLimited(v, probeLimit(st.table.Size()))
-		st.inflight.Add(-1)
-		if ok {
-			// Check the threshold against the *current* state, not the
-			// state this insert landed in, and loop until the size catches
-			// up with the count. A straggler suspended between its insert
-			// and its count.Add could otherwise spend the threshold-crossing
-			// increment on a stale state's no-op grow, leaving the final
-			// size — and the quiescent layout — schedule-dependent.
-			c := int(g.count.Add(1))
-			for {
-				cur := g.state.Load()
-				if c < cur.table.Size()/2 {
-					break
-				}
-				g.grow(cur)
-			}
-			return added, nil
-		}
-		// Probe-limit overflow: the table is congested below the count
-		// threshold (clustered hashes). Grow early rather than spin on
-		// ever-longer probe sequences.
-		g.grow(st)
+	g.reserve(1)
+	g.mu.RLock()
+	added := g.table.Load().Insert(v)
+	g.mu.RUnlock()
+	return added, nil
+}
+
+// reserve counts n insert calls and grows the table first when the count
+// reaches half its size. It runs before the caller takes the read lock.
+func (g *GrowTable[O]) reserve(n int) {
+	if c := int(g.count.Add(int64(n))); c >= g.table.Load().Size()/2 {
+		g.grow()
 	}
 }
 
-// migrate moves up to quota elements from st.old into st.table, and
-// retires the old table once it is empty.
-func (g *GrowTable[O]) migrate(st *growState[O], quota int) {
-	if st.oldInflight != nil && st.oldInflight.Load() != 0 {
-		// Straggler inserts from before the grow are still landing in
-		// the old table; deleting now would mix phases on it. Skip —
-		// a later insert will migrate.
+// grow doubles the table until its size exceeds twice the call count,
+// rehashing once into the final size. Concurrent callers serialize on
+// the write lock; the later ones find the size already sufficient.
+func (g *GrowTable[O]) grow() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	old := g.table.Load()
+	c, size := int(g.count.Load()), old.Size()
+	for c >= size/2 {
+		size *= 2
+	}
+	if size == old.Size() {
 		return
 	}
-	old := st.old
-	size := int64(old.Size())
-	moved := 0
-	for moved < quota {
-		i := st.cursor.Add(1) - 1
-		if i >= size {
-			// A full sweep is done; if leftovers remain (back-shifted
-			// behind the cursor by concurrent migration deletes), wrap
-			// the cursor and sweep again.
-			if old.CountAtomic() == 0 {
-				if obs.Enabled && moved > 0 {
-					obs.RecordMigrate(int(i), uint64(moved))
-				}
-				g.retire(st)
-				return
-			}
-			st.cursor.Store(0)
-			continue
-		}
-		e := old.load(int(i))
-		if e == Empty {
+	next := NewWordTable[O](size)
+	moved := next.rehash(old)
+	g.table.Store(next)
+	if obs.Enabled {
+		obs.RecordGrow(moved)
+	}
+	if obs.CoreEnabled {
+		obs.CoreGrow(moved)
+	}
+}
+
+// rehash inserts every element of old into t, which must be empty, and
+// returns how many it moved. The keys are distinct and t has free
+// cells, so the loop is the displacement insert without the merge and
+// saturation cases; history independence makes the scan order
+// irrelevant to the result. Grow traffic is not insert traffic: nothing
+// here feeds the insert counters.
+//
+//phasehash:serial grow: runs under GrowTable's write lock, which excludes every insert, and the phase discipline excludes finds and deletes
+func (t *WordTable[O]) rehash(old *WordTable[O]) (moved uint64) {
+	for _, v := range old.cells {
+		if v == Empty {
 			continue
 		}
 		if chaos.Enabled {
-			chaos.Yield(chaos.SiteGrowMigrate)
+			chaos.Yield(chaos.SiteGrowRehash)
 		}
-		// Copy into the new table first, then delete from old. Insert
-		// before delete keeps the key continuously findable (Find checks
-		// the new table first) and is idempotent against a racing
-		// migrator: duplicate inserts merge, and only the Delete winner
-		// counts the move. The insert is probe-limited so a congested
-		// new table triggers an early grow instead of a long spin (or,
-		// at worst, the fixed table's full panic).
-		if _, ok := st.table.InsertLimited(e, probeLimit(st.table.Size())); !ok {
-			if obs.Enabled && moved > 0 {
-				obs.RecordMigrate(int(i), uint64(moved))
+		for i := t.home(v); ; i++ {
+			c := t.cells[i&t.mask]
+			if c == Empty {
+				t.cells[i&t.mask] = v
+				break
 			}
-			g.grow(st)
-			return
-		}
-		if old.Delete(e) {
-			moved++
-		}
-	}
-	if obs.Enabled && moved > 0 {
-		obs.RecordMigrate(int(st.cursor.Load()), uint64(moved))
-	}
-}
-
-// retire publishes a state without the drained old table. It must not
-// block: the caller holds the state's inflight counter, and a grower
-// holding the allocation lock may be spin-waiting on exactly that
-// counter — TryLock breaks the cycle (a busy lock means someone else is
-// already reorganizing).
-func (g *GrowTable[O]) retire(st *growState[O]) {
-	if !g.mu.TryLock() {
-		return
-	}
-	defer g.mu.Unlock()
-	cur := g.state.Load()
-	if cur == st && st.old != nil && st.old.CountAtomic() == 0 {
-		g.state.Store(&growState[O]{table: st.table, inflight: st.inflight})
-	}
-}
-
-// grow doubles the table. Only one goroutine allocates; the others
-// observe the new state and retry (the paper's short allocation lock).
-func (g *GrowTable[O]) grow(st *growState[O]) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	cur := g.state.Load()
-	if cur != st {
-		return // someone else already grew
-	}
-	// Finish any in-flight migration first so at most two tables exist.
-	if cur.old != nil {
-		g.drainLocked(cur)
-	}
-	next := &growState[O]{
-		table:       NewWordTable[O](2 * cur.table.Size()),
-		old:         cur.table,
-		inflight:    new(atomic.Int64),
-		oldInflight: cur.inflight,
-	}
-	g.state.Store(next)
-	if obs.Enabled {
-		obs.RecordGrowEvent()
-	}
-}
-
-// drainLocked empties st.old into st.table (allocation lock held).
-func (g *GrowTable[O]) drainLocked(st *growState[O]) {
-	// Wait out straggler inserts into the old table (lock-free, finite).
-	if st.oldInflight != nil {
-		for st.oldInflight.Load() != 0 {
-			runtime.Gosched()
-		}
-	}
-	old := st.old
-	var obsDrained uint64
-	for old.CountAtomic() > 0 {
-		for i := 0; i < old.Size(); i++ {
-			e := old.load(i)
-			if e == Empty {
-				continue
-			}
-			if chaos.Enabled {
-				chaos.Yield(chaos.SiteGrowDrain)
-			}
-			if old.Delete(e) {
-				st.table.Insert(e)
-				if obs.Enabled {
-					obsDrained++
-				}
+			if t.ops.Cmp(c, v) < 0 {
+				t.cells[i&t.mask], v = v, c
 			}
 		}
+		moved++
 	}
-	if obs.Enabled && obsDrained > 0 {
-		obs.RecordMigrate(0, obsDrained)
-	}
-	// st.old is intentionally left set: concurrent inserters still
-	// holding this state read st.old locklessly, and their migrate()
-	// calls are harmless no-ops on the now-empty table. Callers publish
-	// a fresh state without the old table instead.
-}
-
-// FinishMigration drains any in-progress migration (callers must be
-// quiescent). Elements and Snapshot call it implicitly.
-func (g *GrowTable[O]) FinishMigration() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	st := g.state.Load()
-	if st.old != nil {
-		g.drainLocked(st)
-		g.state.Store(&growState[O]{table: st.table, inflight: st.inflight})
-	}
+	return moved
 }
 
 // Find returns the element under v's key (find/elements phase only).
-func (g *GrowTable[O]) Find(v uint64) (uint64, bool) {
-	st := g.state.Load()
-	if e, ok := st.table.Find(v); ok {
-		return e, ok
-	}
-	if st.old != nil {
-		return st.old.Find(v)
-	}
-	return Empty, false
-}
+func (g *GrowTable[O]) Find(v uint64) (uint64, bool) { return g.table.Load().Find(v) }
 
 // Contains is Find without the element.
-func (g *GrowTable[O]) Contains(v uint64) bool {
-	_, ok := g.Find(v)
-	return ok
-}
+func (g *GrowTable[O]) Contains(v uint64) bool { return g.table.Load().Contains(v) }
 
-// Delete removes v's key (delete phase only). During a migration the
-// key may transiently exist in both tables (an insert of a key that was
-// still awaiting migration), so both are deleted from.
-func (g *GrowTable[O]) Delete(v uint64) bool {
-	st := g.state.Load()
-	deleted := st.table.Delete(v)
-	if st.old != nil {
-		if st.old.Delete(v) {
-			deleted = true
-		}
-	}
-	return deleted
-}
+// Delete removes v's key (delete phase only).
+func (g *GrowTable[O]) Delete(v uint64) bool { return g.table.Load().Delete(v) }
 
-// Elements finishes any migration and returns the deterministic packed
-// contents (quiescent callers only).
-func (g *GrowTable[O]) Elements() []uint64 {
-	g.FinishMigration()
-	return g.state.Load().table.Elements()
-}
+// Elements returns the deterministic packed contents (find/elements
+// phase only).
+func (g *GrowTable[O]) Elements() []uint64 { return g.table.Load().Elements() }
 
-// Count returns the stored key count. Like Elements it requires
-// quiescence and finishes any migration first (keys straddling the two
-// tables merge during the drain, so counting live tables separately
-// would over-report).
-func (g *GrowTable[O]) Count() int {
-	g.FinishMigration()
-	return g.state.Load().table.Count()
-}
+// Count returns the stored key count (find/elements phase only).
+func (g *GrowTable[O]) Count() int { return g.table.Load().Count() }
 
-// Size returns the current main table's cell count.
-func (g *GrowTable[O]) Size() int { return g.state.Load().table.Size() }
+// Size returns the table's cell count.
+func (g *GrowTable[O]) Size() int { return g.table.Load().Size() }
 
-// Snapshot finishes any migration and copies the raw cell array of the
-// main table (quiescent use only). Like WordTable.Snapshot it exists so
-// tests can compare quiescent layouts byte-for-byte across schedules.
-func (g *GrowTable[O]) Snapshot() []uint64 {
-	g.FinishMigration()
-	return g.state.Load().table.Snapshot()
-}
+// Snapshot copies the raw cell array (quiescent use only), so tests can
+// compare quiescent layouts byte-for-byte across schedules.
+func (g *GrowTable[O]) Snapshot() []uint64 { return g.table.Load().Snapshot() }
 
-// CheckInvariant verifies the ordering invariant of both live tables.
-func (g *GrowTable[O]) CheckInvariant() error {
-	st := g.state.Load()
-	if err := st.table.CheckInvariant(); err != nil {
-		return err
-	}
-	if st.old != nil {
-		return st.old.CheckInvariant()
-	}
-	return nil
-}
+// CheckInvariant verifies the table's ordering invariant (quiescent use
+// only).
+func (g *GrowTable[O]) CheckInvariant() error { return g.table.Load().CheckInvariant() }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"phasehash/internal/hashx"
+	"phasehash/internal/obs"
 	"phasehash/internal/parallel"
 )
 
@@ -80,7 +82,6 @@ func TestGrowTableElementsDeterministicAfterDrain(t *testing.T) {
 	// and final size.
 	g := NewGrowTable[SetOps](16)
 	parallel.ForGrain(20000, 1, func(i int) { g.Insert(hashx.At(3, i)%40000 + 1) })
-	g.FinishMigration()
 	w := NewWordTable[SetOps](g.Size())
 	parallel.ForGrain(20000, 1, func(i int) { w.Insert(hashx.At(3, i)%40000 + 1) })
 	a, b := g.Elements(), w.Elements()
@@ -94,32 +95,12 @@ func TestGrowTableElementsDeterministicAfterDrain(t *testing.T) {
 	}
 }
 
-func TestGrowTableFindDuringMigration(t *testing.T) {
-	// Force a state where migration is mid-flight, then run a find
-	// phase: every inserted key must be visible in one of the tables.
-	g := NewGrowTable[SetOps](8)
-	var inserted []uint64
-	for k := uint64(1); k <= 2000; k++ {
-		g.Insert(k * 7)
-		inserted = append(inserted, k*7)
-	}
-	// Do not call FinishMigration: st.old may be non-nil right now.
-	for _, k := range inserted {
-		if !g.Contains(k) {
-			t.Fatalf("key %d invisible mid-migration", k)
-		}
-	}
-	if g.Contains(3) {
-		t.Fatal("absent key found")
-	}
-}
-
 func TestGrowTableDelete(t *testing.T) {
 	g := NewGrowTable[SetOps](8)
 	for k := uint64(1); k <= 3000; k++ {
 		g.Insert(k)
 	}
-	// Delete phase (may span both tables mid-migration).
+	// Delete phase on the grown table.
 	parallel.ForGrain(1500, 1, func(i int) {
 		if !g.Delete(uint64(i)*2 + 2) { // even keys
 			t.Errorf("Delete(%d) failed", i*2+2)
@@ -138,29 +119,95 @@ func TestGrowTableDelete(t *testing.T) {
 	}
 }
 
-func TestInsertLimited(t *testing.T) {
-	// With the identity hash, fill a run of higher-priority keys that
-	// all hash to cell 10, and verify the limit trips for a low-priority
-	// key without modifying the table.
-	tab := NewWordTable[IdentOps](64)
-	for k := uint64(2); k <= 11; k++ {
-		tab.Insert(k*64 + 10) // all home 10; cells 10..19 occupied
+// TestGrowTableMixedInsertsFromPoolWorkers mixes per-element Insert and
+// InsertAll calls on pool workers across several doublings: the readers
+// a doubling blocks are pool workers, and the occasional large InsertAll
+// holds the read lock across its own pool dispatch. The phase must
+// finish (the grower never needs the pool), the insert results must sum
+// to the distinct-key count, and the layout must match a sequential
+// per-element replay of the same calls. Run it under -race too.
+func TestGrowTableMixedInsertsFromPoolWorkers(t *testing.T) {
+	prev := parallel.SetNumWorkers(4)
+	defer parallel.SetNumWorkers(prev)
+	const n, small, large = 1 << 14, 8, 1 << 10
+	keys := make([]uint64, n)
+	distinct := map[uint64]bool{}
+	for i := range keys {
+		keys[i] = hashx.At(5, i)%(n/2) + 1
+		distinct[keys[i]] = true
 	}
-	snap := tab.Snapshot()
-	added, ok := tab.InsertLimited(74, 5) // home 10, lowest priority of the cluster
-	if ok {
-		t.Fatalf("InsertLimited succeeded past limit (added=%v)", added)
+	// Call b inserts keys[b*small:] — small keys, or large keys (reaching
+	// into later calls' keys) every 64th call.
+	call := func(b int) []uint64 {
+		if b%64 == 0 {
+			return keys[b*small : min(b*small+large, n)]
+		}
+		return keys[b*small : (b+1)*small]
 	}
-	for i, c := range tab.Snapshot() {
-		if c != snap[i] {
-			t.Fatal("aborted insert modified the table")
+	calls := n / small
+
+	g := NewGrowTable[SetOps](minGrowSize)
+	var added atomic.Int64
+	parallel.ForGrain(calls, 1, func(b int) {
+		if b%2 == 0 {
+			added.Add(int64(g.InsertAll(call(b))))
+			return
+		}
+		a := 0
+		for _, k := range call(b) {
+			if g.Insert(k) {
+				a++
+			}
+		}
+		added.Add(int64(a))
+	})
+	if got := int(added.Load()); got != len(distinct) {
+		t.Fatalf("insert results sum to %d, want %d distinct keys", got, len(distinct))
+	}
+	if err := g.CheckInvariant(); err != nil {
+		t.Fatal(err)
+	}
+
+	ref := NewGrowTable[SetOps](minGrowSize)
+	for b := 0; b < calls; b++ {
+		for _, k := range call(b) {
+			ref.Insert(k)
 		}
 	}
-	added, ok = tab.InsertLimited(74, 30)
-	if !ok || !added {
-		t.Fatal("InsertLimited failed within limit")
+	a, r := g.Snapshot(), ref.Snapshot()
+	if len(a) != len(r) {
+		t.Fatalf("final size %d, sequential replay %d", len(a), len(r))
 	}
-	if !tab.Contains(74) {
-		t.Fatal("key lost")
+	for i := range a {
+		if a[i] != r[i] {
+			t.Fatalf("cell %d = %#x, sequential replay %#x", i, a[i], r[i])
+		}
+	}
+}
+
+// TestGrowTableCoreCountsGrowTraffic checks the always-on counter core
+// sees each resize as grow traffic and exactly one insert op per call:
+// rehash re-inserts never reach the insert counters.
+func TestGrowTableCoreCountsGrowTraffic(t *testing.T) {
+	if !obs.CoreEnabled {
+		t.Skip("counter core compiled out (-tags nostats)")
+	}
+	const n = 1 << 12
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = uint64(i+1) * 2654435761
+	}
+	before := obs.CoreSnapshot()
+	g := NewGrowTable[SetOps](minGrowSize)
+	g.InsertAll(keys[:n/2])
+	for _, k := range keys[n/2:] {
+		g.Insert(k)
+	}
+	d := obs.CoreSnapshot().Sub(before)
+	if d.InsertOps != n {
+		t.Fatalf("core insert ops %d, want %d", d.InsertOps, n)
+	}
+	if d.GrowEvents == 0 || d.GrowCellsMoved == 0 {
+		t.Fatalf("core grow counters events=%d moved=%d, want both > 0", d.GrowEvents, d.GrowCellsMoved)
 	}
 }

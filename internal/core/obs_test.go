@@ -96,57 +96,9 @@ func TestObsSerialProbesFeedSameCounters(t *testing.T) {
 	}
 }
 
-// TestObsSnapshotMergeShardedCompact drives every partition site of
-// the sharded compact table's bulk kernels and checks the merged
-// obs.Snapshot: one shard-bulk call per kernel, element totals summed
-// across calls, and the imbalance gauge merged as a running max — the
-// snapshot contract TestObsSerialProbesFeedSameCounters pins for the
-// flat sharded table, now over the fingerprint-probed shards (whose
-// FindAll gather/scatter path records through its own PartitionIndex
-// site rather than partitionByShard).
-func TestObsSnapshotMergeShardedCompact(t *testing.T) {
-	obs.Reset()
-	defer obs.Reset()
-	const n = 1 << 10
-	tb := NewShardedCompactTable[SetOps](4*n, 8)
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 2654435761
-	}
-	tb.InsertAll(keys)
-	dst := make([]uint64, n)
-	if got := tb.FindAll(keys, dst); got != n {
-		t.Fatalf("FindAll = %d, want %d", got, n)
-	}
-	tb.ContainsAll(keys[:n/2])
-	tb.DeleteAll(keys[:n/2])
-	s := obs.TakeSnapshot()
-	if got := s.Get(obs.CtrShardBulkCalls); got != 4 {
-		t.Fatalf("shard bulk calls %d, want 4 (insert, find, contains, delete)", got)
-	}
-	if want := uint64(3 * n); s.Get(obs.CtrShardBulkElems) != want {
-		t.Fatalf("shard bulk elems %d, want %d", s.Get(obs.CtrShardBulkElems), want)
-	}
-	if got := s.Get(obs.CtrShardBulkRuns); got == 0 || got > 4*8 {
-		t.Fatalf("shard bulk runs %d, want in (0, 32]", got)
-	}
-	if s.MaxShardImbalancePm < 1000 {
-		t.Fatalf("imbalance gauge %d pm < 1000 (max run is never below mean)", s.MaxShardImbalancePm)
-	}
-	// A one-element bulk call is maximally skewed (one shard holds
-	// everything): the gauge must merge to exactly shards×1000 and stay
-	// there — WriteMax keeps the running max across partition sites.
-	tb.InsertAll(keys[:1])
-	if got := obs.TakeSnapshot().MaxShardImbalancePm; got != 8000 {
-		t.Fatalf("gauge after skewed call = %d pm, want 8000", got)
-	}
-	if got := tb.Count(); got != n/2+1 {
-		t.Fatalf("Count = %d, want %d", got, n/2+1)
-	}
-}
-
-// TestObsGrowCounters checks migration telemetry: growing a table from
-// minimum size records grow events and cells moved.
+// TestObsGrowCounters checks resize telemetry: growing a table from
+// minimum size records grow events and rehashed cells, and the rehash
+// re-inserts never count as insert ops.
 func TestObsGrowCounters(t *testing.T) {
 	obs.Reset()
 	defer obs.Reset()
@@ -155,13 +107,15 @@ func TestObsGrowCounters(t *testing.T) {
 	for i := uint64(1); i <= n; i++ {
 		g.Insert(i * 2654435761)
 	}
-	g.FinishMigration()
 	s := obs.TakeSnapshot()
 	if got := s.Get(obs.CtrGrowEvents); got == 0 {
 		t.Fatal("no grow events recorded")
 	}
 	if got := s.Get(obs.CtrGrowCellsMoved); got == 0 {
-		t.Fatal("no migrated cells recorded")
+		t.Fatal("no rehashed cells recorded")
+	}
+	if got := s.Get(obs.CtrInsertOps); got != n {
+		t.Fatalf("insert ops %d, want %d (rehash traffic leaked into the insert counters)", got, n)
 	}
 	if g.Count() != n {
 		t.Fatalf("count %d, want %d", g.Count(), n)

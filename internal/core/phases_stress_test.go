@@ -154,7 +154,6 @@ func TestGrowTablePhaseAlternation(t *testing.T) {
 			keys[i] = uint64(rng.Intn(20000)) + 1
 		}
 		if ph%3 == 2 {
-			g.FinishMigration() // reads require a drained state for Count
 			parallel.ForGrain(batch, 1, func(i int) {
 				_, found := g.Find(keys[i])
 				if found != model[keys[i]] {
@@ -162,7 +161,6 @@ func TestGrowTablePhaseAlternation(t *testing.T) {
 				}
 			})
 		} else if ph%3 == 1 {
-			g.FinishMigration() // deletes must not overlap migration
 			parallel.ForGrain(batch, 1, func(i int) { g.Delete(keys[i]) })
 			for _, k := range keys {
 				delete(model, k)

@@ -227,105 +227,6 @@ func (t *WordTable[O]) fullErr() error {
 	return fullTableErr(len(t.cells), t.CountAtomic())
 }
 
-// InsertLimited is Insert with an overfull detector for the resizing
-// extension (GrowTable): if the probe sequence exceeds limit cells
-// before the insert has modified the table, it aborts and returns
-// ok=false so the caller can grow. Once the insert has swapped anything
-// in, it runs to completion regardless (another insert will trip the
-// detector soon enough). Returns (added, ok).
-// Telemetry records only *completed* inserts: a probe-limit abort is
-// retried by the caller after growing, so counting each attempt would
-// make the schedule-independent insert-op total depend on how often the
-// limit tripped (its probe work is simply not attributed).
-func (t *WordTable[O]) InsertLimited(v uint64, limit int) (added, ok bool) {
-	if v == Empty {
-		panic("core: cannot insert the reserved empty element")
-	}
-	var obsCAS, obsFail, obsDisp uint64
-	start := t.home(v)
-	i := start
-	committed := false
-	hardLimit := start + len(t.cells)
-	for {
-		if chaos.Enabled {
-			chaos.Yield(chaos.SiteWordInsertProbe)
-		}
-		if !committed && i-start > limit {
-			return false, false
-		}
-		if i >= hardLimit {
-			panic("core: WordTable: " + t.fullErr().Error())
-		}
-		c := t.load(i)
-		if c == Empty {
-			if chaos.Enabled && chaos.FailCAS(chaos.SiteWordInsertClaim) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
-				continue
-			}
-			if t.cas(i, Empty, v) {
-				if obs.Enabled {
-					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
-				}
-				if obs.CoreEnabled {
-					obs.CoreInsert(start, 1, uint64(i-start))
-				}
-				return true, true
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
-			}
-			continue
-		}
-		cmp := t.ops.Cmp(c, v)
-		switch {
-		case cmp == 0:
-			merged := t.ops.Merge(c, v)
-			if chaos.Enabled && merged != c && chaos.FailCAS(chaos.SiteWordInsertMerge) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
-				continue
-			}
-			if merged == c || t.cas(i, c, merged) {
-				if obs.Enabled {
-					if merged != c {
-						obsCAS++
-					}
-					obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
-				}
-				if obs.CoreEnabled {
-					obs.CoreInsert(start, 1, uint64(i-start))
-				}
-				return false, true
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
-			}
-		case cmp > 0:
-			i++
-		default:
-			if chaos.Enabled && chaos.FailCAS(chaos.SiteWordInsertDisplace) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
-				continue
-			}
-			if t.cas(i, c, v) {
-				if obs.Enabled {
-					obsCAS, obsDisp = obsCAS+1, obsDisp+1
-				}
-				committed = true
-				v = c
-				i++
-			} else if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
-			}
-		}
-	}
-}
-
 // Find reports the element stored under v's key (find/elements phase
 // only; also safe during quiescence). v's value part, if any, is ignored:
 // only the key participates. This is Figure 1's FIND: probe forward while
@@ -539,10 +440,9 @@ func (t *WordTable[O]) Count() int {
 }
 
 // CountAtomic is Count with atomic cell reads: safe to call while
-// another phase is mutating the table (used by the resizing extension's
-// migration bookkeeping and by fullErr's saturation report; the result
-// is a racy snapshot). It is a blocked parallel reduce, so the O(m)
-// scan no longer serializes GrowTable's drain loop on large tables.
+// another phase is mutating the table (used by fullErr's saturation
+// report; the result is a racy snapshot). It is a blocked parallel
+// reduce.
 func (t *WordTable[O]) CountAtomic() int {
 	return parallel.Reduce(len(t.cells), 0,
 		func(a, b int) int { return a + b },

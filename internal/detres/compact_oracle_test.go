@@ -34,33 +34,6 @@ func TestOracleCrossPathCompactBulk(t *testing.T) {
 	}
 }
 
-func TestOracleGridShardedCompact(t *testing.T) {
-	cfg := testOracleConfig(t)
-	if d := RunOracle(ShardedCompactRunner{Capacity: 4 * cfg.N, Shards: 8}, cfg); d != nil {
-		t.Fatal(d)
-	}
-}
-
-func TestOracleGridShardedCompactBulk(t *testing.T) {
-	cfg := testOracleConfig(t)
-	if d := RunOracle(ShardedCompactBulkRunner{Capacity: 4 * cfg.N, Shards: 8}, cfg); d != nil {
-		t.Fatal(d)
-	}
-}
-
-// The owner-computes kernels' plain stores and plain ctrl writes (with
-// their transient serial-delete tombstones) must land in the same
-// quiescent (cells, ctrl) bytes as the atomic per-element path with its
-// syncCtrl convergence loop.
-func TestOracleCrossPathShardedCompactBulk(t *testing.T) {
-	cfg := testOracleConfig(t)
-	a := ShardedCompactRunner{Capacity: 4 * cfg.N, Shards: 8}
-	b := ShardedCompactBulkRunner{Capacity: 4 * cfg.N, Shards: 8}
-	if d := RunCrossOracle(a, b, cfg); d != nil {
-		t.Fatal(d)
-	}
-}
-
 // The compact table must store exactly the flat table's element set.
 func TestOracleCompactMatchesFlatMultiset(t *testing.T) {
 	cfg := testOracleConfig(t)

@@ -5,11 +5,10 @@ import "phasehash/internal/core"
 // Compact-table runners. Their Layout is the concatenation of the raw
 // cell array and the raw ctrl words, so the oracle's byte comparison
 // pins BOTH arrays of the quiescent (cells, ctrl) pair across the
-// schedule grid — a stale fingerprint or surviving tombstone diverges
-// even when the cells agree. Each replay also runs CheckInvariant
-// before observing, so every grid cell additionally proves the ctrl
-// array is the derived function of the cells (and tombstone-free) at
-// quiescence, not merely schedule-stable.
+// schedule grid — a stale fingerprint diverges even when the cells
+// agree. Each replay also runs CheckInvariant before observing, so
+// every grid cell additionally proves the ctrl array is the derived
+// function of the cells at quiescence, not merely schedule-stable.
 
 // compactResult builds the oracle observation for a quiesced compact
 // table, failing loudly on an invariant violation.
@@ -54,40 +53,6 @@ func (r CompactBulkRunner) Name() string { return "compact-bulk" }
 // Run implements Runner.
 func (r CompactBulkRunner) Run(elems []uint64, workers int) OracleResult {
 	t := core.NewCompactTable[core.SetOps](r.Capacity)
-	t.InsertAll(elems)
-	t.DeleteAll(everyThird(elems))
-	return compactResult(t.Elements(), t.Snapshot(), t.CtrlSnapshot(), t.Count(), t.CheckInvariant())
-}
-
-// ShardedCompactRunner replays through ShardedCompactTable's
-// per-element atomic path; Shards is pinned for the same reason as
-// ShardedRunner's.
-type ShardedCompactRunner struct{ Capacity, Shards int }
-
-// Name implements Runner.
-func (r ShardedCompactRunner) Name() string { return "sharded-compact" }
-
-// Run implements Runner.
-func (r ShardedCompactRunner) Run(elems []uint64, workers int) OracleResult {
-	t := core.NewShardedCompactTable[core.SetOps](r.Capacity, r.Shards)
-	replayPhases(len(elems), workers,
-		func(i int) { t.Insert(elems[i]) },
-		func(i int) { t.Delete(elems[i]) })
-	return compactResult(t.Elements(), t.Snapshot(), t.CtrlSnapshot(), t.Count(), t.CheckInvariant())
-}
-
-// ShardedCompactBulkRunner replays through the owner-computes kernels
-// (radix partition, then one worker per shard with plain stores and
-// plain ctrl writes — including the transient serial-delete
-// tombstones, which CheckInvariant proves are gone at quiescence).
-type ShardedCompactBulkRunner struct{ Capacity, Shards int }
-
-// Name implements Runner.
-func (r ShardedCompactBulkRunner) Name() string { return "sharded-compact-bulk" }
-
-// Run implements Runner.
-func (r ShardedCompactBulkRunner) Run(elems []uint64, workers int) OracleResult {
-	t := core.NewShardedCompactTable[core.SetOps](r.Capacity, r.Shards)
 	t.InsertAll(elems)
 	t.DeleteAll(everyThird(elems))
 	return compactResult(t.Elements(), t.Snapshot(), t.CtrlSnapshot(), t.Count(), t.CheckInvariant())

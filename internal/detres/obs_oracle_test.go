@@ -28,9 +28,8 @@ func runObsCell(r Runner, elems []uint64, workers int, prof chaos.Profile, seed 
 // claim into the detres grid: for a fixed workload, obs.Snapshot() op
 // counts are identical across worker counts and chaos profiles — the
 // schedule moves probe lengths and retries, never how many operations
-// the phases performed. GrowRunner is deliberately excluded: migration
-// re-inserts records through the same insert path at schedule-dependent
-// times, so its op counts measure the grow schedule, not the workload.
+// the phases performed. The grow runners are included: a resize rehashes
+// outside the insert counters, so growth never shows up as insert ops.
 func TestObsOpCountsScheduleIndependent(t *testing.T) {
 	cfg := testOracleConfig(t)
 	runners := []Runner{
@@ -38,6 +37,8 @@ func TestObsOpCountsScheduleIndependent(t *testing.T) {
 		WordBulkRunner{Capacity: 4 * cfg.N},
 		ShardedRunner{Capacity: 4 * cfg.N, Shards: 8},
 		ShardedBulkRunner{Capacity: 4 * cfg.N, Shards: 8},
+		GrowRunner{Initial: 64},
+		GrowBulkRunner{Initial: 64},
 	}
 	prevWorkers := parallel.SetNumWorkers(0)
 	defer func() {

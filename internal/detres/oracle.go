@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"phasehash/internal/chaos"
 	"phasehash/internal/core"
@@ -18,7 +19,7 @@ import (
 // set of operations performed, never on the schedule. The oracle
 // *manufactures* schedules — replaying one generated workload across a
 // seed × worker-count × fault-profile grid, with package chaos
-// perturbing the probe/CAS/migration hot paths when built with
+// perturbing the probe/CAS/rehash hot paths when built with
 // `-tags chaos` — and asserts that Elements(), Count() and the raw
 // quiescent cell layout are byte-identical in every cell of the grid.
 // On divergence it shrinks the workload and reports a minimized repro
@@ -29,6 +30,11 @@ type OracleResult struct {
 	Elements []uint64 // deterministic packed contents
 	Layout   []uint64 // raw cell array (history-independence witness)
 	Count    int
+	// Added is the sum of the insert phase's results (true Insert
+	// results, or InsertAll's return) for runners that report it — the
+	// grow runners, whose exact attribution it pins — and 0 otherwise.
+	// Compared like Count.
+	Added int
 	// Trace is the self-tuning decision trace when the runner exercises
 	// an adaptive component (TuneEpochRunner); empty otherwise. Compared
 	// byte-for-byte like the layout: tuning decisions must be a pure
@@ -162,8 +168,8 @@ func (r ShardedBulkRunner) Run(elems []uint64, workers int) OracleResult {
 	return OracleResult{Elements: t.Elements(), Layout: t.Snapshot(), Count: t.Count()}
 }
 
-// GrowRunner replays on a GrowTable[SetOps], covering the migration
-// machinery; Elements/Snapshot drain any in-flight migration first.
+// GrowRunner replays on a GrowTable[SetOps] from a small initial size,
+// so the insert phase grows the table several times.
 type GrowRunner struct{ Initial int }
 
 // Name implements Runner.
@@ -172,14 +178,19 @@ func (r GrowRunner) Name() string { return "grow" }
 // Run implements Runner.
 func (r GrowRunner) Run(elems []uint64, workers int) OracleResult {
 	t := core.NewGrowTable[core.SetOps](r.Initial)
+	var added atomic.Int64
 	replayPhases(len(elems), workers,
-		func(i int) { t.Insert(elems[i]) },
+		func(i int) {
+			if t.Insert(elems[i]) {
+				added.Add(1)
+			}
+		},
 		func(i int) { t.Delete(elems[i]) })
-	return OracleResult{Elements: t.Elements(), Layout: t.Snapshot(), Count: t.Count()}
+	return OracleResult{Elements: t.Elements(), Layout: t.Snapshot(), Count: t.Count(), Added: int(added.Load())}
 }
 
-// GrowBulkRunner is WordBulkRunner for the growing table: bulk kernels
-// over the migration machinery.
+// GrowBulkRunner is WordBulkRunner for the growing table: one InsertAll
+// that grows once before it runs.
 type GrowBulkRunner struct{ Initial int }
 
 // Name implements Runner.
@@ -188,9 +199,9 @@ func (r GrowBulkRunner) Name() string { return "grow-bulk" }
 // Run implements Runner.
 func (r GrowBulkRunner) Run(elems []uint64, workers int) OracleResult {
 	t := core.NewGrowTable[core.SetOps](r.Initial)
-	t.InsertAll(elems)
+	added := t.InsertAll(elems)
 	t.DeleteAll(everyThird(elems))
-	return OracleResult{Elements: t.Elements(), Layout: t.Snapshot(), Count: t.Count()}
+	return OracleResult{Elements: t.Elements(), Layout: t.Snapshot(), Count: t.Count(), Added: added}
 }
 
 // OracleConfig spans the replay grid. The first worker count and the
@@ -442,6 +453,9 @@ func runCell(r Runner, elems []uint64, workers int, prof chaos.Profile, seed uin
 func compareResults(a, b OracleResult) string {
 	if a.Count != b.Count {
 		return fmt.Sprintf("Count %d vs %d", a.Count, b.Count)
+	}
+	if a.Added != b.Added {
+		return fmt.Sprintf("insert results sum %d vs %d", a.Added, b.Added)
 	}
 	if len(a.Elements) != len(b.Elements) {
 		return fmt.Sprintf("len(Elements) %d vs %d", len(a.Elements), len(b.Elements))

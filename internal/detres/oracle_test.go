@@ -7,6 +7,7 @@ import (
 
 	"phasehash/internal/chaos"
 	"phasehash/internal/hashx"
+	"phasehash/internal/parallel"
 	"phasehash/internal/sequence"
 )
 
@@ -80,6 +81,37 @@ func TestOracleCrossPathGrowBulk(t *testing.T) {
 	cfg := testOracleConfig(t)
 	if d := RunCrossOracle(GrowRunner{Initial: 64}, GrowBulkRunner{Initial: 64}, cfg); d != nil {
 		t.Fatal(d)
+	}
+}
+
+// A growing table's insert results are exact: on every cell of the
+// seed × worker × chaos grid, the per-element and bulk insert phases
+// report exactly the workload's distinct keys as added.
+func TestOracleGrowAddedIsDistinctCount(t *testing.T) {
+	cfg := testOracleConfig(t)
+	prev := parallel.SetNumWorkers(0)
+	defer func() {
+		parallel.SetNumWorkers(prev)
+		chaos.Disable()
+	}()
+	for _, r := range []Runner{GrowRunner{Initial: 64}, GrowBulkRunner{Initial: 64}} {
+		for _, dist := range cfg.Dists {
+			for _, seed := range cfg.Seeds {
+				elems := OracleWorkload(dist, cfg.N, seed)
+				distinct := map[uint64]bool{}
+				for _, e := range elems {
+					distinct[e] = true
+				}
+				for _, prof := range cfg.Profiles {
+					for _, w := range cfg.Workers {
+						if got := runCell(r, elems, w, prof, seed).Added; got != len(distinct) {
+							t.Fatalf("%s/%s/seed=%d workers=%d profile=%s: insert results sum to %d, want %d distinct keys",
+								r.Name(), dist, seed, w, prof.Name, got, len(distinct))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -59,22 +59,18 @@ func HashString(s string) uint64 {
 //     fingerprint for every table below 2^57 cells, so the fingerprint
 //     carries no information about where the element lands.
 //
-// core.ShardedCompactTable's shard radix reads bits [40, 48) (see
-// shardedcompact.go), keeping all three hash consumers — home bucket,
-// shard radix, fingerprint — on disjoint bit ranges. Because the
-// fingerprint is a pure function of the hash, the quiescent ctrl byte
-// of a slot is determined by the cell it shadows, which is what keeps
-// the control array history-independent for free.
+// Because the fingerprint is a pure function of the hash, the quiescent
+// ctrl byte of a slot is determined by the cell it shadows, which is
+// what keeps the control array history-independent for free.
 const FingerprintShift = 57
 
 // Fingerprint returns the control-array byte for a full slot holding an
 // element with hash h: bit 7 set (the full/empty discriminant; empty is
-// 0x00 and the transient tombstone 0x01, both with bit 7 clear) and the
-// hash's top seven bits in bits 0-6. The result is always in
-// [0x80, 0xFF] — nonzero by construction, no remapping — and byte order
-// on full-slot fingerprints agrees with numeric order on the hashes'
-// top seven bits, which is what the compact table's word-at-a-time
-// priority pruning relies on.
+// 0x00, with bit 7 clear) and the hash's top seven bits in bits 0-6.
+// The result is always in [0x80, 0xFF] — nonzero by construction, no
+// remapping — and byte order on full-slot fingerprints agrees with
+// numeric order on the hashes' top seven bits, which is what the
+// compact table's word-at-a-time priority pruning relies on.
 func Fingerprint(h uint64) byte {
 	return byte(h>>FingerprintShift) | 0x80
 }

@@ -19,6 +19,9 @@ func CoreFind(stripe int, ops, steps, hits uint64) {}
 // CoreDelete is a no-op under -tags nostats.
 func CoreDelete(stripe int, ops, steps uint64) {}
 
+// CoreGrow is a no-op under -tags nostats.
+func CoreGrow(moved uint64) {}
+
 // CoreShardBulk is a no-op under -tags nostats.
 func CoreShardBulk(offsets []int) {}
 

@@ -22,7 +22,7 @@ const (
 	coreStripes    = 64
 	coreStripeMask = coreStripes - 1
 
-	coreNumCounters = 13 // additive CoreStats fields (gauge excluded)
+	coreNumCounters = 15 // additive CoreStats fields (gauge excluded)
 )
 
 // Indices into coreSink.c. Kept as plain consts (not a type): they never
@@ -36,6 +36,8 @@ const (
 	cFindHits
 	cDeleteOps
 	cDeleteSteps
+	cGrowEvents
+	cGrowCells
 	cShardBulkCalls
 	cShardBulkRuns
 	cShardBulkElems
@@ -45,8 +47,8 @@ const (
 )
 
 // coreSink is one stripe of always-on counters, padded to a cache-line
-// multiple so adjacent stripes never share a line (64-byte lines; 13
-// words round to 2 lines with 3 words of pad).
+// multiple so adjacent stripes never share a line (64-byte lines; 15
+// words round to 2 lines with 1 word of pad).
 type coreSink struct {
 	c [coreNumCounters]atomic.Uint64
 	_ [(64 - (coreNumCounters*8)%64) % 64]byte
@@ -86,6 +88,13 @@ func CoreDelete(stripe int, ops, steps uint64) {
 	s := &coreSinks[stripe&coreStripeMask]
 	s.c[cDeleteOps].Add(ops)
 	s.c[cDeleteSteps].Add(steps)
+}
+
+// CoreGrow publishes one GrowTable resize and the elements it rehashed.
+func CoreGrow(moved uint64) {
+	s := &coreSinks[2]
+	s.c[cGrowEvents].Add(1)
+	s.c[cGrowCells].Add(moved)
 }
 
 // CoreShardBulk publishes one sharded bulk-kernel partition from its
@@ -146,6 +155,8 @@ func CoreSnapshot() CoreStats {
 		s.FindHits += c[cFindHits].Load()
 		s.DeleteOps += c[cDeleteOps].Load()
 		s.DeleteProbeSteps += c[cDeleteSteps].Load()
+		s.GrowEvents += c[cGrowEvents].Load()
+		s.GrowCellsMoved += c[cGrowCells].Load()
 		s.ShardBulkCalls += c[cShardBulkCalls].Load()
 		s.ShardBulkRuns += c[cShardBulkRuns].Load()
 		s.ShardBulkElems += c[cShardBulkElems].Load()

@@ -9,10 +9,11 @@ import (
 // the merged snapshot type and its derived gauges. The core is the
 // minimal telemetry subset promoted out of the obs build tag so the
 // self-tuning layer (internal/tune) has schedule-independent inputs in
-// every binary: striped operation/probe-step counters, the sharded
-// bulk-kernel imbalance gauge, and the pool dispatch counters. Nothing
-// else moved — histograms, CAS/displacement accounting, phase spans and
-// the debug endpoint stay behind -tags obs.
+// every binary: striped operation/probe-step counters, the growing
+// table's resize counters, the sharded bulk-kernel imbalance gauge, and
+// the pool dispatch counters. Nothing else moved — histograms,
+// CAS/displacement accounting, phase spans and the debug endpoint stay
+// behind -tags obs.
 //
 // The core has its own off switch, inverted relative to obs: it is ON
 // in default builds and compiled out with -tags nostats (the overhead
@@ -42,6 +43,11 @@ type CoreStats struct {
 	FindHits         uint64
 	DeleteOps        uint64
 	DeleteProbeSteps uint64
+
+	// GrowTable resizes and the elements they rehashed: grow traffic,
+	// never counted in InsertOps.
+	GrowEvents     uint64
+	GrowCellsMoved uint64
 
 	// Sharded owner-computes bulk kernels (flat and compact shards).
 	ShardBulkCalls uint64
@@ -125,6 +131,8 @@ func (s CoreStats) Sub(prev CoreStats) CoreStats {
 		FindHits:            s.FindHits - prev.FindHits,
 		DeleteOps:           s.DeleteOps - prev.DeleteOps,
 		DeleteProbeSteps:    s.DeleteProbeSteps - prev.DeleteProbeSteps,
+		GrowEvents:          s.GrowEvents - prev.GrowEvents,
+		GrowCellsMoved:      s.GrowCellsMoved - prev.GrowCellsMoved,
 		ShardBulkCalls:      s.ShardBulkCalls - prev.ShardBulkCalls,
 		ShardBulkRuns:       s.ShardBulkRuns - prev.ShardBulkRuns,
 		ShardBulkElems:      s.ShardBulkElems - prev.ShardBulkElems,
@@ -143,6 +151,9 @@ func (s CoreStats) String() string {
 		s.InsertOps, s.MeanProbePm("insert")/1000, s.MeanProbePm("insert")%1000,
 		s.FindOps, s.FindHits, s.MeanProbePm("find")/1000, s.MeanProbePm("find")%1000,
 		s.DeleteOps)
+	if s.GrowEvents > 0 {
+		fmt.Fprintf(&b, "; grow events=%d moved=%d", s.GrowEvents, s.GrowCellsMoved)
+	}
 	if s.ShardBulkCalls > 0 {
 		fmt.Fprintf(&b, "; shard-bulk calls=%d runs=%d elems=%d imbalance=%d.%03dx",
 			s.ShardBulkCalls, s.ShardBulkRuns, s.ShardBulkElems,

@@ -17,9 +17,10 @@
 //     Enabled == false. Call sites are written
 //     `if obs.Enabled { obs.RecordInsert(...) }`, so the compiler deletes
 //     them entirely; `make obs-sizecheck` asserts with `go tool nm` that
-//     no Record* symbol survives linking an untagged binary, and the CI
-//     overhead gate diffs the untagged 2^20 uniform insert benchmark
-//     against the committed BENCH_core.json baseline.
+//     no Record* symbol survives linking an untagged binary. The CI
+//     overhead gate (`make tune-overhead`) is a self-contained A/B: the
+//     2^20 uniform insert benchmark built with -tags nostats against the
+//     same benchmark built untagged, from one tree in one run.
 //   - `-tags obs`: the hooks are live. Hot paths accumulate locally (in
 //     registers) and publish once per operation into cache-line-padded
 //     striped sinks; Snapshot() merges the sinks into one deterministic
@@ -38,8 +39,7 @@
 //
 // What is deterministic: operation counts (inserts, finds, deletes,
 // find hits) for a given workload. What is not: probe steps, CAS
-// failures, displacement and replacement-chain work, migration
-// attribution — those measure the *schedule*, which is exactly why they
+// failures, displacement and replacement-chain work — those measure the *schedule*, which is exactly why they
 // are worth recording. Timings and spans are wall-clock and never
 // deterministic.
 //
@@ -72,14 +72,14 @@ var ErrDisabled = errors.New("obs: built without -tags obs")
 
 // Counter identifies one merged telemetry counter. The set covers the
 // probe loops (word + pointer tables, atomic and serial variants), the
-// growing table's migration machinery, the parallel pool and the
+// growing table's rehashes, the parallel pool and the
 // sharded bulk kernels.
 type Counter uint8
 
 // Counters.
 const (
-	// Insert path (WordTable/PtrTable insertLoopFrom + InsertLimited +
-	// the sharded owner-computes insertSerial).
+	// Insert path (WordTable/PtrTable insertLoopFrom + the sharded
+	// owner-computes insertSerial).
 	CtrInsertOps           Counter = iota // insert operations completed
 	CtrInsertProbeSteps                   // cells stepped past across all inserts
 	CtrInsertCASAttempts                  // claim/merge/displace CASes issued
@@ -97,9 +97,9 @@ const (
 	CtrDeleteReplacements // replacement CASes won: recursive hole-fill depth
 	CtrDeleteCASFailures  // replacement CASes lost to concurrent deletes
 
-	// GrowTable migration.
-	CtrGrowEvents     // table doublings published
-	CtrGrowCellsMoved // elements moved old -> new (migrate quota + drain)
+	// GrowTable resizes: grow traffic, never counted as insert ops.
+	CtrGrowEvents     // resized tables published
+	CtrGrowCellsMoved // elements rehashed old -> new
 
 	// Parallel pool (internal/parallel).
 	CtrParDispatches // pooled ForBlocked dispatches
@@ -149,7 +149,7 @@ var counterNames = [NumCounters]string{
 	CtrDeleteReplacements:  "delete-replacements",
 	CtrDeleteCASFailures:   "delete-cas-failures",
 	CtrGrowEvents:          "grow-events",
-	CtrGrowCellsMoved:      chaos.SiteNameGrowMigrate + "-cells",
+	CtrGrowCellsMoved:      chaos.SiteNameGrowRehash + "-cells",
 	CtrParDispatches:       "parallel-dispatches",
 	CtrParBlocks:           "parallel-blocks",
 	CtrParWakes:            chaos.SiteNameParallelWorker + "-wakes",

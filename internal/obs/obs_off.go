@@ -21,11 +21,8 @@ func RecordCompactFind(stripe int, steps, ctrlWords, falsePos uint64, hit bool) 
 // RecordDelete is a no-op without the obs tag.
 func RecordDelete(stripe int, steps, replacements, casFailures uint64) {}
 
-// RecordGrowEvent is a no-op without the obs tag.
-func RecordGrowEvent() {}
-
-// RecordMigrate is a no-op without the obs tag.
-func RecordMigrate(stripe int, moved uint64) {}
+// RecordGrow is a no-op without the obs tag.
+func RecordGrow(moved uint64) {}
 
 // RecordDispatch is a no-op without the obs tag.
 func RecordDispatch(nblocks int) {}

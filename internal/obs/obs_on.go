@@ -125,14 +125,11 @@ func RecordDelete(stripe int, steps, replacements, casFailures uint64) {
 	s.deleteH[BucketOf(int(steps))].Add(1)
 }
 
-// RecordGrowEvent counts one published table doubling.
-func RecordGrowEvent() {
-	sinks[0].counters[CtrGrowEvents].Add(1)
-}
-
-// RecordMigrate counts cells moved old -> new by one migration quantum.
-func RecordMigrate(stripe int, moved uint64) {
-	sinks[stripe&stripeMask].counters[CtrGrowCellsMoved].Add(moved)
+// RecordGrow counts one published resize and the elements it rehashed.
+func RecordGrow(moved uint64) {
+	s := &sinks[0]
+	s.counters[CtrGrowEvents].Add(1)
+	s.counters[CtrGrowCellsMoved].Add(moved)
 }
 
 // RecordDispatch counts one pooled loop dispatch and its block total.

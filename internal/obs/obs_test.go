@@ -120,7 +120,7 @@ func TestSnapshotJSONAndString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"insert-ops":10`, `"cas_retry_rate":0.2`, `"grow-migrate-cells":0`} {
+	for _, key := range []string{`"insert-ops":10`, `"cas_retry_rate":0.2`, `"grow-rehash-cells":0`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("snapshot JSON missing %s: %s", key, data)
 		}

@@ -13,7 +13,7 @@ import (
 // overhead gate in CI holds the untagged build within 1% of the
 // baseline), and Stats() then returns a zero snapshot with Enabled ==
 // false. Build with `-tags obs` (`make obs`) to turn every probe loop,
-// CAS site, migration quantum, pool dispatch and shard partition into
+// CAS site, table resize, pool dispatch and shard partition into
 // a recorded event.
 
 // Stats merges the telemetry sinks into one snapshot: per-operation
