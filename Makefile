@@ -3,7 +3,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test race lint phasevet fmt fuzz chaos soak soak-server install-phasevet benchbase benchdiff obs obs-sizecheck obs-overhead obs-soak tune tune-sizecheck tune-overhead tune-benchdiff tune-soak
+.PHONY: all build test race lint phasevet fmt fuzz chaos soak soak-server install-phasevet benchbase benchdiff obs obs-sizecheck obs-overhead obs-soak tune tune-sizecheck tune-overhead tune-benchdiff
 
 all: build test lint
 
@@ -115,15 +115,12 @@ obs-sizecheck:
 # keep working.
 obs-overhead: tune-overhead
 
-# tune = the self-tuning gate CI blocks on: the policy/controller
-# tests, the adaptive wiring (auto shard policy, AutoTable, epoch
-# flush-path selection), and the detres tuning oracle — quiescent state
-# AND decision traces byte-compared across the seed x worker x chaos
-# grid — plus the zero-cost-off proofs below.
+# tune = the policy gate CI blocks on: the shard policy and its wiring
+# into core.NewShardedTable, the AutoTable kind policy with its
+# trace-determinism tests, plus the counter-core size check below.
 tune: tune-sizecheck
 	go test ./internal/tune/ ./internal/tables/
-	go test -run 'Tune|AutoShard' ./internal/core ./internal/epoch ./internal/detres
-	go test -tags chaos -run Tune ./internal/detres
+	go test -run AutoShard ./internal/core
 
 # tune-sizecheck = prove the always-on counter core is really the only
 # always-on piece, and that -tags nostats removes even that: the
@@ -167,16 +164,6 @@ tune-benchdiff:
 	go test -run xxx -bench AutoKindFindAll -benchmem -count=5 -cpu $(BENCHCPUS) \
 		./internal/tables | go run ./cmd/benchjson > /tmp/BENCH_tune.new.json
 	go run ./cmd/benchjson -diff BENCH_core.json /tmp/BENCH_tune.new.json
-
-# tune-soak = the soak-server pair with the adaptive flush-path tuner
-# live: same comfortable-load and overload shapes, plus the tuner's
-# decision trace and the always-on imbalance gauge in the summary. The
-# soak proves adaptation doesn't break graceful degradation (decisions
-# only move at epoch boundaries, so shed/drain behaviour is unchanged).
-tune-soak:
-	go run ./cmd/phload -server -tune -soak 30s -deadline 5ms -clients 4
-	go run ./cmd/phload -server -tune -soak 30s -deadline 25ms -clients 4 \
-		-maxbatch 64 -queue 128 -flushdelay 2ms
 
 # obs-soak = a chaos soak with live telemetry: watch
 # http://localhost:6060/debug/phasestats while it runs, or pull a

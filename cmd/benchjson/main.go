@@ -9,6 +9,10 @@
 //
 //	go test -bench . -benchmem -count=5 ./internal/core | benchjson > BENCH_core.json
 //
+// Rows are keyed by package and name (each row records the `pkg:` line
+// it was reported under), so one document can hold several packages'
+// benchmarks even when they share a name.
+//
 // With -diff it instead compares two such documents and annotates mean
 // ns/op regressions beyond a threshold (default 10%) in the GitHub
 // Actions `::warning` format, then summarizes each suite (benchmark
@@ -38,10 +42,11 @@ import (
 	"strings"
 )
 
-// Result aggregates every run of one benchmark name (including the
-// -cpu suffix, so `BenchmarkInsertAll-2` and `BenchmarkInsertAll` are
-// distinct rows).
+// Result aggregates every run of one benchmark name in one package
+// (including the -cpu suffix, so `BenchmarkInsertAll-2` and
+// `BenchmarkInsertAll` are distinct rows).
 type Result struct {
+	Pkg        string  `json:"pkg,omitempty"`
 	Name       string  `json:"name"`
 	Runs       int     `json:"runs"`
 	NsPerOp    Stat    `json:"ns_per_op"`
@@ -102,7 +107,6 @@ func (a *accum) stat() Stat {
 type Doc struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
 	Results []Result `json:"results"`
 }
@@ -147,14 +151,16 @@ func main() {
 // parse converts `go test -bench` output into the aggregated document.
 func parse(in io.Reader) (Doc, error) {
 	var doc Doc
+	type key struct{ pkg, name string }
 	type row struct {
 		ns, bytes, allocs, elems    *accum
 		bytesElem                   *accum
 		probes, p99probes, casretry *accum
 		p50admit, p99admit, shed    *accum
 	}
-	rows := map[string]*row{}
-	var order []string
+	rows := map[key]*row{}
+	var order []key
+	pkg := ""
 
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -168,7 +174,7 @@ func parse(in io.Reader) (Doc, error) {
 			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 			continue
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 			continue
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
@@ -180,12 +186,12 @@ func parse(in io.Reader) (Doc, error) {
 		if len(f) < 4 || f[3] != "ns/op" {
 			continue
 		}
-		name := f[0]
+		k := key{pkg, f[0]}
 		ns, err := strconv.ParseFloat(f[2], 64)
 		if err != nil {
 			continue
 		}
-		r := rows[name]
+		r := rows[k]
 		if r == nil {
 			r = &row{
 				ns: &accum{}, bytes: &accum{}, allocs: &accum{}, elems: &accum{},
@@ -193,8 +199,8 @@ func parse(in io.Reader) (Doc, error) {
 				probes:    &accum{}, p99probes: &accum{}, casretry: &accum{},
 				p50admit: &accum{}, p99admit: &accum{}, shed: &accum{},
 			}
-			rows[name] = r
-			order = append(order, name)
+			rows[k] = r
+			order = append(order, k)
 		}
 		r.ns.add(ns)
 		// Optional unit pairs after ns/op: "N B/op", "N allocs/op",
@@ -232,11 +238,17 @@ func parse(in io.Reader) (Doc, error) {
 		return doc, err
 	}
 
-	sort.Strings(order)
-	for _, name := range order {
-		r := rows[name]
+	sort.Slice(order, func(i, j int) bool {
+		if order[i].pkg != order[j].pkg {
+			return order[i].pkg < order[j].pkg
+		}
+		return order[i].name < order[j].name
+	})
+	for _, k := range order {
+		r := rows[k]
 		res := Result{
-			Name:    strings.TrimPrefix(name, "Benchmark"),
+			Pkg:     k.pkg,
+			Name:    strings.TrimPrefix(k.name, "Benchmark"),
 			Runs:    len(r.ns.vals),
 			NsPerOp: r.ns.stat(),
 		}
@@ -277,8 +289,9 @@ func parse(in io.Reader) (Doc, error) {
 	return doc, nil
 }
 
-// diff compares two benchjson documents row by row (matched on name)
-// and prints one line per common row: a GitHub Actions `::warning`
+// diff compares two benchjson documents row by row (matched on package
+// and name; a baseline row without a package, as older documents wrote
+// them, matches on name alone) and prints one line per common row: a GitHub Actions `::warning`
 // annotation when the new mean ns/op regressed beyond threshold
 // percent, a plain delta line otherwise. Rows present in only one
 // document are listed but never warned about (new benchmarks appear,
@@ -307,26 +320,31 @@ func diff(w io.Writer, oldPath, newPath string, threshold float64) (int, float64
 	}
 	oldRows := map[string]Result{}
 	for _, r := range oldDoc.Results {
-		oldRows[r.Name] = r
+		oldRows[label(r.Pkg, r.Name)] = r
 	}
 	regressions := 0
 	ratios := map[string][]float64{}
 	var suites []string
 	for _, nr := range newDoc.Results {
-		or, ok := oldRows[nr.Name]
-		delete(oldRows, nr.Name)
+		name := label(nr.Pkg, nr.Name)
+		oldName := name
+		if _, ok := oldRows[oldName]; !ok {
+			oldName = nr.Name
+		}
+		or, ok := oldRows[oldName]
+		delete(oldRows, oldName)
 		if !ok {
-			fmt.Fprintf(w, "new row %s: %.0f ns/op (no baseline)\n", nr.Name, nr.NsPerOp.Mean)
+			fmt.Fprintf(w, "new row %s: %.0f ns/op (no baseline)\n", name, nr.NsPerOp.Mean)
 			continue
 		}
 		if or.NsPerOp.Mean <= 0 {
 			// A degenerate baseline row (zero or missing mean — e.g. a
 			// truncated run, or a name that never produced ns/op) has no
 			// meaningful delta. Note it rather than dividing by it.
-			fmt.Fprintf(w, "skipped row %s: baseline mean is %.0f ns/op\n", nr.Name, or.NsPerOp.Mean)
+			fmt.Fprintf(w, "skipped row %s: baseline mean is %.0f ns/op\n", name, or.NsPerOp.Mean)
 			continue
 		}
-		suite := suiteOf(nr.Name)
+		suite := label(nr.Pkg, suiteOf(nr.Name))
 		if _, seen := ratios[suite]; !seen {
 			suites = append(suites, suite)
 		}
@@ -340,10 +358,10 @@ func diff(w io.Writer, oldPath, newPath string, threshold float64) (int, float64
 			// Actions UI summary line carries the magnitude without
 			// expanding the message.
 			fmt.Fprintf(w, "::warning title=benchmark regression (%+.1f%%)::%s: mean %.0f -> %.0f ns/op (threshold %.0f%%)\n",
-				pct, nr.Name, or.NsPerOp.Mean, nr.NsPerOp.Mean, threshold)
+				pct, name, or.NsPerOp.Mean, nr.NsPerOp.Mean, threshold)
 		} else {
 			fmt.Fprintf(w, "%s: mean %.0f -> %.0f ns/op (%+.1f%%)\n",
-				nr.Name, or.NsPerOp.Mean, nr.NsPerOp.Mean, pct)
+				name, or.NsPerOp.Mean, nr.NsPerOp.Mean, pct)
 		}
 	}
 	var gone []string
@@ -377,6 +395,16 @@ func diff(w io.Writer, oldPath, newPath string, threshold float64) (int, float64
 		geomeanPct = (geomean(all) - 1) * 100
 	}
 	return regressions, geomeanPct
+}
+
+// label names a row in diff output and keys it for matching: the
+// package-qualified benchmark name, or the bare name for rows that
+// carry no package.
+func label(pkg, name string) string {
+	if pkg == "" {
+		return name
+	}
+	return pkg + "." + name
 }
 
 // suiteOf returns the suite a row aggregates under in the geomean

@@ -118,8 +118,75 @@ BenchmarkInsertAll 	     100	    500000 ns/op	      4096 elems/op	      10.00 by
 	if core.P50AdmitUs != 0 || core.ShedPerOp != 0 {
 		t.Errorf("core row picked up epoch metrics: %+v", core)
 	}
-	if doc.Pkg == "" || doc.Goos != "linux" {
+	if epoch.Pkg != "phasehash/internal/epoch" || doc.Goos != "linux" {
 		t.Errorf("header fields not captured: %+v", doc)
+	}
+}
+
+// TestParseAndDiffKeyRowsByPackage feeds two packages that report the
+// same benchmark name: parse keeps one row per package, each labelled
+// with its own pkg line, and diff matches rows on package and name.
+func TestParseAndDiffKeyRowsByPackage(t *testing.T) {
+	in := strings.NewReader(`pkg: phasehash/internal/core
+BenchmarkInsertAll 	     100	    100 ns/op
+pkg: phasehash/internal/tables
+BenchmarkInsertAll 	     100	    300 ns/op
+`)
+	doc, err := parse(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Results) != 2 {
+		t.Fatalf("got %d results, want one per package: %+v", len(doc.Results), doc.Results)
+	}
+	if r := doc.Results[0]; r.Pkg != "phasehash/internal/core" || r.NsPerOp.Mean != 100 {
+		t.Errorf("core row = %+v", r)
+	}
+	if r := doc.Results[1]; r.Pkg != "phasehash/internal/tables" || r.NsPerOp.Mean != 300 {
+		t.Errorf("tables row = %+v", r)
+	}
+
+	dir := t.TempDir()
+	oldPath := writeDoc(t, dir, "old.json", doc)
+	newPath := writeDoc(t, dir, "new.json", Doc{Results: []Result{
+		{Pkg: "phasehash/internal/tables", Name: "InsertAll", NsPerOp: Stat{Mean: 330}},
+		{Pkg: "phasehash/internal/core", Name: "InsertAll", NsPerOp: Stat{Mean: 100}},
+	}})
+	var out strings.Builder
+	diff(&out, oldPath, newPath, 50)
+	got := out.String()
+	for _, want := range []string{
+		"phasehash/internal/tables.InsertAll: mean 300 -> 330 ns/op (+10.0%)",
+		"phasehash/internal/core.InsertAll: mean 100 -> 100 ns/op (+0.0%)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diff output missing %q:\n%s", want, got)
+		}
+	}
+	if strings.Contains(got, "new row") || strings.Contains(got, "removed row") {
+		t.Errorf("rows failed to match on package and name:\n%s", got)
+	}
+}
+
+// TestDiffFallsBackToNameForLegacyBaseline pins the fallback: a
+// baseline written before rows carried a package matches new rows on
+// the name alone.
+func TestDiffFallsBackToNameForLegacyBaseline(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeDoc(t, dir, "old.json", Doc{Results: []Result{
+		{Name: "InsertAll", NsPerOp: Stat{Mean: 100}},
+	}})
+	newPath := writeDoc(t, dir, "new.json", Doc{Results: []Result{
+		{Pkg: "phasehash/internal/core", Name: "InsertAll", NsPerOp: Stat{Mean: 120}},
+	}})
+	var out strings.Builder
+	diff(&out, oldPath, newPath, 50)
+	got := out.String()
+	if !strings.Contains(got, "phasehash/internal/core.InsertAll: mean 100 -> 120 ns/op (+20.0%)") {
+		t.Errorf("legacy baseline row did not match by name:\n%s", got)
+	}
+	if strings.Contains(got, "new row") || strings.Contains(got, "removed row") {
+		t.Errorf("legacy fallback left rows unmatched:\n%s", got)
 	}
 }
 

@@ -63,7 +63,6 @@ func main() {
 		queue      = flag.Int("queue", 0, "server soak: self-hosted queue limit (0 = 4x maxbatch)")
 		block      = flag.Bool("block", false, "server soak: self-hosted blocking admission")
 		flushDelay = flag.Duration("flushdelay", 0, "server soak: self-hosted artificial epoch delay (overload experiments)")
-		tuneOn     = flag.Bool("tune", false, "server soak: self-hosted adaptive flush-path tuner (internal/tune)")
 	)
 	flag.Parse()
 
@@ -87,7 +86,6 @@ func main() {
 			queue:      *queue,
 			block:      *block,
 			flushDelay: *flushDelay,
-			tune:       *tuneOn,
 			soak:       *soak,
 		})
 		return

@@ -28,7 +28,6 @@ type serverSoakOpts struct {
 	queue      int           // self-hosted admission queue limit
 	block      bool          // self-hosted blocking admission
 	flushDelay time.Duration // self-hosted artificial epoch delay
-	tune       bool          // self-hosted adaptive flush-path tuner
 	soak       time.Duration
 }
 
@@ -103,7 +102,6 @@ func serverSoak(o serverSoakOpts) {
 			FlushInterval: time.Millisecond,
 			Block:         o.block,
 			FlushDelay:    o.flushDelay,
-			Tune:          o.tune,
 		})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -168,14 +166,6 @@ func serverSoak(o serverSoakOpts) {
 			st.Admitted, st.Epochs, st.Splits, st.FlushedOps, st.MaxQueue, srv.Table().Count())
 		fmt.Printf("server: op mix insert=%d delete=%d read=%d; shard imbalance gauge %d pm (always-on counter core)\n",
 			st.InsertOps, st.DeleteOps, st.ReadOps, obs.CoreMaxShardImbalancePm())
-		if o.tune {
-			fmt.Printf("tuner: %d decision(s) recorded\n", st.TuneSwitches)
-			// The server is drained and closed: TuneTrace's quiescent-read
-			// contract holds.
-			if trace := srv.TuneTrace(); trace != "" {
-				fmt.Print(trace)
-			}
-		}
 		if st.MaxQueue > o.queueLimitEffective() {
 			fmt.Fprintf(os.Stderr, "phload: FAIL: queue depth %d exceeded limit %d\n", st.MaxQueue, o.queueLimitEffective())
 			os.Exit(1)

@@ -9,16 +9,13 @@
 //
 //	phserver [-addr :9191] [-size 1048576] [-shards 0]
 //	         [-maxbatch 4096] [-queue 16384] [-interval 1ms]
-//	         [-block] [-flushdelay 0] [-tune]
+//	         [-block] [-flushdelay 0]
 //
 // -block switches admission from fail-fast (overloaded submits get an
 // immediate StatusOverloaded) to block-with-deadline. -flushdelay is
 // the overload-experiment knob: an artificial per-epoch delay that
 // simulates a slower backend (EXPERIMENTS.md drives the degradation
-// table with it). -tune enables the adaptive flush-path selector
-// (internal/tune): each epoch's phases run serial, parallel-atomic or
-// sharded-bulk depending on the epoch's batch sizes, and the decision
-// trace is printed at drain.
+// table with it).
 //
 // With -obs addr (in a -tags obs build) live telemetry — including the
 // epoch counters, the admit-to-complete latency histogram and the
@@ -54,7 +51,6 @@ func main() {
 		interval     = flag.Duration("interval", time.Millisecond, "linger interval before a partial epoch flushes")
 		block        = flag.Bool("block", false, "block overloaded submits until space or their deadline (default: fail fast)")
 		flushDelay   = flag.Duration("flushdelay", 0, "artificial per-epoch delay (overload experiments)")
-		tuneOn       = flag.Bool("tune", false, "adaptive flush-path tuner: pick serial/parallel/sharded execution per epoch (internal/tune)")
 		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "shutdown drain bound")
 		obsAddr      = flag.String("obs", "", "serve /debug/phasestats on this address (needs a -tags obs build)")
 	)
@@ -77,7 +73,6 @@ func main() {
 		FlushInterval: *interval,
 		Block:         *block,
 		FlushDelay:    *flushDelay,
-		Tune:          *tuneOn,
 	})
 
 	ln, err := net.Listen("tcp", *addr)
@@ -106,7 +101,4 @@ func main() {
 		"phserver: drained; admitted=%d epochs=%d splits=%d ops=%d shed(overload=%d deadline=%d) cancelled=%d full=%d maxqueue=%d count=%d\n",
 		st.Admitted, st.Epochs, st.Splits, st.FlushedOps, st.ShedOverload, st.ShedDeadline,
 		st.Cancelled, st.InsertFull, st.MaxQueue, srv.Table().Count())
-	if *tuneOn {
-		fmt.Fprintf(os.Stderr, "phserver: tuner recorded %d decision(s)\n%s", st.TuneSwitches, srv.TuneTrace())
-	}
 }

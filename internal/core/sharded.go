@@ -52,24 +52,13 @@ type ShardedTable[O Ops] struct {
 	shift  uint // shard index = Hash(e) >> shift
 }
 
-// minShardCells floors the per-shard capacity the automatic shard-count
-// policy will create: below ~4K cells (32KB) the partition pass's two
-// streaming passes cost more than the locality they buy. Mirrored by
-// tune.MinShardCells, which owns the live policy.
-const minShardCells = tune.MinShardCells
-
-// maxAutoShards caps the automatic policy; per-worker histograms in the
-// partition pass are O(shards), so unbounded shard counts turn the
-// counting passes into the bottleneck. Mirrored by tune.MaxAutoShards.
-const maxAutoShards = tune.MaxAutoShards
-
 // NewShardedTable returns a sharded table with capacity for at least
 // size elements in total, split over the given number of shards
 // (rounded up to a power of two). shards <= 0 delegates to
 // tune.Shards, fed by the always-on counter core's max-shard-imbalance
 // gauge: with no skew observed (or under -tags nostats) it is exactly
 // the legacy static policy — 4× the current parallel.NumWorkers(),
-// clamped so every shard keeps at least minShardCells cells — and on
+// clamped so every shard keeps at least tune.MinShardCells cells — and on
 // observed heavy skew it falls to one shard per worker (extra shards
 // cannot shorten a skew-bound critical path but still pay O(shards)
 // partition histograms).

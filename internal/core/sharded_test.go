@@ -8,6 +8,7 @@ import (
 	"phasehash/internal/hashx"
 	"phasehash/internal/obs"
 	"phasehash/internal/parallel"
+	"phasehash/internal/tune"
 )
 
 func shardedKeys(n int, seed uint64) []uint64 {
@@ -282,13 +283,13 @@ func TestShardedAutoShardCount(t *testing.T) {
 	if got := big.NumShards(); got != 16 {
 		t.Fatalf("auto shards at 4 workers = %d, want 16", got)
 	}
-	// Small tables clamp the count so shards keep >= minShardCells.
-	small := NewShardedTable[SetOps](2*minShardCells, 0)
+	// Small tables clamp the count so shards keep >= tune.MinShardCells.
+	small := NewShardedTable[SetOps](2*tune.MinShardCells, 0)
 	if got := small.NumShards(); got > 2 {
-		t.Fatalf("auto shards for %d cells = %d, want <= 2", 2*minShardCells, got)
+		t.Fatalf("auto shards for %d cells = %d, want <= 2", 2*tune.MinShardCells, got)
 	}
-	if small.ShardSize() < minShardCells {
-		t.Fatalf("shard size %d below minShardCells", small.ShardSize())
+	if small.ShardSize() < tune.MinShardCells {
+		t.Fatalf("shard size %d below tune.MinShardCells", small.ShardSize())
 	}
 	one := NewShardedTable[SetOps](128, 1)
 	one.Insert(42)

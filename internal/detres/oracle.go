@@ -35,11 +35,6 @@ type OracleResult struct {
 	// grow runners, whose exact attribution it pins — and 0 otherwise.
 	// Compared like Count.
 	Added int
-	// Trace is the self-tuning decision trace when the runner exercises
-	// an adaptive component (TuneEpochRunner); empty otherwise. Compared
-	// byte-for-byte like the layout: tuning decisions must be a pure
-	// function of the operation script, never of the schedule.
-	Trace string
 }
 
 // Runner replays a workload on one table implementation: a parallel
@@ -472,9 +467,6 @@ func compareResults(a, b OracleResult) string {
 		if a.Layout[i] != b.Layout[i] {
 			return fmt.Sprintf("quiescent cell %d = %#x vs %#x", i, a.Layout[i], b.Layout[i])
 		}
-	}
-	if a.Trace != b.Trace {
-		return fmt.Sprintf("tuning trace %q vs %q", a.Trace, b.Trace)
 	}
 	return ""
 }

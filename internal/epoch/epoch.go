@@ -57,8 +57,6 @@ import (
 	"phasehash/internal/chaos"
 	"phasehash/internal/core"
 	"phasehash/internal/obs"
-	"phasehash/internal/parallel"
-	"phasehash/internal/tune"
 )
 
 // Op identifies one operation kind submitted to the server.
@@ -182,18 +180,6 @@ type Config struct {
 	// flush — an experiment knob for simulating a slower backend in
 	// overload soaks and tests (see EXPERIMENTS.md). Zero in production.
 	FlushDelay time.Duration
-	// Tune enables the adaptive flush-path selector (internal/tune): a
-	// per-server controller picks serial, parallel-atomic or
-	// sharded-bulk execution for each epoch's phases from that epoch's
-	// batch sizes, and adjusts the parallel loop grain from the
-	// always-on counter core at flush boundaries. All three paths apply
-	// the same operation multiset, so by history independence the
-	// quiescent table state is identical whichever is picked; the
-	// decision trace itself is deterministic (schedule-independent
-	// inputs only) and exposed via TuneTrace. Off by default: the
-	// static policy flushes every phase through the sharded bulk
-	// kernels.
-	Tune bool
 }
 
 // withDefaults returns cfg with unset fields defaulted.
@@ -225,7 +211,6 @@ type Stats struct {
 	DeleteOps    uint64 // delete ops executed
 	ReadOps      uint64 // find + elements ops executed
 	InsertFull   uint64 // insert futures resolved with core.ErrFull
-	TuneSwitches uint64 // flush-path/kind decisions recorded by the tuner (0 when Tune off)
 	MaxQueue     int    // deepest pending queue observed (≤ QueueLimit always)
 }
 
@@ -243,11 +228,6 @@ type pendingOp struct {
 type Server struct {
 	cfg   Config
 	table *core.ShardedTable[core.SetOps]
-
-	// ctrl is the adaptive flush-path controller (nil when Config.Tune
-	// is off). Only the flusher goroutine touches it, so it needs no
-	// locking; TuneTrace documents its quiescent-read contract.
-	ctrl *tune.Controller
 
 	mu      sync.Mutex
 	notFull *sync.Cond
@@ -285,9 +265,6 @@ func NewServerWith(cfg Config, table *core.ShardedTable[core.SetOps]) *Server {
 		done:     make(chan struct{}),
 	}
 	s.notFull = sync.NewCond(&s.mu)
-	if cfg.Tune {
-		s.ctrl = tune.NewController(true)
-	}
 	go s.run()
 	return s
 }
@@ -431,19 +408,6 @@ func (s *Server) QueueDepth() int {
 // concurrent clients (the determinism oracle's epoch boundaries).
 func (s *Server) Table() *core.ShardedTable[core.SetOps] { return s.table }
 
-// TuneTrace returns the adaptive controller's decision trace, one
-// decision per line ("" when Config.Tune is off). Quiescent use only —
-// after Close, or between a Flush and any further Submit — because the
-// flusher goroutine appends to the trace during epochs. The trace is
-// deterministic for a fixed epoch script (the detres tuning oracle
-// byte-compares it across its schedule grid).
-func (s *Server) TuneTrace() string {
-	if s.ctrl == nil {
-		return ""
-	}
-	return s.ctrl.TraceString()
-}
-
 // --- flusher ---
 
 // run is the flusher goroutine: it waits for work (watermark kicks,
@@ -579,21 +543,9 @@ func (s *Server) flush(batch []pendingOp, split bool) {
 	}
 	executed := len(batch) - shed
 
-	// Path selection happens at the epoch boundary, before any phase
-	// touches the table, from the admitted batch sizes alone — inputs
-	// fixed by admission, independent of how the phases then schedule.
-	path := tune.PathSharded
-	var tuneSwitches uint64
-	if s.ctrl != nil {
-		before := len(s.ctrl.Trace())
-		s.ctrl.Step()
-		path = s.ctrl.DecidePath(len(ins), len(del), len(fnd)+len(elm))
-		tuneSwitches = uint64(len(s.ctrl.Trace()) - before)
-	}
-
-	insertFull := s.insertPhase(ins, path)
-	s.deletePhase(del, path)
-	s.readPhase(fnd, elm, path)
+	insertFull := s.insertPhase(ins)
+	s.deletePhase(del)
+	s.readPhase(fnd, elm)
 
 	s.mu.Lock()
 	s.stats.Epochs++
@@ -606,23 +558,18 @@ func (s *Server) flush(batch []pendingOp, split bool) {
 	s.stats.ReadOps += uint64(len(fnd) + len(elm))
 	s.stats.ShedDeadline += uint64(shed)
 	s.stats.InsertFull += uint64(insertFull)
-	s.stats.TuneSwitches += tuneSwitches
 	s.mu.Unlock()
 	if obs.Enabled {
 		obs.RecordEpochFlush(executed, split, insertFull)
 	}
 }
 
-// insertPhase runs the epoch's insert phase along the selected path
-// and resolves the insert futures. All three paths apply the same key
-// multiset, so the quiescent layout is path-independent (history
-// independence); only the execution strategy differs. Saturation
-// degrades per-future on every path: the per-element paths see
-// TryInsert's error directly, the sharded path attributes ErrFull with
-// a find pass, so futures whose element landed (or merged with a
-// duplicate) still succeed and only the elements that never made it
-// resolve with ErrFull.
-func (s *Server) insertPhase(ins []pendingOp, path tune.Path) (insertFull int) {
+// insertPhase runs the epoch's insert phase through the sharded bulk
+// kernel and resolves the insert futures. Saturation degrades
+// per-future: a find pass attributes ErrFull, so futures whose element
+// landed (or merged with a duplicate) still succeed and only the
+// elements that never made it resolve with ErrFull.
+func (s *Server) insertPhase(ins []pendingOp) (insertFull int) {
 	if len(ins) == 0 {
 		return 0
 	}
@@ -633,31 +580,6 @@ func (s *Server) insertPhase(ins []pendingOp, path tune.Path) (insertFull int) {
 	var span *obs.ActiveSpan
 	if obs.Enabled {
 		span = obs.PhaseStart("epoch:insert")
-	}
-	switch path {
-	case tune.PathSerial, tune.PathParallel:
-		errs := make([]error, len(keys))
-		if path == tune.PathSerial {
-			for i := range keys {
-				_, errs[i] = s.table.TryInsert(keys[i])
-			}
-		} else {
-			parallel.For(len(keys), func(i int) {
-				_, errs[i] = s.table.TryInsert(keys[i])
-			})
-		}
-		if obs.Enabled {
-			obs.PhaseEnd(span)
-		}
-		for i, p := range ins {
-			if errs[i] != nil {
-				insertFull++
-				s.deliver(p, Result{Err: fmt.Errorf("%w: element %#x did not land (epoch insert phase saturated)", core.ErrFull, p.key)})
-			} else {
-				s.deliver(p, Result{OK: true})
-			}
-		}
-		return insertFull
 	}
 	_, err := s.table.TryInsertAll(keys)
 	if obs.Enabled {
@@ -686,9 +608,9 @@ func (s *Server) insertPhase(ins []pendingOp, path tune.Path) (insertFull int) {
 	return insertFull
 }
 
-// deletePhase runs the epoch's delete phase along the selected path;
-// see insertPhase for the path-independence argument.
-func (s *Server) deletePhase(del []pendingOp, path tune.Path) {
+// deletePhase runs the epoch's delete phase through the sharded bulk
+// kernel and resolves the delete futures.
+func (s *Server) deletePhase(del []pendingOp) {
 	if len(del) == 0 {
 		return
 	}
@@ -700,16 +622,7 @@ func (s *Server) deletePhase(del []pendingOp, path tune.Path) {
 	if obs.Enabled {
 		span = obs.PhaseStart("epoch:delete")
 	}
-	switch path {
-	case tune.PathSerial:
-		for _, k := range keys {
-			s.table.Delete(k)
-		}
-	case tune.PathParallel:
-		parallel.For(len(keys), func(i int) { s.table.Delete(keys[i]) })
-	default:
-		s.table.DeleteAll(keys)
-	}
+	s.table.DeleteAll(keys)
 	if obs.Enabled {
 		obs.PhaseEnd(span)
 	}
@@ -718,11 +631,10 @@ func (s *Server) deletePhase(del []pendingOp, path tune.Path) {
 	}
 }
 
-// readPhase runs the epoch's find/elements phase along the selected
-// path: the find keys through per-element Finds or one FindAll, then
-// (at most) one Elements snapshot shared by every OpElements future of
-// the epoch.
-func (s *Server) readPhase(fnd, elm []pendingOp, path tune.Path) {
+// readPhase runs the epoch's find/elements phase: the find keys
+// through one FindAll, then (at most) one Elements snapshot shared by
+// every OpElements future of the epoch.
+func (s *Server) readPhase(fnd, elm []pendingOp) {
 	if len(fnd) == 0 && len(elm) == 0 {
 		return
 	}
@@ -736,16 +648,7 @@ func (s *Server) readPhase(fnd, elm []pendingOp, path tune.Path) {
 			keys[i] = p.key
 		}
 		dst := make([]uint64, len(keys))
-		switch path {
-		case tune.PathSerial:
-			for i, k := range keys {
-				dst[i], _ = s.table.Find(k)
-			}
-		case tune.PathParallel:
-			parallel.For(len(keys), func(i int) { dst[i], _ = s.table.Find(keys[i]) })
-		default:
-			s.table.FindAll(keys, dst)
-		}
+		s.table.FindAll(keys, dst)
 		for i, p := range fnd {
 			s.deliver(p, Result{Value: dst[i], OK: dst[i] != core.Empty})
 		}

@@ -124,11 +124,13 @@ func Serve(ctx context.Context, l net.Listener, s *Server) error {
 }
 
 // inflight is one admitted (or locally refused) request awaiting its
-// in-order response slot.
+// in-order response slot. cancel releases a timed request's deadline
+// timer once its response is written (nil for untimed requests).
 type inflight struct {
-	id  uint64
-	op  Op
-	fut *Future
+	id     uint64
+	op     Op
+	fut    *Future
+	cancel context.CancelFunc
 }
 
 // serveConn relays one connection: a reader loop submits requests, a
@@ -139,7 +141,9 @@ func serveConn(ctx context.Context, conn net.Conn, s *Server) {
 	defer cancel() // sheds this connection's unflushed ops on exit
 
 	// The queue bound only backpressures the reader against a slow
-	// writer; admission control proper lives in Server.Submit.
+	// writer; admission control proper lives in Server.Submit. Requests
+	// still queued when the connection ends have their deadline timers
+	// released by the deferred connCtx cancel, their parent.
 	queue := make(chan inflight, 256)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -168,16 +172,8 @@ func serveConn(ctx context.Context, conn net.Conn, s *Server) {
 		if err != nil {
 			fut = resolved(Result{Err: err})
 		}
-		if reqCancel != nil {
-			// Release the timer once the future resolves; the future
-			// already carries the outcome, so this cancel can't shed it.
-			go func(f *Future, stop context.CancelFunc) {
-				<-f.Done()
-				stop()
-			}(fut, reqCancel)
-		}
 		select {
-		case queue <- inflight{id: id, op: op, fut: fut}:
+		case queue <- inflight{id: id, op: op, fut: fut, cancel: reqCancel}:
 		case <-connCtx.Done():
 		}
 		if connCtx.Err() != nil {
@@ -203,6 +199,11 @@ func writeResponses(ctx context.Context, conn net.Conn, queue <-chan inflight) {
 			return
 		}
 		res, err := in.fut.Wait(ctx)
+		if in.cancel != nil {
+			// The future already carries the outcome (or the connection
+			// is ending), so this cancel cannot shed the request.
+			in.cancel()
+		}
 		if err != nil {
 			bw.Flush()
 			return

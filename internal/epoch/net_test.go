@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -258,5 +259,58 @@ func TestWireShutdownMidTraffic(t *testing.T) {
 	case <-clientDone:
 	case <-time.After(5 * time.Second):
 		t.Fatal("client goroutine wedged after shutdown")
+	}
+}
+
+// TestWireTimedRequestsNoGoroutinePerRequest holds 1000 timed requests
+// pending on a manual-flush server and asserts the serving side keeps a
+// constant goroutine count per connection rather than one per request
+// (each request's deadline timer is released by the response writer),
+// then flushes and checks every response arrives.
+func TestWireTimedRequestsNoGoroutinePerRequest(t *testing.T) {
+	const conns, perConn = 4, 250 // perConn stays under serveConn's queue bound
+	before := runtime.NumGoroutine()
+	addr, s, shutdown := startWireServer(t, Config{Size: 1 << 14})
+	defer shutdown()
+
+	var futs []*ClientFuture
+	for c := 0; c < conns; c++ {
+		cl, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer cl.Close()
+		for i := 0; i < perConn; i++ {
+			f, err := cl.Do(OpInsert, uint64(c*perConn+i+1), time.Minute)
+			if err != nil {
+				t.Fatalf("Do: %v", err)
+			}
+			futs = append(futs, f)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.QueueDepth() < conns*perConn {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests admitted", s.QueueDepth(), conns*perConn)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Per connection: the client reader, serveConn and its writer; plus
+	// the flusher and the accept loop. 100 leaves slack for runtime
+	// helpers while staying far below one goroutine per request.
+	if grew := runtime.NumGoroutine() - before; grew > 100 {
+		t.Fatalf("goroutines grew by %d with %d timed requests pending", grew, conns*perConn)
+	}
+
+	s.Flush()
+	for i, f := range futs {
+		select {
+		case <-f.Done():
+		case <-time.After(10 * time.Second):
+			t.Fatalf("response %d never arrived", i)
+		}
+		if res := f.Result(); res.Err != nil || !res.OK {
+			t.Fatalf("insert %d: %+v", i, res)
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // This file is the build-tag-free half of the always-on counter core:
 // the merged snapshot type and its derived gauges. The core is the
 // minimal telemetry subset promoted out of the obs build tag so the
-// self-tuning layer (internal/tune) has schedule-independent inputs in
-// every binary: striped operation/probe-step counters, the growing
+// shard policy (internal/tune) and the operator summaries have
+// schedule-independent inputs in every binary: striped operation/probe-step counters, the growing
 // table's resize counters, the sharded bulk-kernel imbalance gauge, and
 // the pool dispatch counters. Nothing else moved — histograms,
 // CAS/displacement accounting, phase spans and the debug endpoint stay
@@ -30,7 +30,7 @@ import (
 // on the *atomic* probe paths concurrent CAS traffic can lengthen
 // individual probes, so step totals are schedule-dependent there (they
 // are schedule-independent on the serial owner-computes paths). The
-// tuning policies therefore key off op counts, batch sizes and the
+// policies therefore key off op counts, load factors and the
 // imbalance gauge only; the step counters exist for operators (phload
 // soak summaries) and for the obs-free mean-probe gauge.
 type CoreStats struct {
@@ -63,8 +63,8 @@ type CoreStats struct {
 
 	// Parallel pool dispatch counters: pooled loop dispatches, blocks
 	// dispatched and items (iterations) covered. Their ratios are the
-	// tuner's dispatch-cost signal: items/dispatch says how big the loops
-	// are, blocks/dispatch how finely they were split.
+	// dispatch-cost signal: items/dispatch says how big the loops are,
+	// blocks/dispatch how finely they were split.
 	ParDispatches uint64
 	ParBlocks     uint64
 	ParItems      uint64
@@ -75,7 +75,7 @@ func (s CoreStats) OpsTotal() uint64 { return s.InsertOps + s.FindOps + s.Delete
 
 // FindSharePm returns finds per mille of all probe-path operations
 // (0 when none were recorded) — the op-mix input of the flat-vs-compact
-// and shard policies, integer per-mille like every tuner input.
+// and shard policies, integer per-mille like every policy input.
 func (s CoreStats) FindSharePm() uint64 {
 	total := s.OpsTotal()
 	if total == 0 {

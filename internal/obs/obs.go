@@ -43,11 +43,10 @@
 // are worth recording. Timings and spans are wall-clock and never
 // deterministic.
 //
-// Since the self-tuning layer (internal/tune) landed, a minimal subset
-// — the always-on counter core — lives OUTSIDE the obs tag: striped
+// A minimal subset — the always-on counter core — lives OUTSIDE the obs tag: striped
 // op/probe-step counters, the shard-imbalance gauge and the pool
 // dispatch counters (corestats.go, core_on.go). Production binaries
-// carry it by default so tuning decisions have inputs; -tags nostats
+// carry it by default so policy decisions have inputs; -tags nostats
 // compiles it out for the A/B overhead gate, exactly as untagged builds
 // compile out the Record* hooks. The Core* hooks batch per block on the
 // bulk paths, so the measured overhead of the core stays within the 1%

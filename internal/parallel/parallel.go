@@ -48,41 +48,17 @@ const minGrain = 512
 // imbalance, few enough that dispatch overhead stays negligible.
 const defaultBlocksPerWorker = 8
 
-// blocksPerWorkerKnob is the live oversplit factor. It is a process
-// knob, not a per-loop parameter: the tuning layer (internal/tune)
-// adjusts it at phase boundaries from measured dispatch counts, and
-// every automatic-grain loop picks it up on its next dispatch. Reads
-// are a single atomic load on the loop-setup path (not per element).
-var blocksPerWorkerKnob atomic.Int64
-
-func init() { blocksPerWorkerKnob.Store(defaultBlocksPerWorker) }
-
-// SetBlocksPerWorker sets the automatic grain policy's blocks-per-worker
-// oversplit factor and returns the previous value. k < 1 resets to the
-// default. Callers must only change it at phase boundaries (between
-// bulk calls): changing it mid-loop is safe but leaves in-flight loops
-// on the old grain.
-func SetBlocksPerWorker(k int) int {
-	if k < 1 {
-		k = defaultBlocksPerWorker
-	}
-	return int(blocksPerWorkerKnob.Swap(int64(k)))
-}
-
-// BlocksPerWorker reports the current oversplit factor.
-func BlocksPerWorker() int { return int(blocksPerWorkerKnob.Load()) }
-
 // grainFor is the single source of the package's grain policy: the
-// explicit grain when one is given, otherwise ~BlocksPerWorker() blocks
-// per worker for load balance, clamped below by minGrain. ForBlocked
-// and makeBlocks (the two places that need it) both call this helper so
-// the policy cannot drift between the loop runtime and the block
-// planner.
+// explicit grain when one is given, otherwise ~defaultBlocksPerWorker
+// blocks per worker for load balance, clamped below by minGrain.
+// ForBlocked and makeBlocks (the two places that need it) both call
+// this helper so the policy cannot drift between the loop runtime and
+// the block planner.
 func grainFor(n, p, grain int) int {
 	if grain > 0 {
 		return grain
 	}
-	g := n / (int(blocksPerWorkerKnob.Load()) * p)
+	g := n / (defaultBlocksPerWorker * p)
 	if g < minGrain {
 		g = minGrain
 	}

@@ -1,16 +1,44 @@
 package tables
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"phasehash/internal/core"
-	"phasehash/internal/tune"
 )
+
+// Kind-policy thresholds, both per-mille; exported so the benchmarks
+// and docs can reference the exact decision surface.
+const (
+	// CompactLoadPm is the load factor above which the compact
+	// representation's higher packing density starts paying for its
+	// control-byte indirection.
+	CompactLoadPm = 700
+
+	// CompactFindSharePm is the find share of the op mix the kind
+	// policy additionally requires before picking compact: the
+	// fingerprint probe shines on lookups, while inserts pay the extra
+	// control-array store.
+	CompactFindSharePm = 600
+)
+
+// TableKindFor selects AutoTable's representation from the live load
+// factor and the find share of the op mix, both per-mille. Compact wins
+// only when both the packing density matters (high load) and the mix is
+// find-heavy; everything else stays flat, matching the BENCH_core
+// crossover measurements. It is a pure integer function of
+// schedule-independent inputs, so its decisions replay identically.
+func TableKindFor(loadPm, findSharePm uint64) Kind {
+	if loadPm >= CompactLoadPm && findSharePm >= CompactFindSharePm {
+		return LinearDCompact
+	}
+	return LinearD
+}
 
 // AutoTable is the self-tuning deterministic table: it starts as the
 // flat linearHash-D layout (core.WordTable) and switches to the compact
 // fingerprint-probed layout (core.CompactTable) — or back — when its
-// observed load factor and op mix cross the tune package's thresholds
+// observed load factor and op mix cross TableKindFor's thresholds
 // (high load + find-heavy favours compact; everything else flat).
 //
 // Representation decisions happen ONLY at bulk-call boundaries, which
@@ -37,10 +65,10 @@ import (
 // O(capacity) sweep, far too expensive to pay at every bulk boundary.
 type AutoTable[O core.Ops] struct {
 	capacity int
-	ctrl     *tune.Controller
 	active   Table
 	bulk     Bulk
-	compact  bool
+	kind     Kind
+	trace    []byte
 
 	inserts atomic.Uint64
 	deletes atomic.Uint64
@@ -55,9 +83,9 @@ func NewAutoTable[O core.Ops](size int) *AutoTable[O] {
 	flat := core.NewWordTable[O](size)
 	return &AutoTable[O]{
 		capacity: flat.Size(),
-		ctrl:     tune.NewController(false),
 		active:   flat,
 		bulk:     flat,
+		kind:     LinearD,
 	}
 }
 
@@ -71,34 +99,30 @@ func (a *AutoTable[O]) retarget() {
 		return
 	}
 	loadPm := uint64(a.live.Load()) * 1000 / uint64(a.capacity)
-	kind := a.ctrl.DecideKind(loadPm, fnd*1000/total)
-	wantCompact := kind == tune.KindCompact
-	if wantCompact == a.compact {
+	findSharePm := fnd * 1000 / total
+	kind := TableKindFor(loadPm, findSharePm)
+	if kind == a.kind {
 		return
 	}
+	a.trace = fmt.Appendf(a.trace, "kind=%s (loadPm=%d findSharePm=%d)\n", kind, loadPm, findSharePm)
 	elems := a.active.Elements()
 	var next Table
-	if wantCompact {
+	if kind == LinearDCompact {
 		next = core.NewCompactTable[O](a.capacity)
 	} else {
 		next = core.NewWordTable[O](a.capacity)
 	}
 	nb, _ := AsBulk(next)
 	nb.InsertAll(elems)
-	a.active, a.bulk, a.compact = next, nb, wantCompact
+	a.active, a.bulk, a.kind = next, nb, kind
 }
 
 // Kind returns the current representation's kind name.
-func (a *AutoTable[O]) Kind() Kind {
-	if a.compact {
-		return LinearDCompact
-	}
-	return LinearD
-}
+func (a *AutoTable[O]) Kind() Kind { return a.kind }
 
 // TuneTrace returns the representation decision trace, one line per
-// switch (quiescent use only, like the epoch server's).
-func (a *AutoTable[O]) TuneTrace() string { return a.ctrl.TraceString() }
+// switch (quiescent use only).
+func (a *AutoTable[O]) TuneTrace() string { return string(a.trace) }
 
 // --- Table ---
 

@@ -31,7 +31,7 @@ import (
 // what BENCH_core.json records and EXPERIMENTS.md tabulates. Auto
 // decides from its live load tally and find share at bulk boundaries;
 // the third warm pass is the boundary where a compact-regime cell's
-// find share crosses tune.CompactFindSharePm, so migration happens
+// find share crosses CompactFindSharePm, so migration happens
 // before the timer starts and the timed loop runs on the layout the
 // cell's own telemetry picked.
 const autoBenchCells = 1 << 17

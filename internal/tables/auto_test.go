@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"phasehash/internal/core"
-	"phasehash/internal/tune"
 )
 
 // autoScript drives one AutoTable through a fixed operation script:
@@ -25,8 +24,8 @@ func autoScript(n int) *AutoTable[core.SetOps] {
 }
 
 // TestAutoTableMigratesToCompact asserts the representation switches
-// to compact once the load factor and find share cross the tune
-// thresholds, preserving the element set, and that the decision is
+// to compact once the load factor and find share cross the
+// TableKindFor thresholds, preserving the element set, and that the decision is
 // recorded.
 func TestAutoTableMigratesToCompact(t *testing.T) {
 	a := autoScript(1 << 12)
@@ -104,7 +103,20 @@ func TestAutoTableKindRegistry(t *testing.T) {
 	}
 	// Thresholds referenced here so a policy change that would
 	// invalidate autoScript's assumptions fails loudly.
-	if tune.CompactLoadPm > 800 {
-		t.Fatalf("CompactLoadPm = %d; autoScript fills to 800pm and relies on crossing it", tune.CompactLoadPm)
+	if CompactLoadPm > 800 {
+		t.Fatalf("CompactLoadPm = %d; autoScript fills to 800pm and relies on crossing it", CompactLoadPm)
+	}
+}
+
+// TestTableKindFor pins the load/mix crossover.
+func TestTableKindFor(t *testing.T) {
+	if got := TableKindFor(CompactLoadPm, CompactFindSharePm); got != LinearDCompact {
+		t.Errorf("at thresholds: %v, want %v", got, LinearDCompact)
+	}
+	if got := TableKindFor(CompactLoadPm-1, 1000); got != LinearD {
+		t.Errorf("low load: %v, want %v", got, LinearD)
+	}
+	if got := TableKindFor(1000, CompactFindSharePm-1); got != LinearD {
+		t.Errorf("insert-heavy: %v, want %v", got, LinearD)
 	}
 }

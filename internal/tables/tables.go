@@ -124,7 +124,7 @@ const (
 	// LinearDAuto is the self-tuning deterministic table (AutoTable):
 	// it starts flat and switches between the LinearD and
 	// LinearDCompact layouts at bulk-call boundaries from its observed
-	// load factor and op mix (internal/tune). Bulk calls require
+	// load factor and op mix (TableKindFor). Bulk calls require
 	// exclusive access (they may migrate); layout decisions replay
 	// deterministically for a fixed operation script.
 	LinearDAuto Kind = "linearHash-D-auto"

@@ -1,103 +1,20 @@
-// Package tune is the deterministic self-tuning layer: pure integer
-// policies that map the always-on counter core's observations
-// (internal/obs CoreStats) to runtime knobs — shard counts, loop grain,
-// epoch flush paths, table representation — plus a Controller that
-// applies them at phase boundaries and records an auditable decision
-// trace.
+// Package tune holds the shard-count policy: a pure integer function
+// from a table's capacity, the worker count and the always-on counter
+// core's max-shard-imbalance gauge (internal/obs CoreStats) to the
+// shard count core.NewShardedTable builds with.
 //
-// # Determinism contract
-//
-// Every policy in this package is a pure function of
-// schedule-independent inputs:
-//
-//   - completed-operation counts and batch sizes (sums over a phase are
-//     commutative, so they do not depend on interleaving);
-//   - the max-shard-imbalance gauge (its input is a pure function of
-//     the partitioned keys and the shard count, so the running max over
-//     a fixed multiset of bulk calls is schedule-independent);
-//   - load factors and op-mix shares in per-mille, derived from the
-//     above.
-//
-// No policy reads time, timing-derived rates, random state, or
-// schedule-dependent counters (probe steps on the atomic paths race
-// with concurrent displacement and are deliberately never consulted).
-// Decisions therefore only change at phase/epoch boundaries and replay
-// identically across schedules — the property the detres tuning oracle
-// pins by comparing decision traces across its seed × worker × chaos
-// grid. Arithmetic is integer per-mille throughout; no floats, so the
-// policies stay usable from kernel-adjacent code under detvet.
-//
-// The knobs split into two determinism classes:
-//
-//   - State-affecting: the shard count is part of the quiescent layout
-//     function, so Shards() feeds construction only and its inputs must
-//     be fixed before the table exists (the gauge at construction
-//     time). Flush-path and table-kind decisions are state-invisible by
-//     history independence — all legal paths land the same layout — but
-//     their *traces* are still deterministic and oracle-checked.
-//   - Performance-only: the loop-grain oversplit factor never touches
-//     table state; it may consult worker-count-dependent dispatch
-//     shapes and is excluded from cross-worker trace comparison.
+// The policy reads no time, timing-derived rate, random state or
+// schedule-dependent counter. Its gauge input is a pure function of the
+// partitioned keys and the shard count, so the running max over a fixed
+// multiset of bulk calls is schedule-independent. The shard count is
+// part of the quiescent layout function, so Shards feeds construction
+// only: its inputs are fixed before the table exists. Arithmetic is
+// integer per-mille throughout, so the policy stays usable from
+// kernel-adjacent code under detvet.
 package tune
 
-import "phasehash/internal/obs"
-
-// Path identifies one of the three legal epoch flush strategies. All
-// three apply the same operation multiset, so by history independence
-// they reach byte-identical quiescent state; the choice is purely a
-// performance decision (and a deterministic one, see the package
-// comment).
-type Path uint8
-
-const (
-	// PathSerial applies the phase per-element on one goroutine: no
-	// dispatch cost, right for tiny batches.
-	PathSerial Path = iota
-	// PathParallel applies the phase with the parallel atomic
-	// per-element loops: scales with workers, pays CAS traffic.
-	PathParallel
-	// PathSharded applies the phase with the owner-computes sharded
-	// bulk kernels: radix partition then serial per-shard runs, right
-	// for large batches where locality and zero contention dominate.
-	PathSharded
-)
-
-// String returns the stable trace token for the path.
-func (p Path) String() string {
-	switch p {
-	case PathSerial:
-		return "serial"
-	case PathParallel:
-		return "parallel"
-	case PathSharded:
-		return "sharded"
-	}
-	return "unknown"
-}
-
-// TableKind identifies a table representation the AutoTable selector
-// can pick (internal/tables wires these to concrete constructors).
-type TableKind uint8
-
-const (
-	// KindFlat is the flat word table: one 8-byte cell per slot,
-	// fastest inserts at moderate load.
-	KindFlat TableKind = iota
-	// KindCompact is the fingerprint-probed compact table: control
-	// bytes + group scanning, wins on find-heavy mixes at high load.
-	KindCompact
-)
-
-// String returns the stable trace token for the kind.
-func (k TableKind) String() string {
-	if k == KindCompact {
-		return "compact"
-	}
-	return "flat"
-}
-
-// Policy thresholds. All integer per-mille or plain counts; exported so
-// the benchmarks and docs can reference the exact decision surface.
+// Policy thresholds, exported so the benchmarks and docs can reference
+// the exact decision surface.
 const (
 	// HighImbalancePm is the max-shard-imbalance gauge level (1000 =
 	// perfectly balanced) above which the shard policy stops buying
@@ -109,45 +26,12 @@ const (
 
 	// MinShardCells floors per-shard capacity: below ~4K cells (32KB)
 	// the two streaming partition passes cost more than the locality
-	// they buy. Mirrors the legacy static policy in internal/core.
+	// they buy.
 	MinShardCells = 4096
 
 	// MaxAutoShards caps the automatic policy; the partition pass's
 	// per-worker histograms are O(shards).
 	MaxAutoShards = 256
-
-	// SerialBatchMax is the largest flush batch the path policy runs
-	// serially: below this the parallel dispatch (channel sends, block
-	// setup) costs more than the loop.
-	SerialBatchMax = 256
-
-	// ParallelBatchMax is the largest flush batch the path policy runs
-	// with the parallel per-element loops; above it the sharded
-	// owner-computes kernels win on locality and zero CAS traffic.
-	ParallelBatchMax = 4096
-
-	// CompactLoadPm is the load factor (per-mille) above which the
-	// compact representation's higher packing density starts paying
-	// for its control-byte indirection.
-	CompactLoadPm = 700
-
-	// CompactFindSharePm is the find share of the op mix (per-mille)
-	// the kind policy additionally requires before picking compact:
-	// the fingerprint probe shines on lookups, while inserts pay the
-	// extra control-array store.
-	CompactFindSharePm = 600
-
-	// DefaultBlocksPerWorker mirrors internal/parallel's default
-	// oversplit factor; the grain policy returns it absent evidence.
-	DefaultBlocksPerWorker = 8
-
-	// smallBlockItems / largeBlockItems bound the measured mean items
-	// per dispatched block outside which the grain policy moves the
-	// oversplit factor: tiny blocks mean dispatch overhead dominates
-	// (fewer, larger blocks), huge blocks mean there is slack to
-	// oversplit further for load balance.
-	smallBlockItems = 1024
-	largeBlockItems = 65536
 )
 
 // Shards selects a shard count for a table of the given total capacity
@@ -187,62 +71,4 @@ func Shards(size, workers int, imbalancePm uint64) int {
 		s <<= 1
 	}
 	return s
-}
-
-// FlushPath selects the epoch flush strategy from the phase batch
-// sizes of the epoch being flushed — schedule-independent by
-// construction (batch sizes are admission counts, fixed before any
-// worker runs). The decision keys on the largest phase batch: the
-// flush pays the dispatch machinery once per phase, and the largest
-// phase dominates its cost.
-func FlushPath(inserts, deletes, reads int) Path {
-	batch := inserts
-	if deletes > batch {
-		batch = deletes
-	}
-	if reads > batch {
-		batch = reads
-	}
-	switch {
-	case batch <= SerialBatchMax:
-		return PathSerial
-	case batch <= ParallelBatchMax:
-		return PathParallel
-	default:
-		return PathSharded
-	}
-}
-
-// TableKindFor selects the table representation from the live load
-// factor and the find share of the op mix, both per-mille. Compact wins
-// only when both the packing density matters (high load) and the mix is
-// find-heavy; everything else stays flat, matching the BENCH_core
-// crossover measurements.
-func TableKindFor(loadPm, findSharePm uint64) TableKind {
-	if loadPm >= CompactLoadPm && findSharePm >= CompactFindSharePm {
-		return KindCompact
-	}
-	return KindFlat
-}
-
-// BlocksPerWorker selects the automatic grain policy's oversplit
-// factor from a window of dispatch observations. With no dispatches in
-// the window it returns the default. The measured mean items per block
-// is deterministic for a fixed loop-call sequence and worker count,
-// but it does depend on the worker count — this knob is
-// performance-only (it never touches table state), so that is
-// admissible; see the package comment's determinism classes.
-func BlocksPerWorker(s obs.CoreStats) int {
-	if s.ParDispatches == 0 || s.ParBlocks == 0 {
-		return DefaultBlocksPerWorker
-	}
-	mean := s.ParItems / s.ParBlocks
-	switch {
-	case mean < smallBlockItems:
-		return DefaultBlocksPerWorker / 2
-	case mean > largeBlockItems:
-		return DefaultBlocksPerWorker * 2
-	default:
-		return DefaultBlocksPerWorker
-	}
 }

@@ -1,10 +1,6 @@
 package tune
 
-import (
-	"testing"
-
-	"phasehash/internal/obs"
-)
+import "testing"
 
 // TestShardsStaticEquivalence pins the zero-gauge policy to the legacy
 // static policy: 4× workers, capped at MaxAutoShards, halved until
@@ -47,117 +43,5 @@ func TestShardsHighImbalance(t *testing.T) {
 	// Power-of-two even for non-power worker counts.
 	if got := Shards(1<<20, 6, HighImbalancePm); got != 8 {
 		t.Errorf("skewed Shards(workers=6) = %d, want 8 (rounded up)", got)
-	}
-}
-
-// TestFlushPath pins the batch-size thresholds.
-func TestFlushPath(t *testing.T) {
-	cases := []struct {
-		ins, del, rd int
-		want         Path
-	}{
-		{0, 0, 0, PathSerial},
-		{SerialBatchMax, 0, 0, PathSerial},
-		{SerialBatchMax + 1, 0, 0, PathParallel},
-		{0, 0, ParallelBatchMax, PathParallel},
-		{0, ParallelBatchMax + 1, 0, PathSharded},
-		{100, 50, 1 << 20, PathSharded},
-		// The largest phase decides: small inserts, huge reads.
-		{10, 10, SerialBatchMax + 1, PathParallel},
-	}
-	for _, c := range cases {
-		if got := FlushPath(c.ins, c.del, c.rd); got != c.want {
-			t.Errorf("FlushPath(%d,%d,%d) = %v, want %v", c.ins, c.del, c.rd, got, c.want)
-		}
-	}
-}
-
-// TestTableKindFor pins the load/mix crossover.
-func TestTableKindFor(t *testing.T) {
-	if got := TableKindFor(CompactLoadPm, CompactFindSharePm); got != KindCompact {
-		t.Errorf("at thresholds: %v, want compact", got)
-	}
-	if got := TableKindFor(CompactLoadPm-1, 1000); got != KindFlat {
-		t.Errorf("low load: %v, want flat", got)
-	}
-	if got := TableKindFor(1000, CompactFindSharePm-1); got != KindFlat {
-		t.Errorf("insert-heavy: %v, want flat", got)
-	}
-}
-
-// TestBlocksPerWorker pins the grain policy's response surface.
-func TestBlocksPerWorker(t *testing.T) {
-	if got := BlocksPerWorker(obs.CoreStats{}); got != DefaultBlocksPerWorker {
-		t.Errorf("no evidence: %d, want default %d", got, DefaultBlocksPerWorker)
-	}
-	tiny := obs.CoreStats{ParDispatches: 10, ParBlocks: 100, ParItems: 100 * 600}
-	if got := BlocksPerWorker(tiny); got != DefaultBlocksPerWorker/2 {
-		t.Errorf("tiny blocks: %d, want %d", got, DefaultBlocksPerWorker/2)
-	}
-	huge := obs.CoreStats{ParDispatches: 10, ParBlocks: 100, ParItems: 100 * 100000}
-	if got := BlocksPerWorker(huge); got != DefaultBlocksPerWorker*2 {
-		t.Errorf("huge blocks: %d, want %d", got, DefaultBlocksPerWorker*2)
-	}
-}
-
-// TestControllerTrace asserts decisions are recorded only on change,
-// in order, and that TraceString excludes the performance-only grain
-// knob.
-func TestControllerTrace(t *testing.T) {
-	c := NewController(false)
-	if p := c.DecidePath(1<<20, 0, 0); p != PathSharded {
-		t.Fatalf("large batch path = %v", p)
-	}
-	if len(c.Trace()) != 0 {
-		t.Fatalf("unchanged decision recorded: %v", c.Trace())
-	}
-	if p := c.DecidePath(10, 10, 10); p != PathSerial {
-		t.Fatalf("small batch path = %v", p)
-	}
-	if k := c.DecideKind(900, 900); k != KindCompact {
-		t.Fatalf("hot find-heavy kind = %v", k)
-	}
-	tr := c.Trace()
-	if len(tr) != 2 || tr[0].Knob != "path" || tr[1].Knob != "kind" {
-		t.Fatalf("trace = %v", tr)
-	}
-	s := c.TraceString()
-	want := "0 path=serial (inserts=10 deletes=10 reads=10)\n0 kind=compact (loadPm=900 findSharePm=900)\n"
-	if s != want {
-		t.Fatalf("TraceString:\n%q\nwant\n%q", s, want)
-	}
-	if c.Path() != PathSerial || c.Kind() != KindCompact {
-		t.Fatalf("accessors: path=%v kind=%v", c.Path(), c.Kind())
-	}
-}
-
-// TestControllerStepDeterminism asserts two controllers stepping over
-// identical decision inputs produce byte-identical traces, regardless
-// of what the global counter core saw in between — the in-process
-// analogue of the detres tuning oracle's cross-schedule comparison.
-func TestControllerStepDeterminism(t *testing.T) {
-	run := func(noise bool) string {
-		c := NewController(false)
-		for e := 0; e < 6; e++ {
-			if noise {
-				// Schedule-dependent global activity between boundaries
-				// must not leak into the state-affecting trace.
-				obs.CoreInsert(e, uint64(e*7), uint64(e*31))
-				obs.CoreDispatch(3, 4096)
-			}
-			c.Step()
-			c.DecidePath(e*1000, e*500, e*2000)
-			c.DecideKind(uint64(e*150), 700)
-		}
-		return c.TraceString()
-	}
-	defer obs.CoreReset()
-	a := run(false)
-	b := run(true)
-	if a != b {
-		t.Fatalf("traces diverge under global counter noise:\n%q\nvs\n%q", a, b)
-	}
-	if a == "" {
-		t.Fatal("empty trace: decision inputs never crossed a threshold")
 	}
 }
