@@ -54,6 +54,8 @@ unless the enclosing function is annotated
 
 declaring why it has exclusive access (quiescence between phases,
 owner-computes shard exclusivity, pre-publication initialization).
+Slicing such a field (t.cells[lo:hi]) is a plain access too: the
+slice aliases the shadowed elements. clear(t.cells) is a plain store.
 A serial annotation on a function with no shadowed access is reported
 as stale; an annotation without a reason is rejected. 64-bit shadowed
 scalar fields are additionally checked for the 8-byte alignment
@@ -396,15 +398,33 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 					c.reportMix(x.X.Pos(), key, info, "ranges over")
 				}
 			}
+		case *ast.SliceExpr:
+			// A slice of the field aliases its elements, so slicing is
+			// the access, whatever the slice is then ranged over,
+			// indexed, cleared or bound to.
+			if key, info := c.shadowedElem(x.X); info != nil {
+				if annotated {
+					sanctionedAccess = true
+				} else {
+					c.reportMix(x.Pos(), key, info, "slices")
+				}
+			}
 		case *ast.CallExpr:
-			if name, ok := builtinName(c.pass.TypesInfo, x); ok && (name == "copy" || name == "append") {
-				for _, arg := range x.Args {
-					if key, info := c.shadowedElem(arg); info != nil {
-						if annotated {
-							sanctionedAccess = true
-						} else {
-							c.reportMix(arg.Pos(), key, info, "bulk-copies")
-						}
+			var verb string
+			switch name, _ := builtinName(c.pass.TypesInfo, x); name {
+			case "copy", "append":
+				verb = "bulk-copies"
+			case "clear":
+				verb = "clears"
+			default:
+				return true
+			}
+			for _, arg := range x.Args {
+				if key, info := c.shadowedElem(arg); info != nil {
+					if annotated {
+						sanctionedAccess = true
+					} else {
+						c.reportMix(arg.Pos(), key, info, verb)
 					}
 				}
 			}

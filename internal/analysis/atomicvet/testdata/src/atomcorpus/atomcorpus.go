@@ -42,6 +42,43 @@ func (t *counterTable) bulkCopy(dst []uint64) {
 	copy(dst, t.cells) // want `bulk-copies atomcorpus\.counterTable\.cells`
 }
 
+// A slice of a shadowed field aliases its elements, so slicing it is a
+// plain access however the slice is used; clear is a plain store.
+func (t *counterTable) plainSlices(lo, hi int, dst []uint64) uint64 {
+	var sum uint64
+	for _, c := range t.cells[lo:hi] { // want `slices atomcorpus\.counterTable\.cells`
+		sum += c
+	}
+	sum += (t.cells[lo:hi])[0]         // want `slices atomcorpus\.counterTable\.cells`
+	copy(dst, t.cells[lo:hi:hi])       // want `slices atomcorpus\.counterTable\.cells`
+	dst = append(dst, t.cells[lo:]...) // want `slices atomcorpus\.counterTable\.cells`
+	clear(t.cells[lo:hi])              // want `slices atomcorpus\.counterTable\.cells`
+	clear(t.cells)                     // want `clears atomcorpus\.counterTable\.cells`
+	alias := t.cells[lo:hi]            // want `slices atomcorpus\.counterTable\.cells`
+	return sum + alias[0] + uint64(len(dst))
+}
+
+// serialRangeCount touches the shadowed field only through a slice
+// alias; the annotation is exercised, not stale.
+//
+//phasehash:serial quiescent between phases: no CAS can be in flight during the block count
+func (t *counterTable) serialRangeCount(lo, hi int) int {
+	n := 0
+	cells := t.cells[lo:hi]
+	for _, c := range cells {
+		if c != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// serialClear zeroes a block with the clear builtin under the same
+// sanction.
+//
+//phasehash:serial quiescent: the clear is itself a phase barrier
+func (t *counterTable) serialClear(lo, hi int) { clear(t.cells[lo:hi]) }
+
 // serialScan is the sanctioned escape hatch: the reason documents the
 // exclusivity argument and suppresses the mix diagnostics.
 //

@@ -213,6 +213,7 @@ func init() {
 		"Find":         {phase: PhaseRead},
 		"FindAll":      {phase: PhaseRead},
 		"Elements":     {phase: PhaseRead, capture: true},
+		"ElementsInto": {phase: PhaseRead, capture: true},
 		"Count":        {phase: PhaseRead, capture: true},
 	})
 	addFacts(core, "ShardedTable", map[string]methodFact{
@@ -260,6 +261,7 @@ func init() {
 		"Contains":     {phase: PhaseRead},
 		"ContainsAll":  {phase: PhaseRead},
 		"Elements":     {phase: PhaseRead, capture: true},
+		"ElementsInto": {phase: PhaseRead, capture: true},
 		"Count":        {phase: PhaseRead, capture: true},
 	})
 }

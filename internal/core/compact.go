@@ -577,28 +577,81 @@ func (t *CompactTable[O]) findReplacement(i int) (int, uint64) {
 // Elements packs the non-empty cells into a fresh slice in table order
 // (find/elements phase only); deterministic as WordTable.Elements — a
 // pure function of the element set and capacity, though ordered by the
-// compact table's own hash-keyed layout, not WordTable's.
-//
-//phasehash:serial find/elements phase: the phase discipline guarantees no insert or delete is in flight, so the cells are quiescent under the plain reads
+// compact table's own hash-keyed layout, not WordTable's. The count
+// pass reads the control array, the copy pass the cells.
 func (t *CompactTable[O]) Elements() []uint64 {
-	return parallel.Pack(t.cells, func(i int) bool { return t.cells[i] != Empty })
+	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
+	out := make([]uint64, bs.Total())
+	parallel.EmitBlocks(bs, out, t.packRange)
+	return out
 }
 
 // ElementsInto packs the non-empty cells into dst and returns the
 // number packed; the contract is on dst's *length* (>= Count()), as
 // WordTable.ElementsInto.
-//
-//phasehash:serial find/elements phase: the phase discipline guarantees no insert or delete is in flight, so the cells are quiescent under the plain reads
 func (t *CompactTable[O]) ElementsInto(dst []uint64) int {
-	return parallel.PackInto(dst, t.cells, func(i int) bool { return t.cells[i] != Empty })
+	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
+	parallel.EmitBlocks(bs, dst, t.packRange)
+	return bs.Total()
 }
 
 // Count returns the number of elements currently stored (parallel
-// scan; find/elements phase only).
-//
-//phasehash:serial find/elements phase: no writer is in flight; CountAtomic is the cross-phase variant
+// scan of the control array; find/elements phase only).
 func (t *CompactTable[O]) Count() int {
-	return parallel.Count(len(t.cells), func(i int) bool { return t.cells[i] != Empty })
+	return parallel.CountBlocks(len(t.cells), 0, t.countRange).Total()
+}
+
+// countRange counts the full slots in [lo, hi): the count pass of
+// Elements and Count. Whole ctrl words are a popcount of their
+// full-slot bits — eight slots per load, an eighth of the cells'
+// memory — and a block edge that splits a word reads its cells.
+// Quiescent ctrl bytes are a pure function of their cells (syncCtrl),
+// so both reads give the same answer.
+//
+//phasehash:serial find/elements phase: no insert or delete is in flight, so cells and ctrl are quiescent under the plain reads; CountAtomic is the cross-phase variant
+func (t *CompactTable[O]) countRange(lo, hi int) int {
+	n := 0
+	for ; lo < hi && lo&7 != 0; lo++ {
+		if t.cells[lo] != Empty {
+			n++
+		}
+	}
+	for _, w := range t.ctrl[lo>>3 : hi>>3] {
+		n += bits.OnesCount64(w & swarMSB)
+	}
+	for lo = max(lo, hi&^7); lo < hi; lo++ {
+		if t.cells[lo] != Empty {
+			n++
+		}
+	}
+	return n
+}
+
+// packRange copies the non-empty cells of [lo, hi) into dst in table
+// order; len(dst) is exactly their number (countRange's result). The
+// loop is branch-free: every cell is stored at the next free slot and
+// the slot advances only past a kept one, so a half-full table costs no
+// mispredicted branches. Only the final slot needs a guarded store (an
+// unconditional one there would run past the block's region).
+//
+//phasehash:serial find/elements phase: no insert or delete is in flight, so the cells are quiescent under the plain reads
+func (t *CompactTable[O]) packRange(lo, hi int, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	cells := t.cells[lo:hi]
+	i, j, last := 0, 0, len(dst)-1
+	for ; j < last; i++ {
+		c := cells[i]
+		dst[j] = c
+		if c != Empty {
+			j++
+		}
+	}
+	for cells[i] == Empty {
+		i++
+	}
+	dst[last] = cells[i]
 }
 
 // CountAtomic is Count with atomic cell reads: safe mid-phase (a racy
@@ -631,8 +684,8 @@ func (t *CompactTable[O]) ForEach(fn func(e uint64)) {
 //
 //phasehash:serial quiescent: Clear is itself a phase barrier; nothing runs concurrently with it by contract
 func (t *CompactTable[O]) Clear() {
-	parallel.For(len(t.cells), func(i int) { t.cells[i] = Empty })
-	parallel.For(len(t.ctrl), func(i int) { t.ctrl[i] = 0 })
+	parallel.ForBlocked(len(t.cells), 0, func(lo, hi int) { clear(t.cells[lo:hi]) })
+	parallel.ForBlocked(len(t.ctrl), 0, func(lo, hi int) { clear(t.ctrl[lo:hi]) })
 }
 
 // CheckInvariant verifies WordTable's ordering invariant over the

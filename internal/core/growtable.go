@@ -165,6 +165,10 @@ func (g *GrowTable[O]) Delete(v uint64) bool { return g.table.Load().Delete(v) }
 // phase only).
 func (g *GrowTable[O]) Elements() []uint64 { return g.table.Load().Elements() }
 
+// ElementsInto packs the contents into dst, which must have len(dst) >=
+// Count(); see WordTable.ElementsInto.
+func (g *GrowTable[O]) ElementsInto(dst []uint64) int { return g.table.Load().ElementsInto(dst) }
+
 // Count returns the stored key count (find/elements phase only).
 func (g *GrowTable[O]) Count() int { return g.table.Load().Count() }
 

@@ -319,29 +319,52 @@ func (t *PtrTable[T, O]) findReplacement(i int) (int, *T) {
 }
 
 // Elements packs the stored elements in table order; deterministic for a
-// given element set (find/elements phase only).
+// given element set (find/elements phase only). It is WordTable's
+// blocked two-pass pack, with atomic loads in the kernels.
 func (t *PtrTable[T, O]) Elements() []*T {
-	n := len(t.cells)
-	ptrs := make([]*T, n)
-	parallel.For(n, func(i int) { ptrs[i] = t.cells[i].Load() })
-	return parallel.Pack(ptrs, func(i int) bool { return ptrs[i] != nil })
+	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
+	out := make([]*T, bs.Total())
+	parallel.EmitBlocks(bs, out, t.packRange)
+	return out
 }
 
 // ElementsInto packs the stored elements into dst and returns the
 // number packed (find/elements phase only). As for WordTable, the
 // contract is on dst's *length*, not its capacity: len(dst) >= Count()
-// is required, and a shorter dst panics with an index-out-of-range when
-// the pack reaches the end of it.
+// is required, and a shorter dst panics after the count pass, before
+// anything is written.
 func (t *PtrTable[T, O]) ElementsInto(dst []*T) int {
-	n := len(t.cells)
-	ptrs := make([]*T, n)
-	parallel.For(n, func(i int) { ptrs[i] = t.cells[i].Load() })
-	return parallel.PackInto(dst, ptrs, func(i int) bool { return ptrs[i] != nil })
+	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
+	parallel.EmitBlocks(bs, dst, t.packRange)
+	return bs.Total()
 }
 
 // Count returns the number of stored elements (find/elements phase only).
 func (t *PtrTable[T, O]) Count() int {
-	return parallel.Count(len(t.cells), func(i int) bool { return t.cells[i].Load() != nil })
+	return parallel.CountBlocks(len(t.cells), 0, t.countRange).Total()
+}
+
+// countRange counts the occupied cells in [lo, hi).
+func (t *PtrTable[T, O]) countRange(lo, hi int) int {
+	n := 0
+	for i := lo; i < hi; i++ {
+		if t.cells[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// packRange copies the stored elements of [lo, hi) into dst in table
+// order; len(dst) is exactly their number (countRange's result).
+func (t *PtrTable[T, O]) packRange(lo, hi int, dst []*T) {
+	j := 0
+	for i := lo; i < hi; i++ {
+		if e := t.cells[i].Load(); e != nil {
+			dst[j] = e
+			j++
+		}
+	}
 }
 
 // Clear resets the table (callers must be quiescent).

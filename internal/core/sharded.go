@@ -303,19 +303,41 @@ func (t *ShardedTable[O]) DeleteAll(keys []uint64) int {
 
 // --- quiescent observations ---
 
+// The quiescent scans run the flat tables' blocked two-pass pack over
+// the concatenated shard cell arrays: one count pass and one copy pass
+// for the whole table, with blocks cut at shard boundaries (the shard
+// size is CountBlocks' segment), so every block is one shard's
+// countRange/packRange kernel.
+
+// countBlocks is the count pass over all shards.
+func (t *ShardedTable[O]) countBlocks() parallel.Blocks {
+	return parallel.CountBlocks(t.Size(), t.ShardSize(), t.countRange)
+}
+
+// countRange is WordTable.countRange on the shard holding the global
+// cell range [lo, hi), which never straddles a shard.
+func (t *ShardedTable[O]) countRange(lo, hi int) int {
+	per := t.ShardSize()
+	s := lo / per
+	return t.shards[s].countRange(lo-s*per, hi-s*per)
+}
+
+// packRange is WordTable.packRange on the shard holding [lo, hi).
+func (t *ShardedTable[O]) packRange(lo, hi int, dst []uint64) {
+	per := t.ShardSize()
+	s := lo / per
+	t.shards[s].packRange(lo-s*per, hi-s*per, dst)
+}
+
 // Count returns the number of stored elements (find/elements phase
-// only): the sum of the shard counts.
+// only).
 func (t *ShardedTable[O]) Count() int {
-	n := 0
-	for _, sh := range t.shards {
-		n += sh.Count()
-	}
-	return n
+	return t.countBlocks().Total()
 }
 
 // ShardStats summarizes the element balance across shards at
 // quiescence. It is always available (not gated on the obs build):
-// computing it is a parallel Count per shard, paid only when asked.
+// computing it is one parallel count pass, paid only when asked.
 type ShardStats struct {
 	Shards int   // shard count
 	Total  int   // stored elements summed over shards
@@ -335,13 +357,15 @@ func (s ShardStats) Imbalance() float64 {
 }
 
 // ShardStats computes the per-shard element counts and their spread
-// (find/elements phase only; see ShardStats.Imbalance).
+// (find/elements phase only; see ShardStats.Imbalance). Each shard's
+// count is read off the count pass at its boundary offsets.
 func (t *ShardedTable[O]) ShardStats() ShardStats {
-	st := ShardStats{Shards: len(t.shards), Counts: make([]int, len(t.shards))}
-	for s, sh := range t.shards {
-		c := sh.Count()
+	bs := t.countBlocks()
+	per := t.ShardSize()
+	st := ShardStats{Shards: len(t.shards), Counts: make([]int, len(t.shards)), Total: bs.Total()}
+	for s := range t.shards {
+		c := bs.Offset((s+1)*per) - bs.Offset(s*per)
 		st.Counts[s] = c
-		st.Total += c
 		if s == 0 || c < st.Min {
 			st.Min = c
 		}
@@ -357,30 +381,19 @@ func (t *ShardedTable[O]) ShardStats() ShardStats {
 // only). For a given element set, capacity and shard count the result
 // is identical across runs, schedules and worker counts.
 func (t *ShardedTable[O]) Elements() []uint64 {
-	counts := make([]int, len(t.shards))
-	for s, sh := range t.shards {
-		counts[s] = sh.Count()
-	}
-	offsets := make([]int, len(t.shards)+1)
-	for s, c := range counts {
-		offsets[s+1] = offsets[s] + c
-	}
-	out := make([]uint64, offsets[len(t.shards)])
-	parallel.ForGrain(len(t.shards), 1, func(s int) {
-		t.shards[s].ElementsInto(out[offsets[s]:offsets[s+1]])
-	})
+	bs := t.countBlocks()
+	out := make([]uint64, bs.Total())
+	parallel.EmitBlocks(bs, out, t.packRange)
 	return out
 }
 
 // ElementsInto is Elements packing into dst, which must have len(dst)
-// >= Count(); it returns the number packed and panics (index out of
-// range) when dst is shorter.
+// >= Count(); it returns the number packed, and a shorter dst panics
+// after the count pass, before anything is written.
 func (t *ShardedTable[O]) ElementsInto(dst []uint64) int {
-	n := 0
-	for _, sh := range t.shards {
-		n += sh.ElementsInto(dst[n:])
-	}
-	return n
+	bs := t.countBlocks()
+	parallel.EmitBlocks(bs, dst, t.packRange)
+	return bs.Total()
 }
 
 // ForEach calls fn for every stored element in shard-then-table order

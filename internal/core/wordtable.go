@@ -415,28 +415,70 @@ func (t *WordTable[O]) findReplacement(i int) (int, uint64) {
 // (find/elements phase only). Because the cell layout is
 // history-independent, the result is identical across runs and thread
 // counts for the same element set — the paper's deterministic ELEMENTS().
-//
-//phasehash:serial find/elements phase: the phase discipline guarantees no insert or delete is in flight, so the cells are quiescent under the plain reads
+// It is the blocked two-pass pack (parallel.CountBlocks, then
+// parallel.EmitBlocks) over the countRange and packRange kernels.
 func (t *WordTable[O]) Elements() []uint64 {
-	return parallel.Pack(t.cells, func(i int) bool { return t.cells[i] != Empty })
+	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
+	out := make([]uint64, bs.Total())
+	parallel.EmitBlocks(bs, out, t.packRange)
+	return out
 }
 
 // ElementsInto packs the non-empty cells into dst and returns the
 // number packed. The contract is on dst's *length*, not its capacity:
-// len(dst) >= Count() is required, and a shorter dst panics with an
-// index-out-of-range when the pack reaches the end of it.
-//
-//phasehash:serial find/elements phase: the phase discipline guarantees no insert or delete is in flight, so the cells are quiescent under the plain reads
+// len(dst) >= Count() is required, and a shorter dst panics after the
+// count pass, before anything is written.
 func (t *WordTable[O]) ElementsInto(dst []uint64) int {
-	return parallel.PackInto(dst, t.cells, func(i int) bool { return t.cells[i] != Empty })
+	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
+	parallel.EmitBlocks(bs, dst, t.packRange)
+	return bs.Total()
 }
 
 // Count returns the number of elements currently stored (parallel scan;
 // find/elements phase only).
-//
-//phasehash:serial find/elements phase: no writer is in flight; CountAtomic is the cross-phase variant
 func (t *WordTable[O]) Count() int {
-	return parallel.Count(len(t.cells), func(i int) bool { return t.cells[i] != Empty })
+	return parallel.CountBlocks(len(t.cells), 0, t.countRange).Total()
+}
+
+// countRange counts the non-empty cells in [lo, hi): the count pass of
+// Elements and Count.
+//
+//phasehash:serial find/elements phase: no insert or delete is in flight, so the cells are quiescent under the plain reads; CountAtomic is the cross-phase variant
+func (t *WordTable[O]) countRange(lo, hi int) int {
+	n := 0
+	for _, c := range t.cells[lo:hi] {
+		if c != Empty {
+			n++
+		}
+	}
+	return n
+}
+
+// packRange copies the non-empty cells of [lo, hi) into dst in table
+// order; len(dst) is exactly their number (countRange's result). The
+// loop is branch-free: every cell is stored at the next free slot and
+// the slot advances only past a kept one, so a half-full table costs no
+// mispredicted branches. Only the final slot needs a guarded store (an
+// unconditional one there would run past the block's region).
+//
+//phasehash:serial find/elements phase: no insert or delete is in flight, so the cells are quiescent under the plain reads
+func (t *WordTable[O]) packRange(lo, hi int, dst []uint64) {
+	if len(dst) == 0 {
+		return
+	}
+	cells := t.cells[lo:hi]
+	i, j, last := 0, 0, len(dst)-1
+	for ; j < last; i++ {
+		c := cells[i]
+		dst[j] = c
+		if c != Empty {
+			j++
+		}
+	}
+	for cells[i] == Empty {
+		i++
+	}
+	dst[last] = cells[i]
 }
 
 // CountAtomic is Count with atomic cell reads: safe to call while
@@ -471,7 +513,7 @@ func (t *WordTable[O]) ForEach(fn func(e uint64)) {
 //
 //phasehash:serial quiescent: Clear is itself a phase barrier; nothing runs concurrently with it by contract
 func (t *WordTable[O]) Clear() {
-	parallel.For(len(t.cells), func(i int) { t.cells[i] = Empty })
+	parallel.ForBlocked(len(t.cells), 0, func(lo, hi int) { clear(t.cells[lo:hi]) })
 }
 
 // CheckInvariant walks the table and verifies the ordering invariant

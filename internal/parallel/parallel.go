@@ -159,16 +159,24 @@ type span struct{ lo, hi int }
 
 // makeBlocks splits [0,n) into contiguous spans sized for the current
 // worker count (same policy as ForBlocked, via grainFor).
-func makeBlocks(n int) []span {
+func makeBlocks(n int) []span { return segBlocks(n, n) }
+
+// segBlocks is makeBlocks over [0,n) cut into segments of seg indexes
+// (the last may be shorter): no span straddles a multiple of seg, and a
+// segment shorter than the grain is one span. The grain is computed
+// over the whole range, so the total block count stays ~8 per worker
+// however the range is segmented.
+func segBlocks(n, seg int) []span {
 	grain := grainFor(n, NumWorkers(), 0)
-	nblocks := (n + grain - 1) / grain
-	blocks := make([]span, 0, nblocks)
-	for lo := 0; lo < n; lo += grain {
-		hi := lo + grain
-		if hi > n {
-			hi = n
+	if grain > seg {
+		grain = seg
+	}
+	blocks := make([]span, 0, (n+grain-1)/grain)
+	for s := 0; s < n; s += seg {
+		end := min(s+seg, n)
+		for lo := s; lo < end; lo += grain {
+			blocks = append(blocks, span{lo, min(lo+grain, end)})
 		}
-		blocks = append(blocks, span{lo, hi})
 	}
 	return blocks
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -141,24 +142,91 @@ func TestPack(t *testing.T) {
 	if len(got) != (n+2)/3 {
 		t.Fatalf("Pack len = %d", len(got))
 	}
-	idx := PackIndex(10, func(i int) bool { return i%2 == 1 })
-	want := []int{1, 3, 5, 7, 9}
-	for i := range want {
-		if idx[i] != want[i] {
-			t.Fatalf("PackIndex = %v", idx)
-		}
-	}
 	if Count(100, func(i int) bool { return i < 42 }) != 42 {
 		t.Fatal("Count wrong")
 	}
 }
 
-func TestPackInto(t *testing.T) {
-	xs := []uint64{5, 0, 7, 0, 9}
-	dst := make([]uint64, 5)
-	n := PackInto(dst, xs, func(i int) bool { return xs[i] != 0 })
-	if n != 3 || dst[0] != 5 || dst[1] != 7 || dst[2] != 9 {
-		t.Fatalf("PackInto = %v (n=%d)", dst, n)
+// TestEmitBlocks pins the two-pass driver: blocks never straddle a
+// segment boundary, Offset reads per-segment totals off the count pass,
+// the copy pass preserves index order at every worker count, and a
+// short dst panics before any block writes.
+func TestEmitBlocks(t *testing.T) {
+	defer SetNumWorkers(SetNumWorkers(1))
+	for _, p := range []int{1, 2, 3, 4} {
+		SetNumWorkers(p)
+		for _, c := range []struct{ n, seg int }{{0, 0}, {5, 0}, {100000, 0}, {100000, 1000}, {100003, 4096}, {64 * 16, 64}} {
+			xs := make([]int, c.n)
+			for i := range xs {
+				xs[i] = (i * 7919) % 5
+			}
+			var want []int
+			for _, x := range xs {
+				if x != 0 {
+					want = append(want, x)
+				}
+			}
+			seg := c.seg
+			if seg <= 0 {
+				seg = max(c.n, 1)
+			}
+			bs := CountBlocks(c.n, c.seg, func(lo, hi int) int {
+				if lo/seg != (hi-1)/seg {
+					t.Errorf("p=%d n=%d seg=%d: block [%d,%d) straddles a segment boundary", p, c.n, c.seg, lo, hi)
+				}
+				k := 0
+				for _, x := range xs[lo:hi] {
+					if x != 0 {
+						k++
+					}
+				}
+				return k
+			})
+			if bs.Total() != len(want) {
+				t.Fatalf("p=%d n=%d seg=%d: Total = %d, want %d", p, c.n, c.seg, bs.Total(), len(want))
+			}
+			for s := 0; s < c.n; s += seg {
+				k := 0
+				for _, x := range xs[:s] {
+					if x != 0 {
+						k++
+					}
+				}
+				if got := bs.Offset(s); got != k {
+					t.Fatalf("p=%d n=%d seg=%d: Offset(%d) = %d, want %d", p, c.n, c.seg, s, got, k)
+				}
+			}
+			if got := bs.Offset(c.n); got != len(want) {
+				t.Fatalf("p=%d n=%d seg=%d: Offset(n) = %d, want %d", p, c.n, c.seg, got, len(want))
+			}
+			dst := make([]int, len(want)+3)
+			EmitBlocks(bs, dst, func(lo, hi int, out []int) {
+				o := 0
+				for _, x := range xs[lo:hi] {
+					if x != 0 {
+						out[o] = x
+						o++
+					}
+				}
+				if o != len(out) {
+					t.Errorf("block [%d,%d) emitted %d, region holds %d", lo, hi, o, len(out))
+				}
+			})
+			if !slices.Equal(dst[:len(want)], want) {
+				t.Fatalf("p=%d n=%d seg=%d: EmitBlocks packed the wrong sequence", p, c.n, c.seg)
+			}
+			if len(want) > 0 {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("p=%d n=%d seg=%d: short dst did not panic", p, c.n, c.seg)
+						}
+					}()
+					short := make([]int, len(want)-1, len(want)+8) // the contract is on length, not capacity
+					EmitBlocks(bs, short, func(lo, hi int, out []int) { t.Error("short dst reached a block") })
+				}()
+			}
+		}
 	}
 }
 
