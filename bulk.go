@@ -50,7 +50,23 @@ func (m *Map32) InsertAll(entries []Entry) int {
 // TryInsertAll is InsertAll returning errors instead of panicking
 // (ErrReservedKey, ErrFull — matchable with errors.Is). Entries with
 // valid keys are all attempted even when some keys are reserved.
-func (m *Map32) TryInsertAll(entries []Entry) (int, error) {
+func (m *Map32) TryInsertAll(entries []Entry) (int, error) { return tryInsertEntries(m.t, entries) }
+
+// FindAll looks up every key (read phase) and returns how many are
+// present. When vals is non-nil it must have len(vals) >= len(keys) —
+// a shorter vals panics before any lookup runs; vals[i] receives the
+// value stored under keys[i], or 0 when absent. A nil vals counts
+// without writing.
+func (m *Map32) FindAll(keys []uint32, vals []uint32) int { return findKeys(m.t, "Map32", keys, vals) }
+
+// DeleteAll deletes every key (delete phase) and returns how many were
+// removed.
+func (m *Map32) DeleteAll(keys []uint32) int { return m.t.DeleteAll(probePairs(keys)) }
+
+// tryInsertEntries packs the entries with valid keys into pairs and
+// inserts them; reserved keys are counted and reported after the rest
+// have been attempted.
+func tryInsertEntries(t pairTable, entries []Entry) (int, error) {
 	packed := make([]uint64, 0, len(entries))
 	reserved := 0
 	for _, e := range entries {
@@ -60,60 +76,38 @@ func (m *Map32) TryInsertAll(entries []Entry) (int, error) {
 		}
 		packed = append(packed, core.Pair(e.Key, e.Value))
 	}
-	var n int
-	var err error
-	switch {
-	case m.min != nil:
-		n, err = m.min.TryInsertAll(packed)
-	case m.max != nil:
-		n, err = m.max.TryInsertAll(packed)
-	default:
-		n, err = m.sum.TryInsertAll(packed)
-	}
+	n, err := t.TryInsertAll(packed)
 	if err == nil && reserved > 0 {
 		err = fmt.Errorf("%w: key 0 (%d entries)", ErrReservedKey, reserved)
 	}
 	return n, err
 }
 
-// FindAll looks up every key (read phase) and returns how many are
-// present. When vals is non-nil it must have len(vals) >= len(keys);
-// vals[i] receives the value stored under keys[i], or 0 when absent.
-// A nil vals counts without writing.
-func (m *Map32) FindAll(keys []uint32, vals []uint32) int {
+// probePairs packs the keys into value-less pair probes.
+func probePairs(keys []uint32) []uint64 {
 	probes := make([]uint64, len(keys))
 	parallel.For(len(keys), func(i int) { probes[i] = core.Pair(keys[i], 0) })
-	var dst []uint64
-	if vals != nil {
-		dst = make([]uint64, len(keys))
+	return probes
+}
+
+// findKeys is the pair maps' FindAll: it checks vals on the caller's
+// goroutine, looks the keys up in place and unpacks the values.
+func findKeys(t pairTable, who string, keys []uint32, vals []uint32) int {
+	checkVals(who, len(keys), vals)
+	probes := probePairs(keys)
+	if vals == nil {
+		return t.FindAll(probes, nil)
 	}
-	var n int
-	switch {
-	case m.min != nil:
-		n = m.min.FindAll(probes, dst)
-	case m.max != nil:
-		n = m.max.FindAll(probes, dst)
-	default:
-		n = m.sum.FindAll(probes, dst)
-	}
-	if vals != nil {
-		parallel.For(len(keys), func(i int) { vals[i] = core.PairValue(dst[i]) })
-	}
+	n := t.FindAll(probes, probes)
+	parallel.For(len(keys), func(i int) { vals[i] = core.PairValue(probes[i]) })
 	return n
 }
 
-// DeleteAll deletes every key (delete phase) and returns how many were
-// removed.
-func (m *Map32) DeleteAll(keys []uint32) int {
-	probes := make([]uint64, len(keys))
-	parallel.For(len(keys), func(i int) { probes[i] = core.Pair(keys[i], 0) })
-	switch {
-	case m.min != nil:
-		return m.min.DeleteAll(probes)
-	case m.max != nil:
-		return m.max.DeleteAll(probes)
-	default:
-		return m.sum.DeleteAll(probes)
+// checkVals panics, on the caller's goroutine and before any lookup
+// runs, when a non-nil FindAll vals is shorter than the keys.
+func checkVals[T any](who string, keys int, vals []T) {
+	if vals != nil && len(vals) < keys {
+		panic(fmt.Sprintf("phasehash: %s.FindAll: vals has length %d, need %d", who, len(vals), keys))
 	}
 }
 
@@ -146,9 +140,11 @@ func (m *StringMap) TryInsertAll(keys []string, vals []uint64) (int, error) {
 }
 
 // FindAll looks up every key (read phase) and returns how many are
-// present. When vals is non-nil it must have len(vals) >= len(keys);
-// vals[i] receives the value stored under keys[i], or 0 when absent.
+// present. When vals is non-nil it must have len(vals) >= len(keys) —
+// a shorter vals panics before any lookup runs; vals[i] receives the
+// value stored under keys[i], or 0 when absent.
 func (m *StringMap) FindAll(keys []string, vals []uint64) int {
+	checkVals("StringMap", len(keys), vals)
 	probes := make([]*strEntry, len(keys))
 	parallel.For(len(keys), func(i int) { probes[i] = &strEntry{key: keys[i]} })
 	var dst []*strEntry

@@ -2,6 +2,7 @@ package phasehash
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 )
 
@@ -190,5 +191,47 @@ func TestGrowSetBulk(t *testing.T) {
 	}
 	if _, err := bulk.TryInsertAll([]uint64{0}); !errors.Is(err, ErrReservedKey) {
 		t.Fatalf("TryInsertAll(0) err = %v", err)
+	}
+}
+
+// TestFindAllShortValsPanicsOnCaller checks the map FindAll entry
+// points reject a vals shorter than the keys on the calling goroutine,
+// before any lookup runs: the panic is recoverable and vals stays
+// untouched.
+func TestFindAllShortValsPanicsOnCaller(t *testing.T) {
+	defer SetParallelism(SetParallelism(4))
+	const n = 1 << 15
+	keys32 := make([]uint32, n)
+	strKeys := make([]string, n)
+	for i := range keys32 {
+		keys32[i] = uint32(i + 1)
+		strKeys[i] = strconv.Itoa(i)
+	}
+	vals32 := make([]uint32, 10)
+	vals64 := make([]uint64, 10)
+	for _, tc := range []struct {
+		name string
+		find func()
+	}{
+		{"Map32", func() { NewMap32(n, KeepMin).FindAll(keys32, vals32) }},
+		{"ShardedMap32", func() { NewShardedMap32(n, KeepMin, 8).FindAll(keys32, vals32) }},
+		{"StringMap", func() { NewStringMap(n, KeepMin).FindAll(strKeys, vals64) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := range vals32 {
+				vals32[i], vals64[i] = 7, 7
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("FindAll with a short vals did not panic")
+				}
+				for i := range vals32 {
+					if vals32[i] != 7 || vals64[i] != 7 {
+						t.Fatalf("vals[%d] written before the panic", i)
+					}
+				}
+			}()
+			tc.find()
+		})
 	}
 }

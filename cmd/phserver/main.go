@@ -1,8 +1,8 @@
 // Command phserver serves a phase-batched epoch scheduler
 // (internal/epoch) over TCP: any number of clients submit mixed
 // Insert/Find/Delete/Elements traffic, the server buffers it into
-// per-phase batches and flushes each epoch through the sharded
-// owner-computes kernels. See internal/epoch and DESIGN.md §12 for the
+// per-phase batches and flushes each epoch through the sharded bulk
+// kernels. See internal/epoch and DESIGN.md §12 for the
 // scheduling and robustness contract.
 //
 // Usage:

@@ -3,8 +3,8 @@
 //
 // The phase-concurrent tables mix sync/atomic (and internal/atomicx)
 // access with plain loads and stores of the same memory: CAS-probing
-// during concurrent phases, owner-computes plain kernels when a shard
-// is provably exclusive, and serial snapshot scans between phases. The
+// during concurrent phases (per-element and bulk alike), and plain
+// snapshot scans, rehashes and maintenance between phases. The
 // plain accesses are sound only by a quiescence argument — exactly the
 // kind of folklore invariant that rots silently. atomicvet makes it
 // machine-checked:
@@ -52,8 +52,8 @@ unless the enclosing function is annotated
 
 	//phasehash:serial <reason>
 
-declaring why it has exclusive access (quiescence between phases,
-owner-computes shard exclusivity, pre-publication initialization).
+declaring why it has exclusive access (quiescence between phases, a
+resize under its write lock, pre-publication initialization).
 Slicing such a field (t.cells[lo:hi]) is a plain access too: the
 slice aliases the shadowed elements. clear(t.cells) is a plain store.
 A serial annotation on a function with no shadowed access is reported

@@ -156,11 +156,9 @@ func init() {
 		"Elements":     {phase: PhaseRead, capture: true},
 		"Count":        {phase: PhaseRead, capture: true},
 	})
-	// Sharded containers. The owner-computes bulk kernels require
-	// exclusive table access for the whole call, which is strictly
-	// stronger than the phase discipline — classifying them with their
-	// phase means every *cross*-phase overlap is still caught; the
-	// same-phase-overlap gap is documented on the types.
+	// Sharded containers. Their bulk calls are ordinary phase
+	// operations, exactly like the flat containers', so the phase
+	// classification below is their whole contract.
 	addFacts(ph, "ShardedSet", map[string]methodFact{
 		"Insert":       {phase: PhaseInsert},
 		"TryInsert":    {phase: PhaseInsert},

@@ -1,10 +1,9 @@
 // Package sharded exercises the diagnostics on the sharded containers
 // (ShardedSet / ShardedMap32 / core.ShardedTable): the per-element
-// operations and owner-computes bulk kernels carry the same phase
-// classification as their flat counterparts, so cross-phase overlaps
-// must be reported and barrier-separated phases must stay silent. (The
-// kernels' stronger exclusive-access contract — no overlap even within
-// a phase — is beyond the phase lattice and documented on the types.)
+// operations and bulk kernels carry the same phase classification as
+// their flat counterparts, so cross-phase overlaps must be reported and
+// barrier-separated phases must stay silent. Same-phase overlaps of
+// bulk and per-element calls are legal, as on the flat containers.
 package sharded
 
 import (
@@ -64,6 +63,20 @@ func shardedBarrierOK(keys []uint64) {
 	wg.Wait()
 	_ = s.ContainsAll(keys)
 	s.DeleteAll(keys)
+}
+
+// A bulk insert overlapping same-phase per-element inserts is legal;
+// silent.
+func shardedSamePhaseOverlapOK(keys []uint64) {
+	s := phasehash.NewShardedSet(1024, 8)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.InsertAll(keys)
+	}()
+	s.Insert(keys[0])
+	wg.Wait()
 }
 
 // Two goroutines issuing conflicting sharded phases trip the goroutine

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"phasehash/internal/obs"
@@ -24,6 +25,14 @@ import (
 //     in-flight lines. The per-element path eats each home-cell miss
 //     inside a serially dependent probe loop.
 //
+// Each layout has exactly one block kernel per operation — insertRange,
+// findRange and deleteRange over [lo, hi) of a slice — running the same
+// atomic probe loops as the per-element API. The flat bulk methods run
+// them over the blocks of the whole slice; ShardedTable runs them over
+// each shard's run of a radix partition. Either way a bulk call is an
+// ordinary phase operation: it may overlap any other operation of the
+// same phase.
+//
 // Determinism is untouched: a kernel performs exactly the operation set
 // of the equivalent per-element loop, and the quiescent layout of the
 // table depends only on that set (history independence), never on the
@@ -38,47 +47,15 @@ import (
 // lines are still resident when the probe pass reaches them.
 const stageChunk = 64
 
-// InsertAll inserts every element of elems (insert phase only) and
-// returns how many grew the element count — deterministic for a given
-// element multiset, like the count of true Insert results. It panics on
-// reserved or overflowing elements exactly as Insert does; use
-// TryInsertAll where saturation must degrade gracefully.
-func (t *WordTable[O]) InsertAll(elems []uint64) int {
-	var added atomic.Int64
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		a, full := t.insertRange(elems, lo, hi)
-		if full >= 0 {
-			panic("core: WordTable: " + t.fullErr().Error())
-		}
-		if a != 0 {
-			added.Add(int64(a))
-		}
-	})
-	return int(added.Load())
-}
-
-// TryInsertAll is InsertAll returning errors instead of panicking: it
-// attempts every element (exactly like a per-element TryInsert loop),
-// returns the number that grew the count, and reports the error of one
-// failed insert when any failed (ErrReservedKey, ErrFull — matchable
-// with errors.Is). Which elements land when the table saturates
-// mid-phase is schedule-dependent, exactly as for concurrent
-// per-element TryInserts; the quiescent layout of whatever landed is
-// still history-independent.
-func (t *WordTable[O]) TryInsertAll(elems []uint64) (int, error) {
+// tryInsertBlocks runs an insert kernel over the blocks of [0, n) and
+// returns the summed count with the error of one failed insert, if any.
+func tryInsertBlocks(n int, kernel func(lo, hi int) (int, error)) (int, error) {
 	var added atomic.Int64
 	var firstErr atomic.Pointer[error]
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		a := 0
-		for i := lo; i < hi; i++ {
-			ok, err := t.TryInsert(elems[i])
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-				continue
-			}
-			if ok {
-				a++
-			}
+	parallel.ForBlocked(n, 0, func(lo, hi int) {
+		a, err := kernel(lo, hi)
+		if err != nil {
+			firstErr.CompareAndSwap(nil, &err)
 		}
 		if a != 0 {
 			added.Add(int64(a))
@@ -90,41 +67,100 @@ func (t *WordTable[O]) TryInsertAll(elems []uint64) (int, error) {
 	return int(added.Load()), nil
 }
 
-// insertRange is InsertAll's block kernel: chunked two-pass probe loops
-// over elems[lo:hi). The stage pass hashes a chunk and touches every
-// home cell (the touch is an atomic load, so it cannot race with the
-// phase's CASes); the probe pass then runs against warm lines. full
-// returns the index of a saturating element, or -1.
-//
-// The always-on counter core is fed one batched call per block (ops and
-// probe steps accumulate in locals), which keeps the per-element cost
-// inside the 1% overhead gate budget. Only completed ops are counted:
-// on the saturation path the sweeping element's steps are dropped.
-func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added, full int) {
-	var homes [stageChunk]int
-	var coreSteps uint64
-	for base := lo; base < hi; base += stageChunk {
-		end := base + stageChunk
-		if end > hi {
-			end = hi
+// sumBlocks runs a find or delete kernel over the blocks of [0, n) and
+// returns the summed count.
+func sumBlocks(n int, kernel func(lo, hi int) int) int {
+	var total atomic.Int64
+	parallel.ForBlocked(n, 0, func(lo, hi int) {
+		if c := kernel(lo, hi); c != 0 {
+			total.Add(int64(c))
 		}
+	})
+	return int(total.Load())
+}
+
+// checkFindDst panics, on the caller's goroutine and before any block
+// runs, when a non-nil FindAll destination is shorter than the keys.
+func checkFindDst[T any](who string, keys int, dst []T) {
+	if dst != nil && len(dst) < keys {
+		panic(fmt.Sprintf("core: %s.FindAll: dst has length %d, need %d", who, len(dst), keys))
+	}
+}
+
+// InsertAll inserts every element of elems (insert phase only) and
+// returns how many grew the element count — deterministic for a given
+// element multiset, like the count of true Insert results. It panics on
+// reserved or overflowing elements as Insert does (after attempting
+// every element); use TryInsertAll where saturation must degrade
+// gracefully.
+func (t *WordTable[O]) InsertAll(elems []uint64) int {
+	n, err := t.TryInsertAll(elems)
+	if err != nil {
+		panic("core: WordTable: " + err.Error())
+	}
+	return n
+}
+
+// TryInsertAll is InsertAll returning errors instead of panicking: it
+// attempts every element (exactly like a per-element TryInsert loop),
+// returns the number that grew the count, and reports the error of one
+// failed insert when any failed (ErrReservedKey, ErrFull — matchable
+// with errors.Is). Which elements land when the table saturates
+// mid-phase is schedule-dependent, exactly as for concurrent
+// per-element TryInserts; the quiescent layout of whatever landed is
+// still history-independent.
+func (t *WordTable[O]) TryInsertAll(elems []uint64) (int, error) {
+	return tryInsertBlocks(len(elems), func(lo, hi int) (int, error) {
+		return t.insertRange(elems, lo, hi)
+	})
+}
+
+// stage is the stage pass of the block kernels: it hashes a chunk into
+// homes, then touches every home cell with an atomic load (which cannot
+// race with the phase's CASes). The touches get a loop of their own:
+// with no hash call between them, the core keeps far more of their
+// cache misses in flight.
+func (t *WordTable[O]) stage(keys []uint64, homes []int) {
+	for i, k := range keys {
+		homes[i] = t.home(k)
+	}
+	for _, h := range homes {
+		atomic.LoadUint64(&t.cells[h])
+	}
+}
+
+// insertRange is the insert block kernel: chunked two-pass probe loops
+// over elems[lo:hi). The stage pass warms a chunk's home cells; the
+// probe pass then runs against warm lines. Like a TryInsert loop it
+// attempts every element, returning how many grew the count and the
+// first error met (reserved element, saturation).
+//
+// The always-on counter core is fed one batched call per kernel call,
+// a block or a shard run (ops and probe steps accumulate in locals),
+// which keeps the per-element cost inside the 1% overhead gate budget.
+// Only completed ops are counted.
+func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added int, err error) {
+	var homes [stageChunk]int
+	var coreOps, coreSteps uint64
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(elems[base:end], homes[:end-base])
 		for i := base; i < end; i++ {
 			v := elems[i]
 			if v == Empty {
-				panic("core: WordTable: cannot insert the reserved empty element")
-			}
-			h := int(t.ops.Hash(v)) & t.mask
-			homes[i-base] = h
-			atomic.LoadUint64(&t.cells[h])
-		}
-		for i := base; i < end; i++ {
-			a, f, s := t.insertLoopFrom(elems[i], homes[i-base])
-			if f {
-				if obs.CoreEnabled {
-					obs.CoreInsert(lo>>6, uint64(i-lo), coreSteps)
+				if err == nil {
+					err = reservedErr()
 				}
-				return added, i
+				continue
 			}
+			a, full, s := t.insertLoopFrom(v, homes[i-base])
+			if full {
+				if err == nil {
+					err = t.fullErr()
+				}
+				continue
+			}
+			coreOps++
 			coreSteps += uint64(s)
 			if a {
 				added++
@@ -132,50 +168,50 @@ func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added, full int)
 		}
 	}
 	if obs.CoreEnabled {
-		obs.CoreInsert(lo>>6, uint64(hi-lo), coreSteps)
+		obs.CoreInsert(lo>>6, coreOps, coreSteps)
 	}
-	return added, -1
+	return added, err
 }
 
 // FindAll looks up every key of keys (find/elements phase only) and
 // returns how many are present. When dst is non-nil it must have
-// len(dst) >= len(keys); dst[i] receives the stored element for keys[i]
-// or Empty when absent. A nil dst counts without writing (ContainsAll).
+// len(dst) >= len(keys) — a shorter dst panics before any lookup runs;
+// dst[i] receives the stored element for keys[i] or Empty when absent,
+// and dst may be keys itself (an in-place lookup). A nil dst counts
+// without writing (ContainsAll).
 func (t *WordTable[O]) FindAll(keys []uint64, dst []uint64) int {
-	var found atomic.Int64
-	parallel.ForBlocked(len(keys), 0, func(lo, hi int) {
-		var homes [stageChunk]int
-		var coreSteps uint64
-		n := 0
-		for base := lo; base < hi; base += stageChunk {
-			end := base + stageChunk
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				h := int(t.ops.Hash(keys[i])) & t.mask
-				homes[i-base] = h
-				atomic.LoadUint64(&t.cells[h])
-			}
-			for i := base; i < end; i++ {
-				e, ok, s := t.findFrom(keys[i], homes[i-base])
-				coreSteps += uint64(s)
-				if ok {
-					n++
-				}
-				if dst != nil {
-					dst[i] = e
-				}
-			}
-		}
-		if obs.CoreEnabled {
-			obs.CoreFind(lo>>6, uint64(hi-lo), coreSteps, uint64(n))
-		}
-		if n != 0 {
-			found.Add(int64(n))
-		}
+	checkFindDst("WordTable", len(keys), dst)
+	return sumBlocks(len(keys), func(lo, hi int) int {
+		return t.findRange(keys, dst, lo, hi)
 	})
-	return int(found.Load())
+}
+
+// findRange is the find block kernel over keys[lo:hi), staged like
+// insertRange; it returns how many keys are present and, when dst is
+// non-nil, stores each result at dst[i]. Every keys[i] is read before
+// dst[i] is written, so dst may alias keys (an in-place lookup).
+func (t *WordTable[O]) findRange(keys, dst []uint64, lo, hi int) int {
+	var homes [stageChunk]int
+	var coreSteps uint64
+	n := 0
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(keys[base:end], homes[:end-base])
+		for i := base; i < end; i++ {
+			e, ok, s := t.findFrom(keys[i], homes[i-base])
+			coreSteps += uint64(s)
+			if ok {
+				n++
+			}
+			if dst != nil {
+				dst[i] = e
+			}
+		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreFind(lo>>6, uint64(hi-lo), coreSteps, uint64(n))
+	}
+	return n
 }
 
 // ContainsAll reports how many of the keys are present (find/elements
@@ -189,37 +225,32 @@ func (t *WordTable[O]) ContainsAll(keys []uint64) int {
 // the total over a phase is deterministic while attribution between
 // duplicate deletes is not.
 func (t *WordTable[O]) DeleteAll(keys []uint64) int {
-	var deleted atomic.Int64
-	parallel.ForBlocked(len(keys), 0, func(lo, hi int) {
-		var homes [stageChunk]int
-		var coreSteps uint64
-		n := 0
-		for base := lo; base < hi; base += stageChunk {
-			end := base + stageChunk
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				h := int(t.ops.Hash(keys[i])) & t.mask
-				homes[i-base] = h
-				atomic.LoadUint64(&t.cells[h])
-			}
-			for i := base; i < end; i++ {
-				d, s := t.deleteFrom(keys[i], homes[i-base])
-				coreSteps += uint64(s)
-				if d {
-					n++
-				}
-			}
-		}
-		if obs.CoreEnabled {
-			obs.CoreDelete(lo>>6, uint64(hi-lo), coreSteps)
-		}
-		if n != 0 {
-			deleted.Add(int64(n))
-		}
+	return sumBlocks(len(keys), func(lo, hi int) int {
+		return t.deleteRange(keys, lo, hi)
 	})
-	return int(deleted.Load())
+}
+
+// deleteRange is the delete block kernel over keys[lo:hi), staged like
+// insertRange; it returns how many keys this call's deletes removed.
+func (t *WordTable[O]) deleteRange(keys []uint64, lo, hi int) int {
+	var homes [stageChunk]int
+	var coreSteps uint64
+	n := 0
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(keys[base:end], homes[:end-base])
+		for i := base; i < end; i++ {
+			d, s := t.deleteFrom(keys[i], homes[i-base])
+			coreSteps += uint64(s)
+			if d {
+				n++
+			}
+		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreDelete(lo>>6, uint64(hi-lo), coreSteps)
+	}
+	return n
 }
 
 // --- PtrTable bulk kernels ---
@@ -230,135 +261,122 @@ func (t *WordTable[O]) DeleteAll(keys []uint64) int {
 // memory and every home cell is in flight before the probe pass.
 
 // InsertAll inserts every record (insert phase only), returning how
-// many grew the element count. Panics on nil records or a full table
-// exactly as Insert does.
+// many grew the element count. Panics on nil records or a full table as
+// Insert does (after attempting every record).
 func (t *PtrTable[T, O]) InsertAll(elems []*T) int {
-	var added atomic.Int64
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		var homes [stageChunk]int
-		a := 0
-		for base := lo; base < hi; base += stageChunk {
-			end := base + stageChunk
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				v := elems[i]
-				if v == nil {
-					panic("core: PtrTable: cannot insert nil")
-				}
-				h := int(t.ops.Hash(v)) & t.mask
-				homes[i-base] = h
-				t.cells[h].Load()
-			}
-			for i := base; i < end; i++ {
-				ad, full := t.insertLoopFrom(elems[i], homes[i-base])
-				if full {
-					panic("core: PtrTable: " + t.fullErr().Error())
-				}
-				if ad {
-					a++
-				}
-			}
-		}
-		if a != 0 {
-			added.Add(int64(a))
-		}
-	})
-	return int(added.Load())
+	n, err := t.TryInsertAll(elems)
+	if err != nil {
+		panic("core: PtrTable: " + err.Error())
+	}
+	return n
 }
 
 // TryInsertAll is InsertAll returning errors instead of panicking; see
 // WordTable.TryInsertAll for the saturation semantics.
 func (t *PtrTable[T, O]) TryInsertAll(elems []*T) (int, error) {
-	var added atomic.Int64
-	var firstErr atomic.Pointer[error]
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		a := 0
-		for i := lo; i < hi; i++ {
-			ok, err := t.TryInsert(elems[i])
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
+	return tryInsertBlocks(len(elems), func(lo, hi int) (int, error) {
+		return t.insertRange(elems, lo, hi)
+	})
+}
+
+// stage is WordTable.stage for records. A nil record has nothing to
+// hash; its slot keeps a stale home, which costs only a wasted touch.
+func (t *PtrTable[T, O]) stage(elems []*T, homes []int) {
+	for i, v := range elems {
+		if v != nil {
+			homes[i] = t.home(v)
+		}
+	}
+	for _, h := range homes {
+		t.cells[h].Load()
+	}
+}
+
+// insertRange is the insert block kernel over elems[lo:hi); see
+// WordTable.insertRange. Nil records are reported as ErrNilValue.
+func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, err error) {
+	var homes [stageChunk]int
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(elems[base:end], homes[:end-base])
+		for i := base; i < end; i++ {
+			v := elems[i]
+			if v == nil {
+				if err == nil {
+					err = fmt.Errorf("%w: nil encodes the empty cell", ErrNilValue)
+				}
 				continue
 			}
-			if ok {
-				a++
+			a, full := t.insertLoopFrom(v, homes[i-base])
+			if full {
+				if err == nil {
+					err = t.fullErr()
+				}
+				continue
+			}
+			if a {
+				added++
 			}
 		}
-		if a != 0 {
-			added.Add(int64(a))
-		}
-	})
-	if e := firstErr.Load(); e != nil {
-		return int(added.Load()), *e
 	}
-	return int(added.Load()), nil
+	return added, err
 }
 
 // FindAll looks up every probe record (find/elements phase only; only
 // key fields need to be populated) and returns how many are present.
-// When dst is non-nil it must have len(dst) >= len(probes); dst[i]
-// receives the stored record or nil.
+// When dst is non-nil it must have len(dst) >= len(probes) — a shorter
+// dst panics before any lookup runs; dst[i] receives the stored record
+// or nil.
 func (t *PtrTable[T, O]) FindAll(probes []*T, dst []*T) int {
-	var found atomic.Int64
-	parallel.ForBlocked(len(probes), 0, func(lo, hi int) {
-		var homes [stageChunk]int
-		n := 0
-		for base := lo; base < hi; base += stageChunk {
-			end := base + stageChunk
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				h := int(t.ops.Hash(probes[i])) & t.mask
-				homes[i-base] = h
-				t.cells[h].Load()
-			}
-			for i := base; i < end; i++ {
-				e, ok := t.findFrom(probes[i], homes[i-base])
-				if ok {
-					n++
-				}
-				if dst != nil {
-					dst[i] = e
-				}
-			}
-		}
-		if n != 0 {
-			found.Add(int64(n))
-		}
+	checkFindDst("PtrTable", len(probes), dst)
+	return sumBlocks(len(probes), func(lo, hi int) int {
+		return t.findRange(probes, dst, lo, hi)
 	})
-	return int(found.Load())
+}
+
+// findRange is the find block kernel over probes[lo:hi); see
+// WordTable.findRange.
+func (t *PtrTable[T, O]) findRange(probes, dst []*T, lo, hi int) int {
+	var homes [stageChunk]int
+	n := 0
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(probes[base:end], homes[:end-base])
+		for i := base; i < end; i++ {
+			e, ok := t.findFrom(probes[i], homes[i-base])
+			if ok {
+				n++
+			}
+			if dst != nil {
+				dst[i] = e
+			}
+		}
+	}
+	return n
 }
 
 // DeleteAll deletes every probe's key (delete phase only), returning
 // how many were removed by this call's deletes.
 func (t *PtrTable[T, O]) DeleteAll(probes []*T) int {
-	var deleted atomic.Int64
-	parallel.ForBlocked(len(probes), 0, func(lo, hi int) {
-		var homes [stageChunk]int
-		n := 0
-		for base := lo; base < hi; base += stageChunk {
-			end := base + stageChunk
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				h := int(t.ops.Hash(probes[i])) & t.mask
-				homes[i-base] = h
-				t.cells[h].Load()
-			}
-			for i := base; i < end; i++ {
-				if t.deleteFrom(probes[i], homes[i-base]) {
-					n++
-				}
-			}
-		}
-		if n != 0 {
-			deleted.Add(int64(n))
-		}
+	return sumBlocks(len(probes), func(lo, hi int) int {
+		return t.deleteRange(probes, lo, hi)
 	})
-	return int(deleted.Load())
+}
+
+// deleteRange is the delete block kernel over probes[lo:hi).
+func (t *PtrTable[T, O]) deleteRange(probes []*T, lo, hi int) int {
+	var homes [stageChunk]int
+	n := 0
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(probes[base:end], homes[:end-base])
+		for i := base; i < end; i++ {
+			if t.deleteFrom(probes[i], homes[i-base]) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // --- GrowTable bulk kernels ---
@@ -392,11 +410,7 @@ func (g *GrowTable[O]) TryInsertAll(elems []uint64) (int, error) {
 	g.reserve(n)
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	t := g.table.Load()
-	if n < len(elems) {
-		return t.TryInsertAll(elems)
-	}
-	return t.InsertAll(elems), nil
+	return g.table.Load().TryInsertAll(elems)
 }
 
 // FindAll looks up every key (find/elements phase only), returning how

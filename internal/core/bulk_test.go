@@ -268,3 +268,44 @@ func TestGrowBulkMatchesPerElement(t *testing.T) {
 		t.Fatalf("GrowTable TryInsertAll with Empty: err = %v, want ErrReservedKey", err)
 	}
 }
+
+// TestFindAllShortDstPanicsOnCaller checks every FindAll entry point
+// rejects a dst shorter than its keys on the calling goroutine, before
+// any block runs: the panic is recoverable and dst stays untouched.
+// With enough keys for many blocks, a check inside the blocks would
+// panic on a pool worker and kill the process.
+func TestFindAllShortDstPanicsOnCaller(t *testing.T) {
+	defer parallel.SetNumWorkers(parallel.SetNumWorkers(4))
+	const n = 1 << 15
+	keys := shardedKeys(n, 5)
+	dst := make([]uint64, 10)
+	recs := recKeys(n, 5)
+	recDst := make([]*rec, 10)
+	for _, tc := range []struct {
+		name string
+		find func()
+	}{
+		{"WordTable", func() { NewWordTable[SetOps](n).FindAll(keys, dst) }},
+		{"CompactTable", func() { NewCompactTable[SetOps](n).FindAll(keys, dst) }},
+		{"GrowTable", func() { NewGrowTable[SetOps](n).FindAll(keys, dst) }},
+		{"ShardedTable", func() { NewShardedTable[SetOps](n, 8).FindAll(keys, dst) }},
+		{"PtrTable", func() { NewPtrTable[rec, recOps](n).FindAll(recs, recDst) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := range dst {
+				dst[i] = 7
+			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("FindAll with a short dst did not panic")
+				}
+				for i, v := range dst {
+					if v != 7 || recDst[i] != nil {
+						t.Fatalf("dst[%d] written before the panic", i)
+					}
+				}
+			}()
+			tc.find()
+		})
+	}
+}

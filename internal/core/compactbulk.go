@@ -4,12 +4,11 @@ import (
 	"sync/atomic"
 
 	"phasehash/internal/hashx"
-	"phasehash/internal/parallel"
 )
 
-// Bulk phase kernels for CompactTable, following bulk.go's chunked
-// two-pass shape. The staging differs by operation to match what the
-// probe pass actually reads first:
+// Bulk phase kernels for CompactTable: one staged block kernel per
+// operation, driven like WordTable's (bulk.go). The staging differs by
+// operation to match what the probe pass actually reads first:
 //
 //   - FindAll stages ctrl *words*, not home cells — the whole point of
 //     the compact layout is that a find touches cells only on a
@@ -22,119 +21,103 @@ import (
 //     line is needed immediately, and the ctrl word is where syncCtrl
 //     will publish.
 
+// stage is WordTable.stage for the compact layout: it hashes a chunk
+// into hs (home and fingerprint are cheap shifts off the hash at probe
+// time), then touches each home's ctrl word and, when cells is set, its
+// home cell.
+func (t *CompactTable[O]) stage(keys []uint64, hs []uint64, cells bool) {
+	for i, k := range keys {
+		hs[i] = t.ops.Hash(k)
+	}
+	for _, h := range hs {
+		p := int(h) & t.mask
+		if cells {
+			atomic.LoadUint64(&t.cells[p])
+		}
+		t.loadCtrlWord(p)
+	}
+}
+
 // InsertAll inserts every element of elems (insert phase only) and
 // returns how many grew the element count; semantics exactly as
 // WordTable.InsertAll.
 func (t *CompactTable[O]) InsertAll(elems []uint64) int {
-	var added atomic.Int64
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		a, full := t.insertRange(elems, lo, hi)
-		if full >= 0 {
-			panic("core: CompactTable: " + t.fullErr().Error())
-		}
-		if a != 0 {
-			added.Add(int64(a))
-		}
-	})
-	return int(added.Load())
+	n, err := t.TryInsertAll(elems)
+	if err != nil {
+		panic("core: CompactTable: " + err.Error())
+	}
+	return n
 }
 
 // TryInsertAll is InsertAll returning errors instead of panicking; see
 // WordTable.TryInsertAll for the saturation semantics.
 func (t *CompactTable[O]) TryInsertAll(elems []uint64) (int, error) {
-	var added atomic.Int64
-	var firstErr atomic.Pointer[error]
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		a := 0
-		for i := lo; i < hi; i++ {
-			ok, err := t.TryInsert(elems[i])
-			if err != nil {
-				firstErr.CompareAndSwap(nil, &err)
-				continue
-			}
-			if ok {
-				a++
-			}
-		}
-		if a != 0 {
-			added.Add(int64(a))
-		}
+	return tryInsertBlocks(len(elems), func(lo, hi int) (int, error) {
+		return t.insertRange(elems, lo, hi)
 	})
-	if e := firstErr.Load(); e != nil {
-		return int(added.Load()), *e
-	}
-	return int(added.Load()), nil
 }
 
-// insertRange is InsertAll's block kernel; see WordTable.insertRange.
-// full returns the index of a saturating element, or -1.
-func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added, full int) {
+// insertRange is the insert block kernel over elems[lo:hi); see
+// WordTable.insertRange.
+func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, err error) {
 	var hs [stageChunk]uint64
 	for base := lo; base < hi; base += stageChunk {
-		end := base + stageChunk
-		if end > hi {
-			end = hi
-		}
+		end := min(base+stageChunk, hi)
+		t.stage(elems[base:end], hs[:end-base], true)
 		for i := base; i < end; i++ {
 			v := elems[i]
 			if v == Empty {
-				panic("core: CompactTable: cannot insert the reserved empty element")
+				if err == nil {
+					err = reservedErr()
+				}
+				continue
 			}
-			h := t.ops.Hash(v)
-			hs[i-base] = h
-			atomic.LoadUint64(&t.cells[int(h)&t.mask])
-			t.loadCtrlWord(int(h) & t.mask)
-		}
-		for i := base; i < end; i++ {
 			h := hs[i-base]
-			a, f := t.insertLoopFrom(elems[i], h, int(h)&t.mask)
-			if f {
-				return added, i
+			a, full := t.insertLoopFrom(v, h, int(h)&t.mask)
+			if full {
+				if err == nil {
+					err = t.fullErr()
+				}
+				continue
 			}
 			if a {
 				added++
 			}
 		}
 	}
-	return added, -1
+	return added, err
 }
 
 // FindAll looks up every key of keys (find/elements phase only) and
-// returns how many are present; dst as in WordTable.FindAll. The stage
-// pass pre-computes the hash (home and fingerprint are cheap shifts off
-// it at probe time) and touches the home ctrl word — not the home cell
-// (see the file comment).
+// returns how many are present; dst as in WordTable.FindAll.
 func (t *CompactTable[O]) FindAll(keys []uint64, dst []uint64) int {
-	var found atomic.Int64
-	parallel.ForBlocked(len(keys), 0, func(lo, hi int) {
-		var hs [stageChunk]uint64
-		n := 0
-		for base := lo; base < hi; base += stageChunk {
-			end := base + stageChunk
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				h := t.ops.Hash(keys[i])
-				hs[i-base] = h
-				t.loadCtrlWord(int(h) & t.mask)
-			}
-			for i := base; i < end; i++ {
-				h := hs[i-base]
-				e, ok := t.findFrom(keys[i], h, int(h)&t.mask, hashx.Fingerprint(h))
-				if ok {
-					n++
-				}
-				if dst != nil {
-					dst[i] = e
-				}
-			}
-		}
-		if n != 0 {
-			found.Add(int64(n))
-		}
+	checkFindDst("CompactTable", len(keys), dst)
+	return sumBlocks(len(keys), func(lo, hi int) int {
+		return t.findRange(keys, dst, lo, hi)
 	})
-	return int(found.Load())
+}
+
+// findRange is the find block kernel over keys[lo:hi). Its stage pass
+// touches the home ctrl words, not the home cells (see the file
+// comment).
+func (t *CompactTable[O]) findRange(keys, dst []uint64, lo, hi int) int {
+	var hs [stageChunk]uint64
+	n := 0
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(keys[base:end], hs[:end-base], false)
+		for i := base; i < end; i++ {
+			h := hs[i-base]
+			e, ok := t.findFrom(keys[i], h, int(h)&t.mask, hashx.Fingerprint(h))
+			if ok {
+				n++
+			}
+			if dst != nil {
+				dst[i] = e
+			}
+		}
+	}
+	return n
 }
 
 // ContainsAll reports how many of the keys are present (find/elements
@@ -147,31 +130,24 @@ func (t *CompactTable[O]) ContainsAll(keys []uint64) int {
 // how many were removed by this call's deletes; semantics as
 // WordTable.DeleteAll.
 func (t *CompactTable[O]) DeleteAll(keys []uint64) int {
-	var deleted atomic.Int64
-	parallel.ForBlocked(len(keys), 0, func(lo, hi int) {
-		var hs [stageChunk]uint64
-		n := 0
-		for base := lo; base < hi; base += stageChunk {
-			end := base + stageChunk
-			if end > hi {
-				end = hi
-			}
-			for i := base; i < end; i++ {
-				h := t.ops.Hash(keys[i])
-				hs[i-base] = h
-				atomic.LoadUint64(&t.cells[int(h)&t.mask])
-				t.loadCtrlWord(int(h) & t.mask)
-			}
-			for i := base; i < end; i++ {
-				h := hs[i-base]
-				if t.deleteFrom(keys[i], h, int(h)&t.mask) {
-					n++
-				}
-			}
-		}
-		if n != 0 {
-			deleted.Add(int64(n))
-		}
+	return sumBlocks(len(keys), func(lo, hi int) int {
+		return t.deleteRange(keys, lo, hi)
 	})
-	return int(deleted.Load())
+}
+
+// deleteRange is the delete block kernel over keys[lo:hi).
+func (t *CompactTable[O]) deleteRange(keys []uint64, lo, hi int) int {
+	var hs [stageChunk]uint64
+	n := 0
+	for base := lo; base < hi; base += stageChunk {
+		end := min(base+stageChunk, hi)
+		t.stage(keys[base:end], hs[:end-base], true)
+		for i := base; i < end; i++ {
+			h := hs[i-base]
+			if t.deleteFrom(keys[i], h, int(h)&t.mask) {
+				n++
+			}
+		}
+	}
+	return n
 }

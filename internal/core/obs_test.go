@@ -65,10 +65,11 @@ func TestObsCountersFromTableOps(t *testing.T) {
 	}
 }
 
-// TestObsSerialProbesFeedSameCounters checks the owner-computes serial
-// loops hit the same counters (with zero CAS attempts) so sharded and
-// flat runs are comparable.
-func TestObsSerialProbesFeedSameCounters(t *testing.T) {
+// TestObsShardedBulkFeedsSameCounters checks sharded bulk calls hit the
+// same counters as the flat kernels they run, so sharded and flat runs
+// are comparable, and that one owner per shard run means no insert CAS
+// ever fails.
+func TestObsShardedBulkFeedsSameCounters(t *testing.T) {
 	obs.Reset()
 	defer obs.Reset()
 	const n = 1 << 10
@@ -82,8 +83,8 @@ func TestObsSerialProbesFeedSameCounters(t *testing.T) {
 	if got := s.Get(obs.CtrInsertOps); got != n {
 		t.Fatalf("insert ops %d, want %d", got, n)
 	}
-	if got := s.Get(obs.CtrInsertCASAttempts); got != 0 {
-		t.Fatalf("serial path recorded %d CAS attempts, want 0", got)
+	if got := s.Get(obs.CtrInsertCASFailures); got != 0 {
+		t.Fatalf("sharded bulk insert recorded %d CAS failures, want 0", got)
 	}
 	if got := s.Get(obs.CtrShardBulkCalls); got != 1 {
 		t.Fatalf("shard bulk calls %d, want 1", got)

@@ -42,9 +42,6 @@ func TestSaturatedFindTerminates(t *testing.T) {
 	if _, ok := wt.Find(absent); ok {
 		t.Fatalf("absent key %#x reported present", absent)
 	}
-	if e, ok, _ := wt.findSerial(absent); ok || e != Empty {
-		t.Fatalf("findSerial(absent %#x) = %#x, %v", absent, e, ok)
-	}
 	for _, v := range stored {
 		if _, ok := wt.Find(v); !ok {
 			t.Fatalf("stored key %#x lost", v)
@@ -60,9 +57,6 @@ func TestSaturatedDeleteTerminates(t *testing.T) {
 	if wt.Delete(absent) {
 		t.Fatalf("deleting absent key %#x reported success", absent)
 	}
-	if d, _ := wt.deleteSerial(absent); d {
-		t.Fatalf("deleteSerial(absent %#x) reported success", absent)
-	}
 	if got := wt.Count(); got != wt.Size() {
 		t.Fatalf("Count = %d after no-op deletes, want %d", got, wt.Size())
 	}
@@ -71,8 +65,8 @@ func TestSaturatedDeleteTerminates(t *testing.T) {
 	if !wt.Delete(stored[len(stored)/2]) {
 		t.Fatal("deleting a stored key from a full table failed")
 	}
-	if d, _ := wt.deleteSerial(stored[0]); !d {
-		t.Fatal("deleteSerial of a stored key from a full table failed")
+	if !wt.Delete(stored[0]) {
+		t.Fatal("deleting a second stored key from a full table failed")
 	}
 	if err := wt.CheckInvariant(); err != nil {
 		t.Fatalf("invariant after saturated deletes: %v", err)

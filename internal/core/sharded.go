@@ -17,31 +17,29 @@ import (
 // duplicate-heavy distributions pile CAS retries onto a few hot home
 // cells.
 //
-// Two APIs coexist:
+// Both APIs run WordTable's own probe code on the owning shard:
 //
 //   - The per-element phase-concurrent operations (Insert / TryInsert /
 //     Find / Contains / Delete) route to the owning shard's atomic probe
-//     loops. They carry exactly WordTable's phase discipline, chaos
-//     sites, and lock-freedom; any number of goroutines may call them
-//     within a phase.
+//     loops.
 //
 //   - The bulk kernels (InsertAll / TryInsertAll / FindAll /
-//     ContainsAll / DeleteAll) are owner-computes: a parallel.Partition
-//     pass groups the operands by shard (a stable two-pass counting
-//     sort), then each shard's contiguous run is applied by exactly one
-//     worker using plain loads and stores (serialprobe.go) — no atomics
-//     at all. Cross-worker conflicts are impossible by construction, so
-//     contention on skewed distributions drops to zero, and each
-//     shard's cells stay cache- and TLB-resident while its run streams.
-//     A bulk kernel call must therefore be the *only* activity on the
-//     table while it runs: unlike WordTable's bulk kernels, it may not
-//     overlap even same-phase per-element calls. Treat each bulk call
-//     as a whole phase of its own.
+//     ContainsAll / DeleteAll) run a parallel.Partition pass that groups
+//     the operands by shard (a stable two-pass counting sort), then
+//     apply each shard's contiguous run with one worker calling that
+//     shard's staged block kernel (insertRange / findRange /
+//     deleteRange, bulk.go). One worker per shard keeps each shard's
+//     cells cache- and TLB-resident while its run streams, and keeps
+//     every hot home cell of a skewed distribution on one worker, so
+//     its CASes do not contend.
+//
+// Both carry exactly WordTable's phase discipline, chaos sites and
+// lock-freedom: any number of goroutines may call any mix of them
+// within a phase, bulk calls included.
 //
 // Determinism is unchanged from WordTable: each shard's quiescent
 // layout is a pure function of the element subset that hashes to it
-// (history independence makes the serial replay land in the same cells
-// as any concurrent schedule), so the concatenated layout — and
+// (history independence), so the concatenated layout — and
 // Elements() — is a pure function of the element set, the capacity and
 // the shard count. Note the shard count is part of that function: two
 // tables with different shard counts store the same set in different
@@ -151,7 +149,7 @@ func (t *ShardedTable[O]) Delete(v uint64) bool {
 	return t.shards[t.shardOf(v)].Delete(v)
 }
 
-// --- owner-computes bulk kernels ---
+// --- bulk kernels: radix partition, then one worker per shard run ---
 
 // partitionByShard radix-partitions elems into a fresh scratch slice
 // grouped by owning shard, returning the scratch and the shard run
@@ -161,40 +159,48 @@ func (t *ShardedTable[O]) partitionByShard(elems []uint64) ([]uint64, []int) {
 	offsets := parallel.Partition(scratch, elems, len(t.shards), func(i int) int {
 		return t.shardOf(elems[i])
 	})
+	recordShardBulk(offsets)
+	return scratch, offsets
+}
+
+// recordShardBulk feeds a bulk call's shard run lengths to telemetry.
+func recordShardBulk(offsets []int) {
 	if obs.Enabled {
 		obs.RecordShardBulk(offsets)
 	}
 	if obs.CoreEnabled {
 		obs.CoreShardBulk(offsets)
 	}
-	return scratch, offsets
 }
 
-// InsertAll inserts every element of elems with the owner-computes
-// kernel (insert phase; must not overlap ANY other operation on the
-// table) and returns how many grew the element count — deterministic
-// for a given element multiset. It panics on reserved or overflowing
-// elements exactly as Insert does; use TryInsertAll where saturation
-// must degrade gracefully.
-func (t *ShardedTable[O]) InsertAll(elems []uint64) int {
-	if len(elems) == 0 {
-		return 0
-	}
-	scratch, offsets := t.partitionByShard(elems)
-	added := make([]int, len(t.shards))
+// sumShards runs kernel(s, lo, hi) on every non-empty shard run
+// [offsets[s], offsets[s+1]), one worker per shard, and returns the
+// summed results.
+func (t *ShardedTable[O]) sumShards(offsets []int, kernel func(s, lo, hi int) int) int {
+	counts := make([]int, len(t.shards))
 	parallel.ForGrain(len(t.shards), 1, func(s int) {
-		sh := t.shards[s]
-		a, full := sh.insertRangeSerial(scratch[offsets[s]:offsets[s+1]])
-		if full >= 0 {
-			panic(fmt.Sprintf("core: ShardedTable: shard %d: %v", s, sh.fullErr()))
+		if offsets[s] < offsets[s+1] {
+			counts[s] = kernel(s, offsets[s], offsets[s+1])
 		}
-		added[s] = a
 	})
 	total := 0
-	for _, a := range added {
-		total += a
+	for _, c := range counts {
+		total += c
 	}
 	return total
+}
+
+// InsertAll inserts every element of elems (insert phase only) and
+// returns how many grew the element count — deterministic for a given
+// element multiset. It panics on reserved or overflowing elements as
+// Insert does (after attempting every element); use TryInsertAll where
+// saturation must degrade gracefully.
+func (t *ShardedTable[O]) InsertAll(elems []uint64) int {
+	n, err := t.TryInsertAll(elems)
+	if err != nil {
+		panic("core: ShardedTable: " + err.Error())
+	}
+	return n
 }
 
 // TryInsertAll is InsertAll returning errors instead of panicking: it
@@ -206,99 +212,75 @@ func (t *ShardedTable[O]) TryInsertAll(elems []uint64) (int, error) {
 		return 0, nil
 	}
 	scratch, offsets := t.partitionByShard(elems)
-	added := make([]int, len(t.shards))
 	errs := make([]error, len(t.shards))
-	parallel.ForGrain(len(t.shards), 1, func(s int) {
-		added[s], errs[s] = t.shards[s].tryInsertRangeSerial(scratch[offsets[s]:offsets[s+1]])
+	added := t.sumShards(offsets, func(s, lo, hi int) int {
+		a, err := t.shards[s].insertRange(scratch, lo, hi)
+		errs[s] = err
+		return a
 	})
-	total := 0
-	var firstErr error
-	for s := range added {
-		total += added[s]
-		if firstErr == nil && errs[s] != nil {
-			firstErr = errs[s]
+	for _, err := range errs {
+		if err != nil {
+			return added, err
 		}
 	}
-	return total, firstErr
+	return added, nil
 }
 
-// FindAll looks up every key of keys with the owner-computes kernel
-// (find/elements phase; must not overlap any other operation) and
+// FindAll looks up every key of keys (find/elements phase only) and
 // returns how many are present. When dst is non-nil it must have
-// len(dst) >= len(keys); dst[i] receives the stored element for keys[i]
-// or Empty when absent. A nil dst counts without writing.
+// len(dst) >= len(keys) — a shorter dst panics before any lookup runs;
+// dst[i] receives the stored element for keys[i] or Empty when absent,
+// and dst may be keys itself (an in-place lookup). A nil dst counts
+// without writing.
 func (t *ShardedTable[O]) FindAll(keys []uint64, dst []uint64) int {
+	checkFindDst("ShardedTable", len(keys), dst)
 	if len(keys) == 0 {
 		return 0
 	}
-	found := make([]int, len(t.shards))
 	if dst == nil {
 		scratch, offsets := t.partitionByShard(keys)
-		parallel.ForGrain(len(t.shards), 1, func(s int) {
-			found[s] = t.shards[s].findRangeSerial(scratch[offsets[s]:offsets[s+1]], nil)
-		})
-	} else {
-		// Results must land in the caller's per-key slots, so partition
-		// the index sequence instead of the keys and let each owner
-		// gather its keys (and scatter its results) through the stable
-		// permutation.
-		perm, offsets := parallel.PartitionIndex(len(keys), len(t.shards), func(i int) int {
-			return t.shardOf(keys[i])
-		})
-		if obs.Enabled {
-			obs.RecordShardBulk(offsets)
-		}
-		if obs.CoreEnabled {
-			obs.CoreShardBulk(offsets)
-		}
-		parallel.ForGrain(len(t.shards), 1, func(s int) {
-			sh := t.shards[s]
-			var coreSteps uint64
-			n := 0
-			for _, i := range perm[offsets[s]:offsets[s+1]] {
-				e, ok, st := sh.findSerial(keys[i])
-				coreSteps += uint64(st)
-				if ok {
-					n++
-				}
-				dst[i] = e
-			}
-			if obs.CoreEnabled && offsets[s+1] > offsets[s] {
-				obs.CoreFind(s, uint64(offsets[s+1]-offsets[s]), coreSteps, uint64(n))
-			}
-			found[s] = n
+		return t.sumShards(offsets, func(s, lo, hi int) int {
+			return t.shards[s].findRange(scratch, nil, lo, hi)
 		})
 	}
-	total := 0
-	for _, n := range found {
-		total += n
-	}
-	return total
+	// Results must land in the caller's per-key slots, so partition the
+	// index sequence instead of the keys: each shard's worker gathers
+	// its keys through the stable permutation, looks them up in place
+	// and scatters the results back.
+	perm, offsets := parallel.PartitionIndex(len(keys), len(t.shards), func(i int) int {
+		return t.shardOf(keys[i])
+	})
+	recordShardBulk(offsets)
+	scratch := make([]uint64, len(keys))
+	return t.sumShards(offsets, func(s, lo, hi int) int {
+		for j := lo; j < hi; j++ {
+			scratch[j] = keys[perm[j]]
+		}
+		n := t.shards[s].findRange(scratch, scratch, lo, hi)
+		for j := lo; j < hi; j++ {
+			dst[perm[j]] = scratch[j]
+		}
+		return n
+	})
 }
 
 // ContainsAll reports how many of the keys are present (find/elements
-// phase; must not overlap any other operation).
+// phase only).
 func (t *ShardedTable[O]) ContainsAll(keys []uint64) int {
 	return t.FindAll(keys, nil)
 }
 
-// DeleteAll deletes every key of keys with the owner-computes kernel
-// (delete phase; must not overlap any other operation) and returns how
-// many were removed — deterministic for a given key multiset.
+// DeleteAll deletes every key of keys (delete phase only) and returns
+// how many were removed by this call's deletes; semantics as
+// WordTable.DeleteAll.
 func (t *ShardedTable[O]) DeleteAll(keys []uint64) int {
 	if len(keys) == 0 {
 		return 0
 	}
 	scratch, offsets := t.partitionByShard(keys)
-	deleted := make([]int, len(t.shards))
-	parallel.ForGrain(len(t.shards), 1, func(s int) {
-		deleted[s] = t.shards[s].deleteRangeSerial(scratch[offsets[s]:offsets[s+1]])
+	return t.sumShards(offsets, func(s, lo, hi int) int {
+		return t.shards[s].deleteRange(scratch, lo, hi)
 	})
-	total := 0
-	for _, n := range deleted {
-		total += n
-	}
-	return total
 }
 
 // --- quiescent observations ---
@@ -347,7 +329,7 @@ type ShardStats struct {
 }
 
 // Imbalance returns Max / mean — 1.0 is perfect balance, and the
-// owner-computes kernels' critical path scales with it (the fullest
+// bulk kernels' critical path scales with it (the fullest
 // shard is the longest run). Returns 0 for an empty table.
 func (s ShardStats) Imbalance() float64 {
 	if s.Total == 0 {

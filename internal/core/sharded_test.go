@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -17,59 +18,6 @@ func shardedKeys(n int, seed uint64) []uint64 {
 		keys[i] = hashx.At(seed, i)%uint64(n) + 1
 	}
 	return keys
-}
-
-// TestSerialProbesMatchAtomic pins the owner-computes inner loops to
-// the exported atomic operations: the same operation sequence replayed
-// through insertSerial / deleteSerial / findSerial must leave a
-// byte-identical cell layout and agree on every lookup. This is the
-// history-independence substitution the sharded kernels rest on.
-func TestSerialProbesMatchAtomic(t *testing.T) {
-	const n = 4096
-	keys := shardedKeys(n, 3)
-	atomicT := NewWordTable[SetOps](4 * n)
-	serialT := NewWordTable[SetOps](4 * n)
-	for _, k := range keys {
-		addedA := atomicT.Insert(k)
-		addedS, full, _ := serialT.insertSerial(k)
-		if full {
-			t.Fatalf("insertSerial(%#x) reported full", k)
-		}
-		if addedA != addedS {
-			t.Fatalf("insertSerial(%#x) added=%v, atomic added=%v", k, addedS, addedA)
-		}
-	}
-	for i, c := range atomicT.Snapshot() {
-		if got := serialT.Snapshot()[i]; got != c {
-			t.Fatalf("post-insert cell %d: serial %#x, atomic %#x", i, got, c)
-		}
-	}
-	for _, k := range keys[:n/2] {
-		eA, okA := atomicT.Find(k)
-		eS, okS, _ := serialT.findSerial(k)
-		if eA != eS || okA != okS {
-			t.Fatalf("findSerial(%#x) = (%#x,%v), atomic (%#x,%v)", k, eS, okS, eA, okA)
-		}
-	}
-	if _, ok, _ := serialT.findSerial(uint64(5 * n)); ok {
-		t.Fatal("findSerial found an absent key")
-	}
-	for i := 0; i < n; i += 3 {
-		delA := atomicT.Delete(keys[i])
-		delS, _ := serialT.deleteSerial(keys[i])
-		if delA != delS {
-			t.Fatalf("deleteSerial(%#x) = %v, atomic %v", keys[i], delS, delA)
-		}
-	}
-	snapA, snapS := atomicT.Snapshot(), serialT.Snapshot()
-	for i := range snapA {
-		if snapA[i] != snapS[i] {
-			t.Fatalf("post-delete cell %d: serial %#x, atomic %#x", i, snapS[i], snapA[i])
-		}
-	}
-	if err := serialT.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestShardedBasicOps(t *testing.T) {
@@ -152,6 +100,10 @@ func TestShardedBulkMatchesPerElement(t *testing.T) {
 		if dst[i] != k {
 			t.Fatalf("FindAll dst[%d] = %#x, want %#x", i, dst[i], k)
 		}
+	}
+	inPlace := slices.Clone(keys)
+	if got := bulk.FindAll(inPlace, inPlace); got != n || !slices.Equal(inPlace, dst) {
+		t.Fatalf("in-place FindAll = %d, want %d and the same results as into dst", got, n)
 	}
 	delP := 0
 	for _, k := range del {

@@ -143,9 +143,9 @@ func (r ShardedRunner) Run(elems []uint64, workers int) OracleResult {
 	return OracleResult{Elements: t.Elements(), Layout: t.Snapshot(), Count: t.Count()}
 }
 
-// ShardedBulkRunner replays the workload through ShardedTable's
-// owner-computes bulk kernels (radix partition, then one worker per
-// shard with plain stores). Its operation set per phase matches
+// ShardedBulkRunner replays the workload through ShardedTable's bulk
+// kernels (radix partition, then one worker per shard run calling the
+// shard's staged block kernel). Its operation set per phase matches
 // ShardedRunner's, so — history independence again — its quiescent
 // shard layouts must be byte-identical across the grid and against
 // ShardedRunner's (RunCrossOracle), and its Elements multiset must

@@ -3,7 +3,7 @@
 // firehose of mixed operations (Insert / Delete / Find / Elements) from
 // any number of concurrent clients, buffers them into per-phase
 // batches, and flushes each batch — an *epoch* — through the sharded
-// owner-computes bulk kernels (core.ShardedTable). Callers get async
+// bulk kernels (core.ShardedTable). Callers get async
 // futures; the table only ever sees legal phase-pure traffic.
 //
 // Within one epoch the phases run in a fixed order: insert, then
@@ -591,10 +591,9 @@ func (s *Server) insertPhase(ins []pendingOp) (insertFull int) {
 		}
 		return 0
 	}
-	// Attribute the failure per element. The bulk kernels require
-	// exclusive access, which the flusher holds for the whole epoch, so
-	// this read does not violate the phase discipline: the insert phase
-	// has drained (TryInsertAll returned).
+	// Attribute the failure per element. The flusher is the table's
+	// only caller and the insert phase has drained (TryInsertAll
+	// returned), so this read does not violate the phase discipline.
 	dst := make([]uint64, len(keys))
 	s.table.FindAll(keys, dst)
 	for i, p := range ins {

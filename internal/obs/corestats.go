@@ -27,15 +27,16 @@ import (
 // for a fixed multiset of completed operations the merged totals are
 // independent of schedule, worker count and stripe assignment — sums and
 // maxes are commutative. Probe-step counters are the one exception:
-// on the *atomic* probe paths concurrent CAS traffic can lengthen
-// individual probes, so step totals are schedule-dependent there (they
-// are schedule-independent on the serial owner-computes paths). The
+// concurrent CAS traffic can lengthen individual probes, so step totals
+// are schedule-dependent wherever workers share cells (they are
+// schedule-independent for sharded bulk calls run alone, where each
+// shard's run is probed by one worker in a fixed order). The
 // policies therefore key off op counts, load factors and the
 // imbalance gauge only; the step counters exist for operators (phload
 // soak summaries) and for the obs-free mean-probe gauge.
 type CoreStats struct {
-	// Probe-path operation and step totals (WordTable atomic + serial
-	// owner-computes loops; bulk kernels publish once per block).
+	// Probe-path operation and step totals (WordTable probe loops;
+	// bulk kernels publish once per block or shard run).
 	InsertOps        uint64
 	InsertProbeSteps uint64
 	FindOps          uint64
@@ -49,7 +50,7 @@ type CoreStats struct {
 	GrowEvents     uint64
 	GrowCellsMoved uint64
 
-	// Sharded owner-computes bulk kernels (flat and compact shards).
+	// Sharded bulk kernels (radix partition, one worker per shard run).
 	ShardBulkCalls uint64
 	ShardBulkRuns  uint64
 	ShardBulkElems uint64

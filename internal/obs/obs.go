@@ -70,27 +70,27 @@ import (
 var ErrDisabled = errors.New("obs: built without -tags obs")
 
 // Counter identifies one merged telemetry counter. The set covers the
-// probe loops (word + pointer tables, atomic and serial variants), the
+// probe loops (word, compact and pointer tables), the
 // growing table's rehashes, the parallel pool and the
 // sharded bulk kernels.
 type Counter uint8
 
 // Counters.
 const (
-	// Insert path (WordTable/PtrTable insertLoopFrom + the sharded
-	// owner-computes insertSerial).
+	// Insert path (WordTable/PtrTable insertLoopFrom, per-element and
+	// bulk, flat and sharded).
 	CtrInsertOps           Counter = iota // insert operations completed
 	CtrInsertProbeSteps                   // cells stepped past across all inserts
 	CtrInsertCASAttempts                  // claim/merge/displace CASes issued
 	CtrInsertCASFailures                  // CASes that lost (incl. chaos-forced)
 	CtrInsertDisplacements                // lower-priority elements displaced and carried
 
-	// Find path (findFrom / findSerial).
+	// Find path (findFrom).
 	CtrFindOps        // find operations completed
 	CtrFindProbeSteps // cells stepped past across all finds
 	CtrFindHits       // finds that located their key
 
-	// Delete path (deleteFrom / deleteSerial).
+	// Delete path (deleteFrom).
 	CtrDeleteOps          // delete operations completed
 	CtrDeleteProbeSteps   // cells stepped in the victim scan
 	CtrDeleteReplacements // replacement CASes won: recursive hole-fill depth
@@ -107,7 +107,7 @@ const (
 	CtrParStaleWakes // wakes that found the job already drained
 	CtrParCursorMiss // cursor draws past the last block (claim overshoot)
 
-	// Sharded owner-computes bulk kernels.
+	// Sharded bulk kernels (radix partition, one worker per shard run).
 	CtrShardBulkCalls // bulk kernel invocations
 	CtrShardBulkRuns  // shard runs handed to owners
 	CtrShardBulkElems // elements across all runs
@@ -122,8 +122,8 @@ const (
 	CtrEpochSplits       // oversized pending batches split into extra epochs
 	CtrEpochInsertFull   // insert futures resolved with ErrFull
 
-	// Compact fingerprint-probed finds (CompactTable findFrom /
-	// findSerial; op counts flow into the shared find counters above).
+	// Compact fingerprint-probed finds (CompactTable findFrom; op
+	// counts flow into the shared find counters above).
 	CtrFindCtrlWords // ctrl words loaded across all compact finds
 	CtrFindFPFalse   // fingerprint matches whose cell held a different key
 

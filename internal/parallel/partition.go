@@ -15,9 +15,9 @@ package parallel
 // then a per-block scatter into exact positions), so the output — like
 // everything in this package — is a pure function of the inputs,
 // independent of worker count and scheduling. The sharded hash-table
-// kernels rely on exactly that: the partitioned order feeds the
-// owner-computes probe loops, and any schedule dependence here would
-// leak into the table layout.
+// kernels rely on exactly that: the partitioned order is the order in
+// which each shard's worker probes its run, and any schedule dependence
+// here would leak into the probe telemetry.
 //
 // bucket is called exactly once per element when nbuckets <= 256: the
 // counting pass caches each element's bucket id in a byte, and the

@@ -42,8 +42,8 @@ func TableKindFor(loadPm, findSharePm uint64) Kind {
 // (high load + find-heavy favours compact; everything else flat).
 //
 // Representation decisions happen ONLY at bulk-call boundaries, which
-// the usage contract makes phase boundaries: like core.ShardedTable's
-// kernels, an AutoTable bulk call must be the only activity on the
+// the usage contract makes phase boundaries: unlike the other tables'
+// bulk calls, an AutoTable bulk call must be the only activity on the
 // table while it runs, because it may migrate the representation.
 // Per-element operations between bulk calls follow the ordinary
 // phase-concurrent discipline of the underlying table.

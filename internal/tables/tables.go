@@ -62,9 +62,9 @@ func Contains(t Table, e uint64) bool {
 // linearHash-D, linearHash-D-sharded and linearHash-D-compact implement
 // it — the bulk kernels exist to make the deterministic table fast, not
 // to accelerate the comparison baselines, which keep the per-element
-// loop the paper describes for them. Note the sharded table's kernels
-// require exclusive table access for the whole call
-// (core.ShardedTable).
+// loop the paper describes for them. Every implementation's bulk calls
+// are ordinary phase operations except AutoTable's, which require
+// exclusive access because they may migrate the representation.
 type Bulk interface {
 	// InsertAll inserts every element (insert phase), returning how many
 	// grew the count.
@@ -108,7 +108,9 @@ type Kind string
 const (
 	LinearD Kind = "linearHash-D"
 	// LinearDSharded is linearHash-D split into radix-selected shards
-	// with owner-computes bulk kernels (core.ShardedTable). Its layout
+	// (core.ShardedTable); its bulk kernels radix-partition the keys and
+	// run each shard's run on one worker with the flat table's staged
+	// kernels, under the same phase contract as LinearD. Its layout
 	// is deterministic for a fixed shard count; the constructor here
 	// uses the automatic policy, which derives the count from the
 	// worker count at construction time.

@@ -125,25 +125,35 @@ const (
 // uint32 values, stored as packed single-word pairs so that one CAS
 // covers the whole entry. Key 0 is reserved.
 type Map32 struct {
-	min *core.WordTable[core.PairMinOps]
-	max *core.WordTable[core.PairMaxOps]
-	sum *core.WordTable[core.PairSumOps]
+	t pairTable
+}
+
+// pairTable is the one table behind a Map32 or ShardedMap32: a
+// core.WordTable or core.ShardedTable over the policy's packed-pair
+// Ops. Both satisfy it, so the entry packing is written once for both
+// maps.
+type pairTable interface {
+	TryInsert(e uint64) (bool, error)
+	Find(e uint64) (uint64, bool)
+	Delete(e uint64) bool
+	TryInsertAll(elems []uint64) (int, error)
+	FindAll(keys, dst []uint64) int
+	DeleteAll(keys []uint64) int
+	Elements() []uint64
+	Count() int
 }
 
 // NewMap32 returns a map with the given capacity and duplicate policy.
 func NewMap32(capacity int, policy Combine) *Map32 {
-	m := &Map32{}
 	switch policy {
 	case KeepMin:
-		m.min = core.NewWordTable[core.PairMinOps](capacity)
+		return &Map32{t: core.NewWordTable[core.PairMinOps](capacity)}
 	case KeepMax:
-		m.max = core.NewWordTable[core.PairMaxOps](capacity)
+		return &Map32{t: core.NewWordTable[core.PairMaxOps](capacity)}
 	case Sum:
-		m.sum = core.NewWordTable[core.PairSumOps](capacity)
-	default:
-		panic("phasehash: unknown Combine policy")
+		return &Map32{t: core.NewWordTable[core.PairSumOps](capacity)}
 	}
-	return m
+	panic("phasehash: unknown Combine policy")
 }
 
 // Insert adds (k, v), resolving duplicates per the policy (insert
@@ -161,50 +171,13 @@ func (m *Map32) Insert(k, v uint32) bool {
 // TryInsert is Insert returning errors instead of panicking:
 // ErrReservedKey for key 0 and ErrFull for a saturated map, both
 // matchable with errors.Is.
-func (m *Map32) TryInsert(k, v uint32) (bool, error) {
-	if k == 0 {
-		return false, fmt.Errorf("%w: key 0", ErrReservedKey)
-	}
-	e := core.Pair(k, v)
-	switch {
-	case m.min != nil:
-		return m.min.TryInsert(e)
-	case m.max != nil:
-		return m.max.TryInsert(e)
-	default:
-		return m.sum.TryInsert(e)
-	}
-}
+func (m *Map32) TryInsert(k, v uint32) (bool, error) { return tryInsertPair(m.t, k, v) }
 
 // Find returns the value stored under k (read phase).
-func (m *Map32) Find(k uint32) (uint32, bool) {
-	e, ok := m.find(core.Pair(k, 0))
-	return core.PairValue(e), ok
-}
-
-func (m *Map32) find(e uint64) (uint64, bool) {
-	switch {
-	case m.min != nil:
-		return m.min.Find(e)
-	case m.max != nil:
-		return m.max.Find(e)
-	default:
-		return m.sum.Find(e)
-	}
-}
+func (m *Map32) Find(k uint32) (uint32, bool) { return findPair(m.t, k) }
 
 // Delete removes key k (delete phase).
-func (m *Map32) Delete(k uint32) bool {
-	e := core.Pair(k, 0)
-	switch {
-	case m.min != nil:
-		return m.min.Delete(e)
-	case m.max != nil:
-		return m.max.Delete(e)
-	default:
-		return m.sum.Delete(e)
-	}
-}
+func (m *Map32) Delete(k uint32) bool { return m.t.Delete(core.Pair(k, 0)) }
 
 // Entry is one key-value pair of a Map32.
 type Entry struct {
@@ -214,33 +187,31 @@ type Entry struct {
 
 // Entries returns the map contents in a deterministic order (read
 // phase).
-func (m *Map32) Entries() []Entry {
-	var raw []uint64
-	switch {
-	case m.min != nil:
-		raw = m.min.Elements()
-	case m.max != nil:
-		raw = m.max.Elements()
-	default:
-		raw = m.sum.Elements()
+func (m *Map32) Entries() []Entry { return entriesOf(m.t) }
+
+// Count returns the number of keys (read phase).
+func (m *Map32) Count() int { return m.t.Count() }
+
+func tryInsertPair(t pairTable, k, v uint32) (bool, error) {
+	if k == 0 {
+		return false, fmt.Errorf("%w: key 0", ErrReservedKey)
 	}
+	return t.TryInsert(core.Pair(k, v))
+}
+
+func findPair(t pairTable, k uint32) (uint32, bool) {
+	e, ok := t.Find(core.Pair(k, 0))
+	return core.PairValue(e), ok
+}
+
+// entriesOf unpacks the table's deterministic Elements order.
+func entriesOf(t pairTable) []Entry {
+	raw := t.Elements()
 	out := make([]Entry, len(raw))
 	parallel.For(len(raw), func(i int) {
 		out[i] = Entry{Key: core.PairKey(raw[i]), Value: core.PairValue(raw[i])}
 	})
 	return out
-}
-
-// Count returns the number of keys (read phase).
-func (m *Map32) Count() int {
-	switch {
-	case m.min != nil:
-		return m.min.Count()
-	case m.max != nil:
-		return m.max.Count()
-	default:
-		return m.sum.Count()
-	}
 }
 
 // SetParallelism bounds the worker count used by the library's internal

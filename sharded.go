@@ -1,28 +1,20 @@
 package phasehash
 
-import (
-	"fmt"
-
-	"phasehash/internal/core"
-	"phasehash/internal/parallel"
-)
+import "phasehash/internal/core"
 
 // This file exposes the radix-partitioned sharded containers
 // (internal/core/sharded.go): the deterministic table split into 2^k
-// independent shards selected by the top bits of the key hash. The
-// per-element operations carry exactly the flat containers' phase
-// discipline; the bulk kernels are owner-computes — the keys are
-// radix-partitioned by shard, then each shard's run is applied by a
-// single worker with plain (non-atomic) loads and stores. That removes
-// all CAS traffic and keeps each shard cache-resident while its run
-// streams, which is worth 10-40% over the flat bulk kernels on large
-// or duplicate-heavy batches (see EXPERIMENTS.md, "Sharded
-// owner-computes kernels").
+// independent shards selected by the top bits of the key hash. Every
+// operation runs the flat table's probe code on the owning shard. The
+// bulk calls radix-partition the keys by shard, then one worker applies
+// each shard's run with that shard's staged block kernel, so each shard
+// stays cache-resident while its run streams and a hot key's CASes
+// never contend across workers (see EXPERIMENTS.md, "One probe path per
+// layout").
 //
-// The price is a stronger exclusion contract: a sharded bulk call must
-// be the only activity on the container while it runs — it may not
-// overlap even same-phase per-element calls. Treat each bulk call as a
-// whole phase of its own.
+// The phase contract is exactly the flat containers': bulk and
+// per-element calls are ordinary phase operations, and any number of
+// goroutines may mix them within a phase.
 //
 // Determinism: for a fixed capacity and shard count, Elements order and
 // the quiescent layout are a pure function of the key set, exactly as
@@ -60,11 +52,10 @@ func (s *ShardedSet) Contains(k uint64) bool { return s.t.Contains(k) }
 // Delete removes k (delete phase), reporting whether it was removed.
 func (s *ShardedSet) Delete(k uint64) bool { return s.t.Delete(k) }
 
-// InsertAll inserts every key with the owner-computes kernel and
-// returns how many grew the set — deterministic for a given key
-// multiset. The call must not overlap any other operation on the set.
-// It panics on the reserved key 0 and on a full shard; use TryInsertAll
-// where saturation must degrade gracefully.
+// InsertAll inserts every key (insert phase) and returns how many grew
+// the set — deterministic for a given key multiset. It panics on the
+// reserved key 0 and on a full shard; use TryInsertAll where saturation
+// must degrade gracefully.
 func (s *ShardedSet) InsertAll(keys []uint64) int { return s.t.InsertAll(keys) }
 
 // TryInsertAll is InsertAll returning errors instead of panicking
@@ -72,14 +63,11 @@ func (s *ShardedSet) InsertAll(keys []uint64) int { return s.t.InsertAll(keys) }
 // attempted.
 func (s *ShardedSet) TryInsertAll(keys []uint64) (int, error) { return s.t.TryInsertAll(keys) }
 
-// ContainsAll reports how many of the keys are present with the
-// owner-computes kernel. The call must not overlap any other operation
-// on the set.
+// ContainsAll reports how many of the keys are present (read phase).
 func (s *ShardedSet) ContainsAll(keys []uint64) int { return s.t.ContainsAll(keys) }
 
-// DeleteAll deletes every key with the owner-computes kernel and
-// returns how many were removed. The call must not overlap any other
-// operation on the set.
+// DeleteAll deletes every key (delete phase) and returns how many were
+// removed.
 func (s *ShardedSet) DeleteAll(keys []uint64) int { return s.t.DeleteAll(keys) }
 
 // Elements returns the keys in a deterministic order (read phase):
@@ -99,7 +87,7 @@ func (s *ShardedSet) NumShards() int { return s.t.NumShards() }
 
 // ShardStats returns the per-shard element counts and their spread
 // (read phase). Imbalance() is Max over mean — 1.0 is perfect balance,
-// and the owner-computes kernels' critical path scales with it.
+// and the bulk kernels' critical path scales with it.
 func (s *ShardedSet) ShardStats() core.ShardStats { return s.t.ShardStats() }
 
 // Clear empties the set (quiescent use only).
@@ -109,27 +97,29 @@ func (s *ShardedSet) Clear() { s.t.Clear() }
 // to uint32 values backed by radix-selected shards; the sharded
 // counterpart of Map32 (key 0 is reserved).
 type ShardedMap32 struct {
-	min *core.ShardedTable[core.PairMinOps]
-	max *core.ShardedTable[core.PairMaxOps]
-	sum *core.ShardedTable[core.PairSumOps]
+	t shardedPairTable
+}
+
+// shardedPairTable is a pairTable that also reports its shards.
+type shardedPairTable interface {
+	pairTable
+	NumShards() int
+	ShardStats() core.ShardStats
 }
 
 // NewShardedMap32 returns a sharded map with the given total capacity,
 // duplicate policy and shard count (shards <= 0 selects automatically;
 // see NewShardedSet).
 func NewShardedMap32(capacity int, policy Combine, shards int) *ShardedMap32 {
-	m := &ShardedMap32{}
 	switch policy {
 	case KeepMin:
-		m.min = core.NewShardedTable[core.PairMinOps](capacity, shards)
+		return &ShardedMap32{t: core.NewShardedTable[core.PairMinOps](capacity, shards)}
 	case KeepMax:
-		m.max = core.NewShardedTable[core.PairMaxOps](capacity, shards)
+		return &ShardedMap32{t: core.NewShardedTable[core.PairMaxOps](capacity, shards)}
 	case Sum:
-		m.sum = core.NewShardedTable[core.PairSumOps](capacity, shards)
-	default:
-		panic("phasehash: unknown Combine policy")
+		return &ShardedMap32{t: core.NewShardedTable[core.PairSumOps](capacity, shards)}
 	}
-	return m
+	panic("phasehash: unknown Combine policy")
 }
 
 // Insert adds (k, v), resolving duplicates per the policy (insert
@@ -146,55 +136,18 @@ func (m *ShardedMap32) Insert(k, v uint32) bool {
 
 // TryInsert is Insert returning ErrReservedKey / ErrFull (matchable
 // with errors.Is) instead of panicking.
-func (m *ShardedMap32) TryInsert(k, v uint32) (bool, error) {
-	if k == 0 {
-		return false, fmt.Errorf("%w: key 0", ErrReservedKey)
-	}
-	e := core.Pair(k, v)
-	switch {
-	case m.min != nil:
-		return m.min.TryInsert(e)
-	case m.max != nil:
-		return m.max.TryInsert(e)
-	default:
-		return m.sum.TryInsert(e)
-	}
-}
+func (m *ShardedMap32) TryInsert(k, v uint32) (bool, error) { return tryInsertPair(m.t, k, v) }
 
 // Find returns the value stored under k (read phase).
-func (m *ShardedMap32) Find(k uint32) (uint32, bool) {
-	e := core.Pair(k, 0)
-	var raw uint64
-	var ok bool
-	switch {
-	case m.min != nil:
-		raw, ok = m.min.Find(e)
-	case m.max != nil:
-		raw, ok = m.max.Find(e)
-	default:
-		raw, ok = m.sum.Find(e)
-	}
-	return core.PairValue(raw), ok
-}
+func (m *ShardedMap32) Find(k uint32) (uint32, bool) { return findPair(m.t, k) }
 
 // Delete removes key k (delete phase).
-func (m *ShardedMap32) Delete(k uint32) bool {
-	e := core.Pair(k, 0)
-	switch {
-	case m.min != nil:
-		return m.min.Delete(e)
-	case m.max != nil:
-		return m.max.Delete(e)
-	default:
-		return m.sum.Delete(e)
-	}
-}
+func (m *ShardedMap32) Delete(k uint32) bool { return m.t.Delete(core.Pair(k, 0)) }
 
-// InsertAll inserts every entry with the owner-computes kernel,
-// resolving duplicate keys per the policy, and returns how many new
-// keys were added. The call must not overlap any other operation on
-// the map. It panics on the reserved key 0 and on a full shard; use
-// TryInsertAll where saturation must degrade gracefully.
+// InsertAll inserts every entry, resolving duplicate keys per the
+// policy (insert phase), and returns how many new keys were added. It
+// panics on the reserved key 0 and on a full shard; use TryInsertAll
+// where saturation must degrade gracefully.
 func (m *ShardedMap32) InsertAll(entries []Entry) int {
 	n, err := m.TryInsertAll(entries)
 	if err != nil {
@@ -207,125 +160,31 @@ func (m *ShardedMap32) InsertAll(entries []Entry) int {
 // (ErrReservedKey, ErrFull — matchable with errors.Is). Entries with
 // valid keys are all attempted even when some keys are reserved.
 func (m *ShardedMap32) TryInsertAll(entries []Entry) (int, error) {
-	packed := make([]uint64, 0, len(entries))
-	reserved := 0
-	for _, e := range entries {
-		if e.Key == 0 {
-			reserved++
-			continue
-		}
-		packed = append(packed, core.Pair(e.Key, e.Value))
-	}
-	var n int
-	var err error
-	switch {
-	case m.min != nil:
-		n, err = m.min.TryInsertAll(packed)
-	case m.max != nil:
-		n, err = m.max.TryInsertAll(packed)
-	default:
-		n, err = m.sum.TryInsertAll(packed)
-	}
-	if err == nil && reserved > 0 {
-		err = fmt.Errorf("%w: key 0 (%d entries)", ErrReservedKey, reserved)
-	}
-	return n, err
+	return tryInsertEntries(m.t, entries)
 }
 
-// FindAll looks up every key with the owner-computes kernel and returns
-// how many are present. When vals is non-nil it must have len(vals) >=
-// len(keys); vals[i] receives the value stored under keys[i], or 0 when
-// absent. The call must not overlap any other operation on the map.
+// FindAll looks up every key (read phase) and returns how many are
+// present. When vals is non-nil it must have len(vals) >= len(keys) —
+// a shorter vals panics before any lookup runs; vals[i] receives the
+// value stored under keys[i], or 0 when absent.
 func (m *ShardedMap32) FindAll(keys []uint32, vals []uint32) int {
-	probes := make([]uint64, len(keys))
-	parallel.For(len(keys), func(i int) { probes[i] = core.Pair(keys[i], 0) })
-	var dst []uint64
-	if vals != nil {
-		dst = make([]uint64, len(keys))
-	}
-	var n int
-	switch {
-	case m.min != nil:
-		n = m.min.FindAll(probes, dst)
-	case m.max != nil:
-		n = m.max.FindAll(probes, dst)
-	default:
-		n = m.sum.FindAll(probes, dst)
-	}
-	if vals != nil {
-		parallel.For(len(keys), func(i int) { vals[i] = core.PairValue(dst[i]) })
-	}
-	return n
+	return findKeys(m.t, "ShardedMap32", keys, vals)
 }
 
-// DeleteAll deletes every key with the owner-computes kernel and
-// returns how many were removed. The call must not overlap any other
-// operation on the map.
-func (m *ShardedMap32) DeleteAll(keys []uint32) int {
-	probes := make([]uint64, len(keys))
-	parallel.For(len(keys), func(i int) { probes[i] = core.Pair(keys[i], 0) })
-	switch {
-	case m.min != nil:
-		return m.min.DeleteAll(probes)
-	case m.max != nil:
-		return m.max.DeleteAll(probes)
-	default:
-		return m.sum.DeleteAll(probes)
-	}
-}
+// DeleteAll deletes every key (delete phase) and returns how many were
+// removed.
+func (m *ShardedMap32) DeleteAll(keys []uint32) int { return m.t.DeleteAll(probePairs(keys)) }
 
 // Entries returns the map contents in a deterministic order (read
 // phase); see ShardedSet.Elements for the order guarantee.
-func (m *ShardedMap32) Entries() []Entry {
-	var raw []uint64
-	switch {
-	case m.min != nil:
-		raw = m.min.Elements()
-	case m.max != nil:
-		raw = m.max.Elements()
-	default:
-		raw = m.sum.Elements()
-	}
-	out := make([]Entry, len(raw))
-	parallel.For(len(raw), func(i int) {
-		out[i] = Entry{Key: core.PairKey(raw[i]), Value: core.PairValue(raw[i])}
-	})
-	return out
-}
+func (m *ShardedMap32) Entries() []Entry { return entriesOf(m.t) }
 
 // Count returns the number of keys (read phase).
-func (m *ShardedMap32) Count() int {
-	switch {
-	case m.min != nil:
-		return m.min.Count()
-	case m.max != nil:
-		return m.max.Count()
-	default:
-		return m.sum.Count()
-	}
-}
+func (m *ShardedMap32) Count() int { return m.t.Count() }
 
 // NumShards returns the shard count (a power of two).
-func (m *ShardedMap32) NumShards() int {
-	switch {
-	case m.min != nil:
-		return m.min.NumShards()
-	case m.max != nil:
-		return m.max.NumShards()
-	default:
-		return m.sum.NumShards()
-	}
-}
+func (m *ShardedMap32) NumShards() int { return m.t.NumShards() }
 
 // ShardStats returns the per-shard key counts and their spread (read
 // phase); see ShardedSet.ShardStats.
-func (m *ShardedMap32) ShardStats() core.ShardStats {
-	switch {
-	case m.min != nil:
-		return m.min.ShardStats()
-	case m.max != nil:
-		return m.max.ShardStats()
-	default:
-		return m.sum.ShardStats()
-	}
-}
+func (m *ShardedMap32) ShardStats() core.ShardStats { return m.t.ShardStats() }
