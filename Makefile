@@ -3,7 +3,7 @@
 
 GOBIN := $(shell go env GOPATH)/bin
 
-.PHONY: all build test race lint phasevet fmt fuzz chaos soak soak-server install-phasevet benchbase benchdiff obs obs-sizecheck obs-overhead obs-soak tune tune-sizecheck tune-overhead tune-benchdiff
+.PHONY: all build test race lint phasevet fmt fuzz chaos soak soak-server install-phasevet obs obs-sizecheck obs-overhead obs-soak tune tune-sizecheck tune-overhead
 
 all: build test lint
 
@@ -64,30 +64,6 @@ soak-server:
 	go run ./cmd/phload -server -soak 30s -deadline 25ms -clients 4 \
 		-maxbatch 64 -queue 128 -flushdelay 2ms
 
-# benchbase = regenerate the committed core-benchmark baseline
-# (BENCH_core.json): the bulk-kernel before/after pairs, the
-# sharded-vs-flat rows, and the epoch-server serving-path row (admit
-# latency quantiles + shed fraction), at 1 worker and at max(4, nproc)
-# — the high-p rows oversubscribe GOMAXPROCS on small machines so the
-# baseline always carries a p>=4 row — 5 runs each, aggregated to
-# min/mean/max by benchjson. CI runs this non-blocking, diffs it
-# against the committed baseline (benchdiff) and uploads the artifact;
-# commit the file when the numbers move for a reason.
-BENCHCPUS := $(shell n=$$(nproc); if [ "$$n" -lt 4 ]; then echo 4; else echo $$n; fi)
-BENCHCMD  := go test -run xxx -bench 'PerElement|InsertAll|FindAll|DeleteAll|EpochServer' \
-		-benchmem -count=5 -cpu 1,$(BENCHCPUS) ./internal/core ./internal/epoch ./internal/tables
-
-benchbase:
-	$(BENCHCMD) | go run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
-
-# benchdiff = run the baseline benchmarks without touching the
-# committed file and report drift against it (GitHub `::warning`
-# annotations beyond 10%; always exits 0).
-benchdiff:
-	$(BENCHCMD) | go run ./cmd/benchjson > /tmp/BENCH_core.new.json
-	go run ./cmd/benchjson -diff BENCH_core.json /tmp/BENCH_core.new.json
-
 # obs = the phasestats telemetry gate CI blocks on: the whole test
 # suite with instrumentation live (counter/histogram/span assertions,
 # the detres op-count determinism grid) plus the zero-cost-off proofs
@@ -115,12 +91,13 @@ obs-sizecheck:
 # keep working.
 obs-overhead: tune-overhead
 
-# tune = the policy gate CI blocks on: the shard policy and its wiring
-# into core.NewShardedTable, the AutoTable kind policy with its
-# trace-determinism tests, plus the counter-core size check below.
+# tune = the counter-core size check below plus the default-shard test
+# in a default and a nostats build: core.NewShardedTable(n, 0) must
+# build the same layout whatever the worker count, the build tags or an
+# earlier skewed bulk call.
 tune: tune-sizecheck
-	go test ./internal/tune/ ./internal/tables/
-	go test -run AutoShard ./internal/core
+	go test -run DefaultShards ./internal/core
+	go test -tags nostats -run DefaultShards ./internal/core
 
 # tune-sizecheck = prove the always-on counter core is really the only
 # always-on piece, and that -tags nostats removes even that: the
@@ -154,16 +131,6 @@ tune-overhead:
 	go test -tags nostats $(COREBENCH) | go run ./cmd/benchjson > /tmp/BENCH_core_nostats.json
 	go test $(COREBENCH) | go run ./cmd/benchjson > /tmp/BENCH_core_live.json
 	go run ./cmd/benchjson -diff -fail -geomean -threshold 1 /tmp/BENCH_core_nostats.json /tmp/BENCH_core_live.json
-
-# tune-benchdiff = the tuned-vs-static comparison (non-blocking in CI,
-# uploaded as an artifact): the six-distribution AutoKindFindAll grid —
-# static flat, static compact, and the self-tuning auto kind per cell —
-# diffed against the committed baseline's rows. The per-suite geomean
-# line summarizes how far auto sits from the per-cell winner.
-tune-benchdiff:
-	go test -run xxx -bench AutoKindFindAll -benchmem -count=5 -cpu $(BENCHCPUS) \
-		./internal/tables | go run ./cmd/benchjson > /tmp/BENCH_tune.new.json
-	go run ./cmd/benchjson -diff BENCH_core.json /tmp/BENCH_tune.new.json
 
 # obs-soak = a chaos soak with live telemetry: watch
 # http://localhost:6060/debug/phasestats while it runs, or pull a

@@ -1,13 +1,14 @@
 // Command benchjson converts `go test -bench` output on stdin into a
-// stable JSON document on stdout — the format of the committed
-// BENCH_core.json baseline that `make benchbase` regenerates and CI
-// uploads as an artifact. Repeated runs of one benchmark (-count=N)
-// are aggregated into min/mean/max so baselines are diffable without a
-// benchstat dependency.
+// JSON document on stdout and diffs two such documents. It exists for
+// the always-on counter core's overhead gate (`make tune-overhead`),
+// which builds the same benchmark twice from one tree (-tags nostats
+// and untagged) and compares the two runs. Repeated runs of one
+// benchmark (-count=N) are aggregated into min/mean/max ns/op so the
+// documents are diffable without a benchstat dependency.
 //
 // Usage:
 //
-//	go test -bench . -benchmem -count=5 ./internal/core | benchjson > BENCH_core.json
+//	go test -bench . -count=5 ./internal/core | benchjson > run.json
 //
 // Rows are keyed by package and name (each row records the `pkg:` line
 // it was reported under), so one document can hold several packages'
@@ -16,16 +17,13 @@
 // With -diff it instead compares two such documents and annotates mean
 // ns/op regressions beyond a threshold (default 10%) in the GitHub
 // Actions `::warning` format, then summarizes each suite (benchmark
-// name up to the first '/') with a geomean speedup row. The diff is informational by default —
-// the exit status is 0 regardless — so CI can surface drift without
-// turning benchmark noise into a blocking failure; add -fail to exit 1
-// on any regression beyond the threshold, or -fail -geomean to exit 1
-// only when the *overall geomean* regresses beyond it (used by the
-// always-on-core overhead gate, where the threshold is a contract but
-// single rows swing both ways with scheduler noise):
+// name up to the first '/') with a geomean speedup row. The diff is
+// informational by default (exit status 0); add -fail to exit 1 on any
+// regression beyond the threshold, or -fail -geomean to exit 1 only
+// when the *overall geomean* regresses beyond it (the overhead gate,
+// where the threshold is a contract but single rows swing both ways
+// with scheduler noise):
 //
-//	benchjson -diff BENCH_core.json new.json
-//	benchjson -diff -threshold 25 BENCH_core.json new.json
 //	benchjson -diff -fail -geomean -threshold 1 nostats.json live.json
 package main
 
@@ -46,31 +44,10 @@ import (
 // (including the -cpu suffix, so `BenchmarkInsertAll-2` and
 // `BenchmarkInsertAll` are distinct rows).
 type Result struct {
-	Pkg        string  `json:"pkg,omitempty"`
-	Name       string  `json:"name"`
-	Runs       int     `json:"runs"`
-	NsPerOp    Stat    `json:"ns_per_op"`
-	BytesOp    *Stat   `json:"bytes_per_op,omitempty"`
-	AllocsOp   *Stat   `json:"allocs_per_op,omitempty"`
-	ElemsPerOp float64 `json:"elems_per_op,omitempty"`
-
-	// BytesPerElem is backing-array bytes over stored elements — the
-	// memory column the compact-vs-flat table rows are compared on.
-	BytesPerElem float64 `json:"bytes_per_elem,omitempty"`
-
-	// Telemetry metrics reported by -tags obs benchmark runs
-	// (b.ReportMetric in internal/core): mean and p99 probe length and
-	// CAS retries, all per operation. Absent from untagged baselines.
-	ProbesPerOp    float64 `json:"probes_per_op,omitempty"`
-	P99ProbesPerOp float64 `json:"p99_probes_per_op,omitempty"`
-	CASRetryPerOp  float64 `json:"cas_retry_per_op,omitempty"`
-
-	// Epoch-server latency metrics reported by the internal/epoch
-	// benchmarks: admit-to-complete latency quantiles in microseconds
-	// and the fraction of offered ops shed at admission.
-	P50AdmitUs float64 `json:"p50_admit_us,omitempty"`
-	P99AdmitUs float64 `json:"p99_admit_us,omitempty"`
-	ShedPerOp  float64 `json:"shed_per_op,omitempty"`
+	Pkg     string `json:"pkg,omitempty"`
+	Name    string `json:"name"`
+	Runs    int    `json:"runs"`
+	NsPerOp Stat   `json:"ns_per_op"`
 }
 
 // Stat is a min/mean/max summary over the runs.
@@ -152,13 +129,7 @@ func main() {
 func parse(in io.Reader) (Doc, error) {
 	var doc Doc
 	type key struct{ pkg, name string }
-	type row struct {
-		ns, bytes, allocs, elems    *accum
-		bytesElem                   *accum
-		probes, p99probes, casretry *accum
-		p50admit, p99admit, shed    *accum
-	}
-	rows := map[key]*row{}
+	rows := map[key]*accum{}
 	var order []key
 	pkg := ""
 
@@ -193,46 +164,11 @@ func parse(in io.Reader) (Doc, error) {
 		}
 		r := rows[k]
 		if r == nil {
-			r = &row{
-				ns: &accum{}, bytes: &accum{}, allocs: &accum{}, elems: &accum{},
-				bytesElem: &accum{},
-				probes:    &accum{}, p99probes: &accum{}, casretry: &accum{},
-				p50admit: &accum{}, p99admit: &accum{}, shed: &accum{},
-			}
+			r = &accum{}
 			rows[k] = r
 			order = append(order, k)
 		}
-		r.ns.add(ns)
-		// Optional unit pairs after ns/op: "N B/op", "N allocs/op",
-		// custom metrics like "N elems/op".
-		for i := 4; i+1 < len(f); i += 2 {
-			v, err := strconv.ParseFloat(f[i], 64)
-			if err != nil {
-				continue
-			}
-			switch f[i+1] {
-			case "B/op":
-				r.bytes.add(v)
-			case "allocs/op":
-				r.allocs.add(v)
-			case "elems/op":
-				r.elems.add(v)
-			case "bytes/elem":
-				r.bytesElem.add(v)
-			case "probes/op":
-				r.probes.add(v)
-			case "p99probes/op":
-				r.p99probes.add(v)
-			case "casretry/op":
-				r.casretry.add(v)
-			case "p50admit-us":
-				r.p50admit.add(v)
-			case "p99admit-us":
-				r.p99admit.add(v)
-			case "shed/op":
-				r.shed.add(v)
-			}
-		}
+		r.add(ns)
 	}
 	if err := sc.Err(); err != nil {
 		return doc, err
@@ -245,53 +181,18 @@ func parse(in io.Reader) (Doc, error) {
 		return order[i].name < order[j].name
 	})
 	for _, k := range order {
-		r := rows[k]
-		res := Result{
+		doc.Results = append(doc.Results, Result{
 			Pkg:     k.pkg,
 			Name:    strings.TrimPrefix(k.name, "Benchmark"),
-			Runs:    len(r.ns.vals),
-			NsPerOp: r.ns.stat(),
-		}
-		if len(r.bytes.vals) > 0 {
-			s := r.bytes.stat()
-			res.BytesOp = &s
-		}
-		if len(r.allocs.vals) > 0 {
-			s := r.allocs.stat()
-			res.AllocsOp = &s
-		}
-		if len(r.elems.vals) > 0 {
-			res.ElemsPerOp = r.elems.stat().Mean
-		}
-		if len(r.bytesElem.vals) > 0 {
-			res.BytesPerElem = r.bytesElem.stat().Mean
-		}
-		if len(r.probes.vals) > 0 {
-			res.ProbesPerOp = r.probes.stat().Mean
-		}
-		if len(r.p99probes.vals) > 0 {
-			res.P99ProbesPerOp = r.p99probes.stat().Mean
-		}
-		if len(r.casretry.vals) > 0 {
-			res.CASRetryPerOp = r.casretry.stat().Mean
-		}
-		if len(r.p50admit.vals) > 0 {
-			res.P50AdmitUs = r.p50admit.stat().Mean
-		}
-		if len(r.p99admit.vals) > 0 {
-			res.P99AdmitUs = r.p99admit.stat().Mean
-		}
-		if len(r.shed.vals) > 0 {
-			res.ShedPerOp = r.shed.stat().Mean
-		}
-		doc.Results = append(doc.Results, res)
+			Runs:    len(rows[k].vals),
+			NsPerOp: rows[k].stat(),
+		})
 	}
 	return doc, nil
 }
 
 // diff compares two benchjson documents row by row (matched on package
-// and name; a baseline row without a package, as older documents wrote
-// them, matches on name alone) and prints one line per common row: a GitHub Actions `::warning`
+// and name) and prints one line per common row: a GitHub Actions `::warning`
 // annotation when the new mean ns/op regressed beyond threshold
 // percent, a plain delta line otherwise. Rows present in only one
 // document are listed but never warned about (new benchmarks appear,
@@ -327,12 +228,8 @@ func diff(w io.Writer, oldPath, newPath string, threshold float64) (int, float64
 	var suites []string
 	for _, nr := range newDoc.Results {
 		name := label(nr.Pkg, nr.Name)
-		oldName := name
-		if _, ok := oldRows[oldName]; !ok {
-			oldName = nr.Name
-		}
-		or, ok := oldRows[oldName]
-		delete(oldRows, oldName)
+		or, ok := oldRows[name]
+		delete(oldRows, name)
 		if !ok {
 			fmt.Fprintf(w, "new row %s: %.0f ns/op (no baseline)\n", name, nr.NsPerOp.Mean)
 			continue

@@ -76,17 +76,16 @@ func TestDiffToleratesMissingAndDegenerateRows(t *testing.T) {
 	}
 }
 
-// TestParseAggregatesEpochMetrics pins the conversion path end to end
-// on a synthetic -bench stream: repeated runs fold into min/mean/max,
-// and the epoch-server metrics (p50/p99 admit-to-complete, shed
-// fraction) land in their Result fields alongside probes/op.
-func TestParseAggregatesEpochMetrics(t *testing.T) {
+// TestParseAggregatesRuns pins the conversion path end to end on a
+// synthetic -bench stream: repeated runs fold into min/mean/max ns/op,
+// rows sort by name, and the header lines land in the document.
+func TestParseAggregatesRuns(t *testing.T) {
 	in := strings.NewReader(`goos: linux
 goarch: amd64
-pkg: phasehash/internal/epoch
-BenchmarkEpochServerMixed 	   10000	       950 ns/op	       120 B/op	       2 allocs/op	       180.5 p50admit-us	      1200 p99admit-us	     0.25 shed/op
-BenchmarkEpochServerMixed 	   10000	      1050 ns/op	       120 B/op	       2 allocs/op	       219.5 p50admit-us	      1400 p99admit-us	     0.75 shed/op
-BenchmarkInsertAll 	     100	    500000 ns/op	      4096 elems/op	      10.00 bytes/elem	      1.50 probes/op
+pkg: phasehash/internal/core
+BenchmarkInsertAll 	   10000	       950 ns/op	       120 B/op	       2 allocs/op
+BenchmarkInsertAll 	   10000	      1050 ns/op	       120 B/op	       2 allocs/op
+BenchmarkFindAll 	     100	    500000 ns/op	      4096 elems/op
 `)
 	doc, err := parse(in)
 	if err != nil {
@@ -95,30 +94,14 @@ BenchmarkInsertAll 	     100	    500000 ns/op	      4096 elems/op	      10.00 by
 	if len(doc.Results) != 2 {
 		t.Fatalf("got %d results, want 2: %+v", len(doc.Results), doc.Results)
 	}
-	epoch := doc.Results[0]
-	if epoch.Name != "EpochServerMixed" {
+	if doc.Results[0].Name != "FindAll" {
 		t.Fatalf("results not sorted by name: %+v", doc.Results)
 	}
-	if epoch.Runs != 2 || epoch.NsPerOp.Mean != 1000 {
-		t.Errorf("epoch row aggregation: runs=%d mean=%v, want 2 and 1000", epoch.Runs, epoch.NsPerOp.Mean)
+	ins := doc.Results[1]
+	if ins.Runs != 2 || ins.NsPerOp != (Stat{Min: 950, Mean: 1000, Max: 1050}) {
+		t.Errorf("InsertAll aggregation: runs=%d ns/op=%+v, want 2 and 950/1000/1050", ins.Runs, ins.NsPerOp)
 	}
-	if epoch.P50AdmitUs != 200 || epoch.P99AdmitUs != 1300 {
-		t.Errorf("admit latency: p50=%v p99=%v, want 200 and 1300", epoch.P50AdmitUs, epoch.P99AdmitUs)
-	}
-	if epoch.ShedPerOp != 0.5 {
-		t.Errorf("shed/op = %v, want 0.5", epoch.ShedPerOp)
-	}
-	core := doc.Results[1]
-	if core.ProbesPerOp != 1.5 || core.ElemsPerOp != 4096 {
-		t.Errorf("core row: probes=%v elems=%v", core.ProbesPerOp, core.ElemsPerOp)
-	}
-	if core.BytesPerElem != 10 {
-		t.Errorf("bytes_per_elem = %v, want 10", core.BytesPerElem)
-	}
-	if core.P50AdmitUs != 0 || core.ShedPerOp != 0 {
-		t.Errorf("core row picked up epoch metrics: %+v", core)
-	}
-	if epoch.Pkg != "phasehash/internal/epoch" || doc.Goos != "linux" {
+	if ins.Pkg != "phasehash/internal/core" || doc.Goos != "linux" || doc.Goarch != "amd64" {
 		t.Errorf("header fields not captured: %+v", doc)
 	}
 }
@@ -165,28 +148,6 @@ BenchmarkInsertAll 	     100	    300 ns/op
 	}
 	if strings.Contains(got, "new row") || strings.Contains(got, "removed row") {
 		t.Errorf("rows failed to match on package and name:\n%s", got)
-	}
-}
-
-// TestDiffFallsBackToNameForLegacyBaseline pins the fallback: a
-// baseline written before rows carried a package matches new rows on
-// the name alone.
-func TestDiffFallsBackToNameForLegacyBaseline(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := writeDoc(t, dir, "old.json", Doc{Results: []Result{
-		{Name: "InsertAll", NsPerOp: Stat{Mean: 100}},
-	}})
-	newPath := writeDoc(t, dir, "new.json", Doc{Results: []Result{
-		{Pkg: "phasehash/internal/core", Name: "InsertAll", NsPerOp: Stat{Mean: 120}},
-	}})
-	var out strings.Builder
-	diff(&out, oldPath, newPath, 50)
-	got := out.String()
-	if !strings.Contains(got, "phasehash/internal/core.InsertAll: mean 100 -> 120 ns/op (+20.0%)") {
-		t.Errorf("legacy baseline row did not match by name:\n%s", got)
-	}
-	if strings.Contains(got, "new row") || strings.Contains(got, "removed row") {
-		t.Errorf("legacy fallback left rows unmatched:\n%s", got)
 	}
 }
 

@@ -11,6 +11,7 @@
 //	         [-maxbatch 4096] [-queue 16384] [-interval 1ms]
 //	         [-block] [-flushdelay 0]
 //
+// -shards 0 = default: 8, fewer for small tables, on every machine.
 // -block switches admission from fail-fast (overloaded submits get an
 // immediate StatusOverloaded) to block-with-deadline. -flushdelay is
 // the overload-experiment knob: an artificial per-epoch delay that
@@ -45,7 +46,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "localhost:9191", "listen address")
 		size         = flag.Int("size", 1<<20, "table capacity in cells")
-		shards       = flag.Int("shards", 0, "shard count (0 = automatic)")
+		shards       = flag.Int("shards", 0, "shard count (0 = default: 8, fewer for small tables)")
 		maxBatch     = flag.Int("maxbatch", 4096, "epoch size watermark (ops per flushed epoch)")
 		queue        = flag.Int("queue", 0, "admission queue limit (0 = 4x maxbatch)")
 		interval     = flag.Duration("interval", time.Millisecond, "linger interval before a partial epoch flushes")

@@ -11,9 +11,9 @@ import (
 // the identical operation phase (randomSeq-int keys, load ~1/4) once
 // through the per-element pattern — parallel.ForBlocked dispatching a
 // closure per element — and once through the bulk kernel. The pairs are
-// the numbers quoted in EXPERIMENTS.md ("Bulk phase kernels") and the
-// `make benchbase` baseline (BENCH_core.json); run with
-// -cpu 1,N to get both worker counts.
+// the numbers quoted in EXPERIMENTS.md ("Bulk phase kernels"); run
+// with -cpu 1,N to get both worker counts. BenchmarkInsertAll is also
+// the row `make tune-overhead` builds with and without -tags nostats.
 
 const bulkBenchN = 1 << 20
 

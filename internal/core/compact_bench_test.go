@@ -27,8 +27,8 @@ import (
 //     probe-policy-and-footprint comparison).
 //
 // Every row reports bytes/elem — backing-array bytes over *stored*
-// elements — so BENCH_core.json carries the memory side of the trade
-// next to the throughput side. The overflow-regime tables are built
+// elements — so each run carries the memory side of the trade next to
+// the throughput side. The overflow-regime tables are built
 // once per test process (they are read-only under find) and shared
 // across -count/-cpu runs; a fresh `go test -bench` process rebuilds
 // them from scratch.

@@ -5,8 +5,30 @@ import (
 
 	"phasehash/internal/obs"
 	"phasehash/internal/parallel"
-	"phasehash/internal/tune"
 )
+
+// minShardCells floors the default per-shard capacity: below ~4K cells
+// (32KB) the two streaming partition passes cost more than the
+// locality they buy.
+const minShardCells = 4096
+
+// DefaultShards is the shard count NewShardedTable uses when it is
+// given none: 8, halved until every shard keeps at least minShardCells
+// of the size cells. It must depend on size alone: the shard count is
+// part of the layout, so anything else it read (the worker count, a
+// runtime gauge) would make Elements() order depend on the machine or
+// on the process's history. At two workers, bulk phases with 8 shards
+// measured within the run-to-run spread of 4 to 256 shards, while
+// small calls pay per shard (EXPERIMENTS.md, "Default shard count"). A
+// caller that wants more bulk parallelism on a machine with many cores
+// passes an explicit count.
+func DefaultShards(size int) int {
+	shards := 8
+	for shards > 1 && (size+shards-1)/shards < minShardCells {
+		shards /= 2
+	}
+	return shards
+}
 
 // ShardedTable is a radix-partitioned variant of WordTable: 2^k
 // independent WordTable shards, selected by the *top* bits of the
@@ -52,21 +74,13 @@ type ShardedTable[O Ops] struct {
 
 // NewShardedTable returns a sharded table with capacity for at least
 // size elements in total, split over the given number of shards
-// (rounded up to a power of two). shards <= 0 delegates to
-// tune.Shards, fed by the always-on counter core's max-shard-imbalance
-// gauge: with no skew observed (or under -tags nostats) it is exactly
-// the legacy static policy — 4× the current parallel.NumWorkers(),
-// clamped so every shard keeps at least tune.MinShardCells cells — and on
-// observed heavy skew it falls to one shard per worker (extra shards
-// cannot shorten a skew-bound critical path but still pay O(shards)
-// partition histograms).
+// (rounded up to a power of two). shards <= 0 selects DefaultShards(size).
 //
-// Note the shard count is part of the table's deterministic layout
-// function. The gauge is schedule-independent for a fixed multiset of
-// prior bulk calls, so auto-sharded construction stays reproducible
-// run-to-run; workloads that need bit-identical layouts across
-// *different* operation histories should pass an explicit shard count
-// (as the detres oracles do).
+// The shard count is part of the table's deterministic layout
+// function, and the default is a function of size alone, so a
+// default-sharded table's Elements() order depends only on the element
+// set and size: not on the worker count, the build tags or anything an
+// earlier table did.
 //
 // Keys spread over shards multinomially, so per-shard load factors
 // fluctuate around the average; size with the same headroom you would
@@ -78,7 +92,7 @@ func NewShardedTable[O Ops](size, shards int) *ShardedTable[O] {
 		size = 1
 	}
 	if shards <= 0 {
-		shards = tune.Shards(size, parallel.NumWorkers(), obs.CoreMaxShardImbalancePm())
+		shards = DefaultShards(size)
 	}
 	s := 1
 	k := uint(0)

@@ -8,12 +8,11 @@ import (
 
 // Sharded-vs-flat benchmarks over the same operation phases as
 // bulk_bench_test.go: the flat rows there (InsertAll / FindAll /
-// DeleteAll) are the baseline these Sharded* rows are compared against
-// in BENCH_core.json, on two distributions — the uniform randomSeq-int
+// DeleteAll) are what these Sharded* rows are compared against, on two
+// distributions — the uniform randomSeq-int
 // keys of bulkBenchKeys and a duplicate-heavy draw (~64 copies per
 // distinct key) where the flat kernels pile probes onto few hot homes.
-// Shard count is pinned (not auto) so the benchmark is identical at
-// every -cpu value.
+// Shard count is pinned explicitly rather than left to DefaultShards.
 
 const shardedBenchShards = 32
 

@@ -7,9 +7,7 @@ import (
 	"testing"
 
 	"phasehash/internal/hashx"
-	"phasehash/internal/obs"
 	"phasehash/internal/parallel"
-	"phasehash/internal/tune"
 )
 
 func shardedKeys(n int, seed uint64) []uint64 {
@@ -224,29 +222,44 @@ func TestShardedInsertAllPanicsOnReserved(t *testing.T) {
 	NewShardedTable[SetOps](64, 2).InsertAll([]uint64{Empty})
 }
 
-func TestShardedAutoShardCount(t *testing.T) {
+// TestDefaultShardsIgnoreHistory pins the default shard count, and
+// with it the Elements() order, to the capacity alone: neither the
+// worker count nor a skewed bulk call on an unrelated table may change
+// the layout a default-sharded table gives one fixed key set.
+func TestDefaultShardsIgnoreHistory(t *testing.T) {
+	for size, want := range map[int]int{1: 1, 1 << 12: 1, 1 << 13: 2, 1 << 14: 4, 1 << 15: 8, 1 << 20: 8, 1 << 25: 8} {
+		if got := DefaultShards(size); got != want {
+			t.Errorf("DefaultShards(%d) = %d, want %d", size, got, want)
+		}
+	}
 	defer parallel.SetNumWorkers(parallel.SetNumWorkers(0))
-	parallel.SetNumWorkers(4)
-	// Earlier tests in this process may have run skewed bulk kernels,
-	// raising the always-on imbalance gauge the auto policy consults;
-	// this test pins the zero-gauge (static) policy.
-	obs.CoreReset()
-	big := NewShardedTable[SetOps](1<<20, 0)
-	if got := big.NumShards(); got != 16 {
-		t.Fatalf("auto shards at 4 workers = %d, want 16", got)
+	keys := shardedKeys(1000, 7)
+	skew := make([]uint64, 1<<16)
+	for i := range skew {
+		skew[i] = 42
 	}
-	// Small tables clamp the count so shards keep >= tune.MinShardCells.
-	small := NewShardedTable[SetOps](2*tune.MinShardCells, 0)
-	if got := small.NumShards(); got > 2 {
-		t.Fatalf("auto shards for %d cells = %d, want <= 2", 2*tune.MinShardCells, got)
-	}
-	if small.ShardSize() < tune.MinShardCells {
-		t.Fatalf("shard size %d below tune.MinShardCells", small.ShardSize())
-	}
-	one := NewShardedTable[SetOps](128, 1)
-	one.Insert(42)
-	if !one.Contains(42) {
-		t.Fatal("single-shard table lost its element")
+	for _, size := range []int{1 << 12, 1 << 15, 1 << 20} {
+		var want []uint64
+		for _, workers := range []int{1, 2, 4} {
+			parallel.SetNumWorkers(workers)
+			for _, skewed := range []bool{false, true} {
+				if skewed {
+					NewShardedTable[SetOps](1<<20, 8).InsertAll(skew)
+				}
+				tab := NewShardedTable[SetOps](size, 0)
+				if got := tab.NumShards(); got != DefaultShards(size) {
+					t.Fatalf("size %d, %d workers, skewed=%v: %d shards, want %d",
+						size, workers, skewed, got, DefaultShards(size))
+				}
+				tab.InsertAll(keys)
+				got := tab.Elements()
+				if want == nil {
+					want = got
+				} else if !slices.Equal(got, want) {
+					t.Fatalf("size %d, %d workers, skewed=%v: Elements order differs", size, workers, skewed)
+				}
+			}
+		}
 	}
 }
 

@@ -10,11 +10,10 @@ import (
 
 // BenchmarkEpochServerMixed drives the server with the phload op mix
 // (50% insert / 25% find / 25% delete) in a windowed open loop and
-// reports the serving-path metrics benchjson aggregates alongside the
-// kernel rows: admit-to-complete latency quantiles (p50admit-us,
-// p99admit-us) and the shed fraction of offered ops (shed/op).
-// `make benchdiff` runs this, so drift in the scheduler's latency or
-// admission behavior surfaces exactly like a kernel regression.
+// reports the serving-path metrics: admit-to-complete latency
+// quantiles (p50admit-us, p99admit-us) and the shed fraction of offered
+// ops (shed/op). The end-to-end serving numbers live in the benchmark
+// module's serve-loopback workload.
 func BenchmarkEpochServerMixed(b *testing.B) {
 	s := NewServer(Config{
 		Size:          1 << 16,

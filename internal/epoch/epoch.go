@@ -153,9 +153,9 @@ type Config struct {
 	// Size is the total table capacity in cells (default 1<<20). Size
 	// with the usual headroom: load factor below ~0.9.
 	Size int
-	// Shards is the shard count (default: the automatic policy of
-	// core.NewShardedTable). Pin it explicitly where the deterministic
-	// layout must be reproducible across machines.
+	// Shards is the shard count (default: core.DefaultShards(Size),
+	// which is 8, fewer for small tables, on every machine). Pass a
+	// larger count for more bulk parallelism on many cores.
 	Shards int
 	// MaxBatch is the epoch-size watermark (default 4096): a pending
 	// batch larger than this is split into multiple epochs of at most

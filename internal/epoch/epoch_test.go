@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"phasehash/internal/core"
+	"phasehash/internal/parallel"
 )
 
 // manualServer builds a scripted-mode server (no linger timer): epochs
@@ -438,6 +440,43 @@ func TestOpString(t *testing.T) {
 	for op, s := range want {
 		if op.String() != s {
 			t.Fatalf("Op(%d).String() = %q, want %q", op, op.String(), s)
+		}
+	}
+}
+
+// TestDefaultShardsIgnoreHistory checks that a default-configured
+// server's table stores one key set in one order, whatever the worker
+// count and whatever an unrelated skewed bulk call did first.
+func TestDefaultShardsIgnoreHistory(t *testing.T) {
+	defer parallel.SetNumWorkers(parallel.SetNumWorkers(0))
+	skew := make([]uint64, 1<<16)
+	for i := range skew {
+		skew[i] = 42
+	}
+	var want []uint64
+	for _, workers := range []int{1, 2, 4} {
+		parallel.SetNumWorkers(workers)
+		for _, skewed := range []bool{false, true} {
+			if skewed {
+				core.NewShardedTable[core.SetOps](1<<20, 8).InsertAll(skew)
+			}
+			s := NewServer(Config{})
+			futs := make([]*Future, 1000)
+			for i := range futs {
+				futs[i] = mustSubmit(t, s, OpInsert, uint64(i)*0x9e3779b97f4a7c15|1)
+			}
+			if err := s.Close(context.Background()); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			for _, f := range futs {
+				<-f.Done()
+			}
+			got := s.Table().Elements()
+			if want == nil {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Fatalf("%d workers, skewed=%v: %d shards, Elements order differs", workers, skewed, s.Table().NumShards())
+			}
 		}
 	}
 }

@@ -28,8 +28,7 @@ func CoreShardBulk(offsets []int) {}
 // CoreDispatch is a no-op under -tags nostats.
 func CoreDispatch(nblocks, items int) {}
 
-// CoreMaxShardImbalancePm returns 0 under -tags nostats; the tuning
-// policies fall back to their static defaults on a zero gauge.
+// CoreMaxShardImbalancePm returns 0 under -tags nostats.
 func CoreMaxShardImbalancePm() uint64 { return 0 }
 
 // CoreSnapshot returns an empty CoreStats under -tags nostats.

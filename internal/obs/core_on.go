@@ -137,7 +137,9 @@ func CoreDispatch(nblocks, items int) {
 }
 
 // CoreMaxShardImbalancePm returns the current imbalance gauge without
-// merging the stripes (the construction-time shard policy's one read).
+// merging the stripes. It is a reported number only (operator
+// summaries, the benchmark's per-layer metric); no table construction
+// reads it.
 func CoreMaxShardImbalancePm() uint64 { return atomicx.Load(&coreImbalancePm) }
 
 // CoreSnapshot merges every stripe into one CoreStats. Merging is pure

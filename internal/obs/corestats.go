@@ -8,8 +8,8 @@ import (
 // This file is the build-tag-free half of the always-on counter core:
 // the merged snapshot type and its derived gauges. The core is the
 // minimal telemetry subset promoted out of the obs build tag so the
-// shard policy (internal/tune) and the operator summaries have
-// schedule-independent inputs in every binary: striped operation/probe-step counters, the growing
+// operator summaries have schedule-independent numbers in every
+// binary: striped operation/probe-step counters, the growing
 // table's resize counters, the sharded bulk-kernel imbalance gauge, and
 // the pool dispatch counters. Nothing else moved — histograms,
 // CAS/displacement accounting, phase spans and the debug endpoint stay
@@ -22,7 +22,7 @@ import (
 // symbol keeps holding verbatim, and a parallel check asserts the Core*
 // symbols vanish under -tags nostats.
 //
-// Determinism contract (what internal/tune may consume): every CoreStats
+// Determinism contract: every CoreStats
 // field is a sum or a max over per-completed-operation contributions, so
 // for a fixed multiset of completed operations the merged totals are
 // independent of schedule, worker count and stripe assignment — sums and
@@ -30,10 +30,11 @@ import (
 // concurrent CAS traffic can lengthen individual probes, so step totals
 // are schedule-dependent wherever workers share cells (they are
 // schedule-independent for sharded bulk calls run alone, where each
-// shard's run is probed by one worker in a fixed order). The
-// policies therefore key off op counts, load factors and the
-// imbalance gauge only; the step counters exist for operators (phload
-// soak summaries) and for the obs-free mean-probe gauge.
+// shard's run is probed by one worker in a fixed order). The step
+// counters exist for operators (phload soak summaries) and for the
+// obs-free mean-probe gauge. No counter or gauge feeds back into table
+// construction: layouts depend only on the element set, the capacity
+// and explicit options.
 type CoreStats struct {
 	// Probe-path operation and step totals (WordTable probe loops;
 	// bulk kernels publish once per block or shard run).

@@ -63,8 +63,7 @@ func Contains(t Table, e uint64) bool {
 // it — the bulk kernels exist to make the deterministic table fast, not
 // to accelerate the comparison baselines, which keep the per-element
 // loop the paper describes for them. Every implementation's bulk calls
-// are ordinary phase operations except AutoTable's, which require
-// exclusive access because they may migrate the representation.
+// are ordinary phase operations.
 type Bulk interface {
 	// InsertAll inserts every element (insert phase), returning how many
 	// grew the count.
@@ -110,10 +109,9 @@ const (
 	// LinearDSharded is linearHash-D split into radix-selected shards
 	// (core.ShardedTable); its bulk kernels radix-partition the keys and
 	// run each shard's run on one worker with the flat table's staged
-	// kernels, under the same phase contract as LinearD. Its layout
-	// is deterministic for a fixed shard count; the constructor here
-	// uses the automatic policy, which derives the count from the
-	// worker count at construction time.
+	// kernels, under the same phase contract as LinearD. The
+	// constructor here uses core.DefaultShards, a function of the
+	// capacity alone, so the layout is deterministic per capacity.
 	LinearDSharded Kind = "linearHash-D-sharded"
 	// LinearDCompact is linearHash-D with a separate byte-per-slot
 	// control array (fingerprint + occupancy) scanned a word at a time
@@ -123,34 +121,27 @@ const (
 	// 8, in exchange for finds that rarely touch the cell array, which
 	// keeps throughput at load factors up to 0.9.
 	LinearDCompact Kind = "linearHash-D-compact"
-	// LinearDAuto is the self-tuning deterministic table (AutoTable):
-	// it starts flat and switches between the LinearD and
-	// LinearDCompact layouts at bulk-call boundaries from its observed
-	// load factor and op mix (TableKindFor). Bulk calls require
-	// exclusive access (they may migrate); layout decisions replay
-	// deterministically for a fixed operation script.
-	LinearDAuto Kind = "linearHash-D-auto"
-	LinearND    Kind = "linearHash-ND"
-	Cuckoo      Kind = "cuckooHash"
-	Chained     Kind = "chainedHash"
-	ChainedCR   Kind = "chainedHash-CR"
-	Hopscotch   Kind = "hopscotchHash"
-	HopscotchPC Kind = "hopscotchHash-PC"
-	SerialHI    Kind = "serialHash-HI"
-	SerialHD    Kind = "serialHash-HD"
+	LinearND       Kind = "linearHash-ND"
+	Cuckoo         Kind = "cuckooHash"
+	Chained        Kind = "chainedHash"
+	ChainedCR      Kind = "chainedHash-CR"
+	Hopscotch      Kind = "hopscotchHash"
+	HopscotchPC    Kind = "hopscotchHash-PC"
+	SerialHI       Kind = "serialHash-HI"
+	SerialHD       Kind = "serialHash-HD"
 )
 
 // Kinds lists all table kinds in the paper's presentation order.
 var Kinds = []Kind{
 	SerialHI, SerialHD,
-	LinearD, LinearDSharded, LinearDCompact, LinearDAuto, LinearND, Cuckoo,
+	LinearD, LinearDSharded, LinearDCompact, LinearND, Cuckoo,
 	Chained, ChainedCR,
 	Hopscotch, HopscotchPC,
 }
 
 // ParallelKinds lists the concurrent/phase-concurrent kinds.
 var ParallelKinds = []Kind{
-	LinearD, LinearDSharded, LinearDCompact, LinearDAuto, LinearND, Cuckoo,
+	LinearD, LinearDSharded, LinearDCompact, LinearND, Cuckoo,
 	Chained, ChainedCR,
 	Hopscotch, HopscotchPC,
 }
@@ -165,8 +156,6 @@ func New[O core.Ops](kind Kind, size int) (Table, error) {
 		return core.NewShardedTable[O](size, 0), nil
 	case LinearDCompact:
 		return core.NewCompactTable[O](size), nil
-	case LinearDAuto:
-		return NewAutoTable[O](size), nil
 	case LinearND:
 		return NewLinearND[O](size), nil
 	case Cuckoo:
@@ -213,14 +202,9 @@ func SizeFor(kind Kind, capacity int) int {
 func (k Kind) IsSerial() bool { return k == SerialHI || k == SerialHD }
 
 // IsDeterministic reports whether the table's quiescent layout is
-// independent of operation order. For LinearDSharded this holds per
-// shard count: tables constructed with different shard counts store
-// the same set in different (each deterministic) orders. For
-// LinearDAuto it holds per operation script: the representation
-// decisions are pure functions of the cumulative op multiset, and both
-// representations lay out any element set identically at equal
-// capacity.
+// independent of operation order: it is a pure function of the
+// element set and the capacity (for LinearDSharded, of the shard count
+// too, which New derives from the capacity).
 func (k Kind) IsDeterministic() bool {
-	return k == LinearD || k == LinearDSharded || k == LinearDCompact ||
-		k == LinearDAuto || k == SerialHI
+	return k == LinearD || k == LinearDSharded || k == LinearDCompact || k == SerialHI
 }

@@ -18,9 +18,9 @@ import "phasehash/internal/core"
 //
 // Determinism: for a fixed capacity and shard count, Elements order and
 // the quiescent layout are a pure function of the key set, exactly as
-// for the flat containers. The shard count is part of that function, so
-// fix it explicitly (shards > 0) when layouts must reproduce across
-// machines with different core counts.
+// for the flat containers. The default shard count (shards <= 0) is a
+// function of the capacity alone, so default-sharded containers
+// reproduce their layouts on every machine and in every process.
 
 // ShardedSet is a deterministic phase-concurrent set of uint64 keys
 // backed by radix-selected shards (key 0 is reserved).
@@ -30,9 +30,10 @@ type ShardedSet struct {
 
 // NewShardedSet returns a sharded set with capacity for at least
 // capacity keys in total, split over the given number of shards
-// (rounded up to a power of two). shards <= 0 selects automatically
-// from the current parallelism; pass an explicit count when Elements
-// order must reproduce across machines.
+// (rounded up to a power of two). shards <= 0 selects the default: 8,
+// halved until each shard keeps at least 4096 cells, independent of the
+// machine and of earlier calls. Pass a larger count for more bulk
+// parallelism on machines with many cores.
 func NewShardedSet(capacity, shards int) *ShardedSet {
 	return &ShardedSet{t: core.NewShardedTable[core.SetOps](capacity, shards)}
 }
@@ -108,7 +109,7 @@ type shardedPairTable interface {
 }
 
 // NewShardedMap32 returns a sharded map with the given total capacity,
-// duplicate policy and shard count (shards <= 0 selects automatically;
+// duplicate policy and shard count (shards <= 0 selects the default;
 // see NewShardedSet).
 func NewShardedMap32(capacity int, policy Combine, shards int) *ShardedMap32 {
 	switch policy {

@@ -2,6 +2,7 @@ package phasehash
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -117,6 +118,50 @@ func TestShardedMap32Facade(t *testing.T) {
 		}
 		if !m.Delete(9) {
 			t.Fatalf("policy %d: Delete(9) failed", policy)
+		}
+	}
+}
+
+// TestDefaultShardsIgnoreHistory checks that the default-sharded
+// facades keep one layout for one key set at each capacity, whatever
+// the parallelism and whatever an unrelated skewed bulk call did first.
+func TestDefaultShardsIgnoreHistory(t *testing.T) {
+	defer SetParallelism(SetParallelism(0))
+	keys := make([]uint64, 1000)
+	entries := make([]Entry, len(keys))
+	for i := range keys {
+		keys[i] = uint64(i)*0x9e3779b97f4a7c15>>32 | 1
+		entries[i] = Entry{Key: uint32(keys[i]), Value: uint32(i)}
+	}
+	skew := make([]uint64, 1<<16)
+	for i := range skew {
+		skew[i] = 42
+	}
+	for _, size := range []int{1 << 12, 1 << 15, 1 << 20} {
+		var wantSet []uint64
+		var wantMap []Entry
+		shards := 0
+		for _, workers := range []int{1, 2, 4} {
+			SetParallelism(workers)
+			for _, skewed := range []bool{false, true} {
+				if skewed {
+					NewShardedSet(1<<20, 8).InsertAll(skew)
+				}
+				s := NewShardedSet(size, 0)
+				m := NewShardedMap32(size, Sum, 0)
+				s.InsertAll(keys)
+				m.InsertAll(entries)
+				if shards == 0 {
+					shards, wantSet, wantMap = s.NumShards(), s.Elements(), m.Entries()
+				}
+				if s.NumShards() != shards || m.NumShards() != shards {
+					t.Fatalf("size %d, %d workers, skewed=%v: shards %d/%d, want %d",
+						size, workers, skewed, s.NumShards(), m.NumShards(), shards)
+				}
+				if !slices.Equal(s.Elements(), wantSet) || !slices.Equal(m.Entries(), wantMap) {
+					t.Fatalf("size %d, %d workers, skewed=%v: Elements/Entries order differs", size, workers, skewed)
+				}
+			}
 		}
 	}
 }
