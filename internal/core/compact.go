@@ -67,6 +67,14 @@ import (
 // decision taken on a ctrl byte could observe a stale value and steer
 // displacement by schedule history.
 //
+// The write paths are also where the compact table spends its time when
+// it is cache-resident, so each write step hashes each cell at most
+// once: the insert loop and the delete victim scan compare the hashes
+// inline (ops.Cmp only on an exact tie), findReplacement hands back the
+// hash of the element it chose, and syncCtrl publishes the byte of the
+// value its caller just wrote from the hash the caller holds, deriving
+// it from the cell only when the fast path meets a race.
+//
 // Phase discipline, lock-freedom and the reserved Empty element are as
 // WordTable. The zero value is not usable; construct with
 // NewCompactTable.
@@ -136,10 +144,11 @@ func (t *CompactTable[O]) home(e uint64) int {
 // It is total because ops.Cmp is total on keys and equal keys hash
 // equally; it is consistent with key equality because cmpPri == 0
 // forces ops.Cmp == 0. Callers pass the hashes they already hold (ha =
-// Hash(a), hb = Hash(b)) — every probe loop has them in hand for the
-// home bucket anyway. The fingerprint is the top-seven-bit prefix of
-// this key, which is what lets findFrom compare priorities in the ctrl
-// word without loading cells.
+// Hash(a), hb = Hash(b)). The insert loop and the delete victim scan
+// write the same comparison out inline, so the common case costs two
+// integer compares and no call. The fingerprint is the top-seven-bit
+// prefix of this key, which is what lets findFrom compare priorities in
+// the ctrl word without loading cells.
 func (t *CompactTable[O]) cmpPri(a uint64, ha uint64, b uint64, hb uint64) int {
 	switch {
 	case ha < hb:
@@ -195,31 +204,57 @@ func swarStop(w, patd uint64) uint64 {
 // p's current cell. It is called after every successful cell CAS on
 // the atomic insert/delete paths (claim, displace, delete-replacement;
 // merges keep the fingerprint — equal keys hash equally — so they skip
-// it) and is the entire history-independence argument for the control
-// array:
+// it) with the value x that CAS wrote and x's byte b, which the caller
+// already holds: Fingerprint of the hash it probed with, or ctrlEmpty
+// when a delete emptied the slot. It is the entire history-independence
+// argument for the control array.
 //
-// The loop exits only on *observed consistency* — a ctrl byte equal to
-// the derived encoding of a cell value that is unchanged when re-read
-// after the ctrl read. Publishing a byte does not exit; only the
-// validated re-read does. So when a phase quiesces, the last syncCtrl
-// to touch each slot has observed ctrl[p] == ctrlByteFor(cells[p]) with
-// the final cell value, and any intermediate stale publication (two
-// inserts racing on one word, a displacement chain rewriting a slot
-// twice) was repaired by whichever syncer observed it. The quiescent
-// ctrl array is therefore a pure function of the quiescent cell array,
+// Fast path, no hashing: load the ctrl word; if p's lane already reads
+// b, re-read the cell and return if it still holds x. Otherwise CAS the
+// lane to b and, if that succeeds, return when a re-read of the cell
+// still holds x. Every other outcome — a lost CAS, a cell that moved on
+// since the caller's CAS, a chaos-forced failure — falls into the
+// derive-from-cell loop, which exits only on *observed consistency*: a
+// ctrl byte equal to ctrlByteFor of a cell value that is unchanged when
+// re-read after the ctrl read. Publishing a byte never exits by itself.
+//
+// So every exit, fast or slow, is preceded by a moment τ after the
+// call's last lane write (a ctrl load, or the successful CAS itself) at
+// which the lane equals the byte of a value x that the cell still holds
+// on a re-read after τ. When a phase quiesces, take the last write to
+// p's lane (at time T) and the last write to p's cell that changed its
+// byte (at time C, by a writer whose syncCtrl starts after C). That
+// writer's τ follows C, so the lane read there is the final cell's
+// byte; if τ >= T that is the final lane. If τ < T, the lane's last
+// writer exits through a τ' >= T > C, and the cell it re-reads then is
+// the final one. Either way ctrl[p] == ctrlByteFor(cells[p]) at
+// quiescence: the ctrl array is a pure function of the cell array,
 // which is history-independent by WordTable's argument — no schedule
-// leaves a trace.
+// leaves a trace. (The fast path's re-read after its CAS is what keeps a
+// writer whose cell moved on from leaving a stale byte as the last
+// write.)
 //
 // Progress: a failed publication CAS means another syncer changed the
 // word (lock-free, not wait-free — the standard bound for the table's
 // CAS loops); cell values change finitely often per phase, after which
 // every racing syncer's derived byte agrees and the first successful
 // publication satisfies all of them.
-func (t *CompactTable[O]) syncCtrl(p int) {
+func (t *CompactTable[O]) syncCtrl(p int, x uint64, b byte) {
 	s := p & t.mask
 	w := s >> 3
 	sh := uint(s&7) * 8
 	lane := uint64(0xFF) << sh
+	want := uint64(b) << sh
+	old := atomic.LoadUint64(&t.ctrl[w])
+	if old&lane == want {
+		if atomic.LoadUint64(&t.cells[s]) == x {
+			return
+		}
+	} else if !(chaos.Enabled && chaos.FailCAS(chaos.SiteCompactCtrlCAS)) &&
+		atomic.CompareAndSwapUint64(&t.ctrl[w], old, old&^lane|want) &&
+		atomic.LoadUint64(&t.cells[s]) == x {
+		return
+	}
 	for {
 		c := atomic.LoadUint64(&t.cells[s])
 		want := uint64(t.ctrlByteFor(c)) << sh
@@ -271,13 +306,14 @@ func (t *CompactTable[O]) TryInsert(v uint64) (bool, error) {
 // insertLoopFrom is WordTable.insertLoopFrom — the same Figure 1 INSERT
 // probe/CAS discipline over the cells, with cmpPri as the priority
 // order (hv = Hash(v) rides along; each contested slot's hash is
-// computed once per examination) — plus a syncCtrl after every CAS that
-// changes a slot's occupancy or fingerprint (claim, displace). Merges
-// resolve equal keys, and equal keys have equal hashes, so the
-// fingerprint is unchanged and no sync is needed. Inserts do not
-// consult the ctrl array at all — see the type comment: mid-phase ctrl
-// bytes can lag their cells, and a probe decision taken on a stale byte
-// would make the layout schedule-dependent.
+// computed once per examination, and cmpPri is inlined) — plus a
+// syncCtrl after every CAS that changes a slot's occupancy or
+// fingerprint (claim, displace), publishing Fingerprint(hv) for the
+// value just written. Merges resolve equal keys, and equal keys have
+// equal hashes, so the fingerprint is unchanged and no sync is needed.
+// Inserts do not consult the ctrl array at all — see the type comment:
+// mid-phase ctrl bytes can lag their cells, and a probe decision taken
+// on a stale byte would make the layout schedule-dependent.
 func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, full bool) {
 	var obsCAS, obsFail, obsDisp uint64
 	start := i
@@ -301,7 +337,7 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 				continue // pretend the CAS lost; re-read the cell
 			}
 			if t.cas(i, Empty, v) {
-				t.syncCtrl(i)
+				t.syncCtrl(i, v, hashx.Fingerprint(hv))
 				if obs.Enabled {
 					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
 				}
@@ -312,8 +348,15 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 			}
 			continue // re-read the cell
 		}
+		// cmpPri(c, hc, v, hv) written out: ops.Cmp runs only on an
+		// exact 64-bit hash tie.
 		hc := t.ops.Hash(c)
-		cmp := t.cmpPri(c, hc, v, hv)
+		cmp := 1
+		if hc < hv {
+			cmp = -1
+		} else if hc == hv {
+			cmp = t.ops.Cmp(c, v)
+		}
 		switch {
 		case cmp == 0:
 			merged := t.ops.Merge(c, v)
@@ -345,7 +388,7 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 				continue
 			}
 			if t.cas(i, c, v) {
-				t.syncCtrl(i)
+				t.syncCtrl(i, v, hashx.Fingerprint(hv))
 				if obs.Enabled {
 					obsCAS, obsDisp = obsCAS+1, obsDisp+1
 				}
@@ -485,15 +528,24 @@ func (t *CompactTable[O]) Delete(v uint64) bool {
 }
 
 // deleteFrom is WordTable.deleteFrom over the compact cells with cmpPri
-// as the priority order, plus ctrl publication; see findReplacement
-// there for the two-pass scan's correctness argument.
+// as the priority order (inlined in the victim scan), plus ctrl
+// publication; see findReplacement there for the two-pass scan's
+// correctness argument. findReplacement returns the replacement's hash,
+// which is both its ctrl byte (syncCtrl after the replacement CAS, or
+// ctrlEmpty when the hole ends the cluster) and the probe hash of the
+// next round, which deletes the copy it left behind — no cell is hashed
+// twice.
 func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
 	var obsScan, obsRepl, obsFail uint64
 	home := i
 	k := i
 	for k < home+len(t.cells) {
 		c := t.load(k)
-		if c == Empty || t.cmpPri(v, hv, c, t.ops.Hash(c)) >= 0 {
+		if c == Empty {
+			break
+		}
+		// cmpPri(v, hv, c, hc) >= 0, with ops.Cmp only on a hash tie.
+		if hc := t.ops.Hash(c); hv > hc || hv == hc && t.ops.Cmp(v, c) >= 0 {
 			break
 		}
 		k++
@@ -513,9 +565,13 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
 			k--
 			continue
 		}
-		j, w := t.findReplacement(k)
+		j, w, hw := t.findReplacement(k)
 		if t.cas(k, c, w) {
-			t.syncCtrl(k)
+			b := ctrlEmpty
+			if w != Empty {
+				b = hashx.Fingerprint(hw)
+			}
+			t.syncCtrl(k, w, b)
 			deleted = true
 			if w == Empty {
 				if obs.Enabled {
@@ -527,8 +583,7 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
 				obsRepl++
 			}
 			// There are now two copies of w; we own deleting one.
-			v = w
-			hv = t.ops.Hash(w)
+			v, hv = w, hw
 			k = j
 			i = t.lift(hv&uint64(t.mask), j)
 		} else {
@@ -546,32 +601,63 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
 }
 
 // findReplacement is WordTable.findReplacement verbatim: the upward
-// stopping-point scan plus the downward re-read, both over cells.
-func (t *CompactTable[O]) findReplacement(i int) (int, uint64) {
-	j := i
-	var w uint64
+// stopping-point scan plus the downward re-read, both over cells, with
+// the memo that spares the re-read a second hash of the cells near the
+// hole, and the replacement's hash returned for deleteFrom's next round
+// and its ctrl byte.
+func (t *CompactTable[O]) findReplacement(i int) (j int, w, hw uint64) {
+	last := i + len(t.cells) - 1 // the sweep bound
+	if chaos.Enabled {
+		chaos.Yield(chaos.SiteCompactDeleteProbe)
+	}
+	j = i + 1
+	if j > last {
+		return j, Empty, 0
+	}
+	w = t.load(j)
+	if w == Empty {
+		return j, w, 0
+	}
+	hw = t.ops.Hash(w)
+	if t.lift(hw&uint64(t.mask), j) <= i {
+		return j, w, hw
+	}
+	seen := [replMemo]uint64{w}
 	for {
 		if chaos.Enabled {
 			chaos.Yield(chaos.SiteCompactDeleteProbe)
 		}
 		j++
-		if j > i+len(t.cells)-1 {
+		if j > last {
 			w = Empty
 			break
 		}
 		w = t.load(j)
-		if w == Empty || t.lift(t.ops.Hash(w)&uint64(t.mask), j) <= i {
+		if w == Empty {
 			break
+		}
+		hw = t.ops.Hash(w)
+		if t.lift(hw&uint64(t.mask), j) <= i {
+			break
+		}
+		if d := j - i - 1; d < replMemo {
+			seen[d] = w
 		}
 	}
 	for k := j - 1; k > i; k-- {
 		w2 := t.load(k)
-		if w2 == Empty || t.lift(t.ops.Hash(w2)&uint64(t.mask), k) <= i {
-			w = w2
-			j = k
+		if d := k - i - 1; d < replMemo && w2 == seen[d] {
+			continue
+		}
+		if w2 == Empty {
+			w, j = Empty, k
+			continue
+		}
+		if h2 := t.ops.Hash(w2); t.lift(h2&uint64(t.mask), k) <= i {
+			w, hw, j = w2, h2, k
 		}
 	}
-	return j, w
+	return j, w, hw
 }
 
 // Elements packs the non-empty cells into a fresh slice in table order

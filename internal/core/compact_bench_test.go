@@ -3,6 +3,8 @@ package core
 import (
 	"sync"
 	"testing"
+
+	"phasehash/internal/hashx"
 )
 
 // Compact-vs-flat benchmarks, in two regimes:
@@ -25,6 +27,11 @@ import (
 //     cannot. BenchmarkCompactFindAllMiss is judged against
 //     BenchmarkFindAllMiss (equal cell count, equal load: the pure
 //     probe-policy-and-footprint comparison).
+//
+// BenchmarkCompactResidentRound is a third, round-based regime: a
+// sliding key window through a 2^17-cell table at load 0.85, where a
+// round's bulk inserts and deletes cost more than its six times as many
+// finds — the in-package number for the compact write kernels.
 //
 // Every row reports bytes/elem — backing-array bytes over *stored*
 // elements — so each run carries the memory side of the trade next to
@@ -63,6 +70,15 @@ func affineMisses(n int) []uint64 {
 	}
 	return miss
 }
+
+// Resident-round regime: a 2^17-cell table (1 MB of cells, 128 KB of
+// ctrl) at load 0.85, driven in rounds of 1024-key bulk calls.
+const (
+	residentRoundCells = 1 << 17
+	residentRoundLive  = residentRoundCells * 85 / 100
+	residentRoundBatch = 1024
+	residentRoundFinds = 6
+)
 
 func compactBenchKeys() []uint64   { return affineKeys(compactBenchN) }
 func compactBenchMisses() []uint64 { return affineMisses(compactBenchN) }
@@ -261,4 +277,69 @@ func BenchmarkCompactDeleteAll(b *testing.B) {
 	b.ReportMetric(float64(compactBenchN), "elems/op")
 	reportBytesPerElem(b, bytes, compactBenchN)
 	benchObsReport(b, "delete")
+}
+
+// BenchmarkCompactResidentRound measures the compact kernels on a
+// cache-resident table under a sliding window of live keys. One
+// iteration is one round: InsertAll of 1024 fresh keys, six ContainsAll
+// calls of 1024 probes (half live keys, half misses) and DeleteAll of
+// the 1024 oldest keys, so the live count stays at load 0.85 and the
+// write kernels see the displacement chains and back-shifts of a full
+// table. It reports ns/round (equal to ns/op); building a round's keys
+// (one multiply-add each) is timed with it and is about 1% of a round.
+func BenchmarkCompactResidentRound(b *testing.B) {
+	key := func(j int) uint64 { return uint64(j)*0x9e3779b97f4a7c15 + 1 }
+	miss := func(j int) uint64 { return uint64(j)*0x9e3779b97f4a7c15 + 2 }
+	t := NewCompactTable[SetOps](residentRoundCells)
+	window := make([]uint64, residentRoundLive)
+	for j := range window {
+		window[j] = key(j)
+	}
+	t.InsertAll(window)
+	ins := make([]uint64, residentRoundBatch)
+	del := make([]uint64, residentRoundBatch)
+	probes := make([][]uint64, residentRoundFinds)
+	offs := make([][]int, residentRoundFinds)
+	rng := hashx.NewRNG(1)
+	for c := range probes {
+		probes[c] = make([]uint64, residentRoundBatch)
+		offs[c] = make([]int, residentRoundBatch)
+		for j := range offs[c] {
+			offs[c][j] = rng.Intn(residentRoundLive)
+		}
+	}
+	lo, hi, at := 0, residentRoundLive, 0
+	withBenchWorkers(b, func() {
+		b.ResetTimer()
+		benchObsReset()
+		for i := 0; i < b.N; i++ {
+			for j := range ins {
+				ins[j], del[j] = key(hi+j), key(lo+j)
+			}
+			for c, probe := range probes {
+				for j := range probe {
+					if j%2 == 0 {
+						probe[j] = key(lo + offs[c][j])
+					} else {
+						probe[j] = miss(at)
+						at++
+					}
+				}
+			}
+			if n := t.InsertAll(ins); n != residentRoundBatch {
+				b.Fatalf("InsertAll added %d fresh keys, want %d", n, residentRoundBatch)
+			}
+			for _, probe := range probes {
+				if n := t.ContainsAll(probe); n != residentRoundBatch/2 {
+					b.Fatalf("ContainsAll found %d keys, want %d", n, residentRoundBatch/2)
+				}
+			}
+			if n := t.DeleteAll(del); n != residentRoundBatch {
+				b.Fatalf("DeleteAll removed %d keys, want %d", n, residentRoundBatch)
+			}
+			lo, hi = lo+residentRoundBatch, hi+residentRoundBatch
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/round")
+	reportBytesPerElem(b, t.Bytes(), residentRoundLive)
 }

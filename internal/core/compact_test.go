@@ -2,9 +2,12 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"phasehash/internal/hashx"
 	"phasehash/internal/parallel"
 )
 
@@ -253,5 +256,92 @@ func TestCompactClearResetsCtrl(t *testing.T) {
 func TestCompactBytes(t *testing.T) {
 	if got := NewCompactTable[SetOps](1 << 10).Bytes(); got != (1<<10)*9 {
 		t.Fatalf("CompactTable(1024).Bytes() = %d, want %d", got, (1<<10)*9)
+	}
+}
+
+// TestCompactCtrlContention races syncCtrl's fast path against itself:
+// eight goroutines insert one shared pool of keys into a 64-cell table,
+// each in its own order, then delete overlapping subsets. Homes sit in
+// the last three lanes of each ctrl word, so displacement chains and
+// delete back-shifts cross word boundaries and neighbouring slots'
+// publications contend on one ctrl word. Each phase must end with the
+// invariant holding and cells and ctrl equal to a serial rebuild of the
+// surviving keys — no stale byte may outlive the race.
+func TestCompactCtrlContention(t *testing.T) {
+	const m, pool, goroutines, rounds = 64, 44, 8, 200
+	rng := hashx.NewRNG(7)
+	for round := 0; round < rounds; round++ {
+		keys := make([]uint64, 0, pool)
+		seen := map[uint64]bool{}
+		for len(keys) < pool {
+			home := uint64(8*rng.Intn(m/8) + 5 + rng.Intn(3))
+			k := home | rng.Next()&^uint64(m-1)
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
+			}
+		}
+		orders := make([][]uint64, goroutines)
+		for g := range orders {
+			o := slices.Clone(keys)
+			for i := len(o) - 1; i > 0; i-- {
+				j := rng.Intn(i + 1)
+				o[i], o[j] = o[j], o[i]
+			}
+			orders[g] = o
+		}
+		tab := NewCompactTable[IdentOps](m)
+		race := func(lists [][]uint64, op func(k uint64)) {
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for _, list := range lists {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for _, k := range list {
+						op(k)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		}
+		canonical := func(stage string) {
+			t.Helper()
+			if err := tab.CheckInvariant(); err != nil {
+				t.Fatalf("round %d, %s: %v", round, stage, err)
+			}
+			ref := NewCompactTable[IdentOps](m)
+			for k := range seen {
+				ref.insertSerial(k)
+			}
+			if got, want := tab.Snapshot(), ref.Snapshot(); !slices.Equal(got, want) {
+				t.Fatalf("round %d, %s: cells %x, serial rebuild %x", round, stage, got, want)
+			}
+			if got, want := tab.CtrlSnapshot(), ref.CtrlSnapshot(); !slices.Equal(got, want) {
+				t.Fatalf("round %d, %s: ctrl %x, serial rebuild %x", round, stage, got, want)
+			}
+		}
+		race(orders, func(k uint64) { tab.Insert(k) })
+		canonical("after inserts")
+		// Each goroutine deletes a random half of the pool in its own
+		// order: the subsets overlap, so most keys see several concurrent
+		// deletes.
+		drops := make([][]uint64, goroutines)
+		for g, o := range orders {
+			for _, k := range o {
+				if rng.Intn(2) == 0 {
+					drops[g] = append(drops[g], k)
+				}
+			}
+		}
+		race(drops, func(k uint64) { tab.Delete(k) })
+		for _, d := range drops {
+			for _, k := range d {
+				delete(seen, k)
+			}
+		}
+		canonical("after deletes")
 	}
 }

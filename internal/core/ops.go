@@ -9,7 +9,14 @@ const Empty uint64 = 0
 // Ops defines the element semantics of a word table: how elements hash,
 // how their keys are priority-ordered, and how two elements with equal
 // keys are resolved. Implementations must be pure value types (typically
-// empty structs) so that the generic tables compile to direct calls.
+// empty structs) with no state the methods depend on.
+//
+// They do not make the calls direct. Go compiles one body per GC shape
+// of the type argument, every empty-struct Ops shares one shape, and the
+// shared body reaches Hash, Cmp and Merge through the instantiation's
+// dictionary: an indirect call per use, which the compiler cannot inline.
+// The probe kernels therefore keep the number of Hash calls per cell to
+// a minimum (DESIGN.md §13, "Writes and the sync protocol").
 //
 // The priority order reported by Cmp must be a total order on keys, with
 // Cmp(a, b) == 0 exactly when a and b carry the same key. The paper's

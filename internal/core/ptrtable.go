@@ -209,10 +209,14 @@ func (t *PtrTable[T, O]) Find(v *T) (*T, bool) {
 	return t.findFrom(v, t.home(v))
 }
 
-// findFrom is Find starting from a caller-supplied probe origin.
+// findFrom is Find starting from a caller-supplied probe origin. The
+// whole-array sweep bound is WordTable.findFrom's: on a saturated table
+// an absent key outranked by its whole probe path would otherwise wrap
+// forever.
 func (t *PtrTable[T, O]) findFrom(v *T, i int) (*T, bool) {
 	start := i
-	for {
+	limit := i + len(t.cells)
+	for i < limit {
 		c := t.load(i)
 		if c == nil {
 			if obs.Enabled {
@@ -235,6 +239,11 @@ func (t *PtrTable[T, O]) findFrom(v *T, i int) (*T, bool) {
 		}
 		i++
 	}
+	// Full sweep without a verdict: the table is saturated and v absent.
+	if obs.Enabled {
+		obs.RecordFind(start, uint64(i-start), false)
+	}
+	return nil, false
 }
 
 // Delete removes the element with v's key (delete phase only).
@@ -242,12 +251,13 @@ func (t *PtrTable[T, O]) Delete(v *T) bool {
 	return t.deleteFrom(v, t.home(v))
 }
 
-// deleteFrom is Delete starting from a caller-supplied probe origin.
+// deleteFrom is Delete starting from a caller-supplied probe origin;
+// the victim scan has WordTable.deleteFrom's sweep bound.
 func (t *PtrTable[T, O]) deleteFrom(v *T, i int) bool {
 	var obsScan, obsRepl, obsFail uint64
 	home := i
 	k := i
-	for {
+	for k < home+len(t.cells) {
 		c := t.load(k)
 		if c == nil || t.ops.Cmp(v, c) >= 0 {
 			break
@@ -267,7 +277,7 @@ func (t *PtrTable[T, O]) deleteFrom(v *T, i int) bool {
 			k--
 			continue
 		}
-		j, w := t.findReplacement(k)
+		j, w, hw := t.findReplacement(k)
 		if t.cas(k, c, w) {
 			deleted = true
 			if w == nil {
@@ -281,7 +291,7 @@ func (t *PtrTable[T, O]) deleteFrom(v *T, i int) bool {
 			}
 			v = w
 			k = j
-			i = t.lift(t.ops.Hash(w)&uint64(t.mask), j)
+			i = t.lift(hw&uint64(t.mask), j)
 		} else {
 			if obs.Enabled {
 				obsFail++
@@ -295,27 +305,63 @@ func (t *PtrTable[T, O]) deleteFrom(v *T, i int) bool {
 	return deleted
 }
 
-func (t *PtrTable[T, O]) findReplacement(i int) (int, *T) {
-	j := i
-	var w *T
+// findReplacement is WordTable.findReplacement verbatim over record
+// pointers: the sweep bound, the memo (a record is never mutated once
+// stored, so an unchanged pointer is an unchanged value) and the
+// returned hash.
+func (t *PtrTable[T, O]) findReplacement(i int) (j int, w *T, hw uint64) {
+	last := i + len(t.cells) - 1 // the sweep bound
+	if chaos.Enabled {
+		chaos.Yield(chaos.SitePtrDeleteProbe)
+	}
+	j = i + 1
+	if j > last {
+		return j, nil, 0
+	}
+	w = t.load(j)
+	if w == nil {
+		return j, w, 0
+	}
+	hw = t.ops.Hash(w)
+	if t.lift(hw&uint64(t.mask), j) <= i {
+		return j, w, hw
+	}
+	seen := [replMemo]*T{w}
 	for {
 		if chaos.Enabled {
 			chaos.Yield(chaos.SitePtrDeleteProbe)
 		}
 		j++
-		w = t.load(j)
-		if w == nil || t.lift(t.ops.Hash(w)&uint64(t.mask), j) <= i {
+		if j > last {
+			w = nil
 			break
+		}
+		w = t.load(j)
+		if w == nil {
+			break
+		}
+		hw = t.ops.Hash(w)
+		if t.lift(hw&uint64(t.mask), j) <= i {
+			break
+		}
+		if d := j - i - 1; d < replMemo {
+			seen[d] = w
 		}
 	}
 	for k := j - 1; k > i; k-- {
 		w2 := t.load(k)
-		if w2 == nil || t.lift(t.ops.Hash(w2)&uint64(t.mask), k) <= i {
-			w = w2
-			j = k
+		if d := k - i - 1; d < replMemo && w2 == seen[d] {
+			continue
+		}
+		if w2 == nil {
+			w, j = nil, k
+			continue
+		}
+		if h2 := t.ops.Hash(w2); t.lift(h2&uint64(t.mask), k) <= i {
+			w, hw, j = w2, h2, k
 		}
 	}
-	return j, w
+	return j, w, hw
 }
 
 // Elements packs the stored elements in table order; deterministic for a

@@ -105,3 +105,60 @@ func TestSaturatedShardedFindAll(t *testing.T) {
 		t.Fatalf("dst has %d non-empty slots, FindAll reported %d", landed, found)
 	}
 }
+
+// fillPtrTable saturates an 8-cell pointer table with keys 100-107;
+// recOps priority is numeric on the key, so key 1 is absent and
+// outranked by every stored record.
+func fillPtrTable(t *testing.T) (*PtrTable[rec, recOps], []*rec) {
+	t.Helper()
+	pt := NewPtrTable[rec, recOps](8)
+	var stored []*rec
+	for k := uint64(100); k < 108; k++ {
+		r := &rec{key: k, val: k}
+		if added, err := pt.TryInsert(r); err != nil || !added {
+			t.Fatalf("TryInsert(%d) = %v, %v", k, added, err)
+		}
+		stored = append(stored, r)
+	}
+	if got := pt.Count(); got != pt.Size() {
+		t.Fatalf("Count = %d, want a saturated %d", got, pt.Size())
+	}
+	return pt, stored
+}
+
+func TestSaturatedPtrFindTerminates(t *testing.T) {
+	pt, stored := fillPtrTable(t)
+	if _, ok := pt.Find(&rec{key: absentLowKey}); ok {
+		t.Fatal("absent key reported present")
+	}
+	for _, r := range stored {
+		if got, ok := pt.Find(&rec{key: r.key}); !ok || got != r {
+			t.Fatalf("stored key %d lost", r.key)
+		}
+	}
+}
+
+func TestSaturatedPtrDeleteAbsentTerminates(t *testing.T) {
+	pt, _ := fillPtrTable(t)
+	if pt.Delete(&rec{key: absentLowKey}) {
+		t.Fatal("deleting an absent key reported success")
+	}
+	if got := pt.Count(); got != pt.Size() {
+		t.Fatalf("Count = %d after a no-op delete, want %d", got, pt.Size())
+	}
+}
+
+func TestSaturatedPtrDeleteTerminates(t *testing.T) {
+	pt, stored := fillPtrTable(t)
+	for _, r := range stored[:2] {
+		if !pt.Delete(&rec{key: r.key}) {
+			t.Fatalf("deleting stored key %d from a full table failed", r.key)
+		}
+	}
+	if err := pt.CheckInvariant(); err != nil {
+		t.Fatalf("invariant after saturated deletes: %v", err)
+	}
+	if got := pt.Count(); got != pt.Size()-2 {
+		t.Fatalf("Count = %d, want %d", got, pt.Size()-2)
+	}
+}

@@ -338,7 +338,7 @@ func (t *WordTable[O]) deleteFrom(v uint64, i int) (deleted bool, steps int) {
 			k--
 			continue
 		}
-		j, w := t.findReplacement(k)
+		j, w, hw := t.findReplacement(k)
 		if t.cas(k, c, w) {
 			deleted = true
 			if w == Empty {
@@ -353,7 +353,7 @@ func (t *WordTable[O]) deleteFrom(v uint64, i int) (deleted bool, steps int) {
 			// There are now two copies of w; we own deleting one.
 			v = w
 			k = j
-			i = t.lift(t.ops.Hash(w)&uint64(t.mask), j)
+			i = t.lift(hw&uint64(t.mask), j)
 		} else {
 			// v was deleted or moved down by a concurrent delete.
 			if obs.Enabled {
@@ -368,47 +368,93 @@ func (t *WordTable[O]) deleteFrom(v uint64, i int) (deleted bool, steps int) {
 	return deleted, steps
 }
 
+// replMemo is the length of findReplacement's memo: the values its
+// upward scan passed in the first replMemo cells above the hole. The
+// memo lives on the stack, so it stays small; the downward re-read
+// hashes cells further up a second time.
+const replMemo = 32
+
 // findReplacement implements Figure 1's FINDREPLACEMENT: given the
 // unnormalized position i of the element being deleted, return the
-// position j and value w of the element that should fill the hole — the
-// closest following element that hashes at or before i — or (j, Empty)
-// when the cluster ends first.
+// position j, value w and hash hw of the element that should fill the
+// hole — the closest following element that hashes at or before i — or
+// (j, Empty, _) when the cluster ends first.
 //
 // The upward scan finds a stopping point; the downward scan re-reads the
 // interval because concurrent deletes can only move elements to lower
 // positions, so the true replacement can have shifted below the stopping
 // point but never above it. (This is the paper's pair of "redundant
 // looking" loops; both are required for correctness.)
-func (t *WordTable[O]) findReplacement(i int) (int, uint64) {
-	j := i
-	var w uint64
+//
+// Within replMemo cells of the hole, each cell is hashed at most once per
+// call. The upward scan records the ineligible values it passes there,
+// and the downward re-read skips a cell that still holds its recorded
+// value, because eligibility is a function of the value and the
+// position alone. Every memo slot the re-read consults was recorded
+// (the upward scan passed that position without stopping), so none of
+// them is Empty. The returned hw saves deleteFrom a third hash of the
+// replacement.
+func (t *WordTable[O]) findReplacement(i int) (j int, w, hw uint64) {
 	// The scan covers at most the other size-1 cells. On a *saturated*
 	// table the cluster wraps the whole array; when no element in it may
 	// legally move back to i, the hole simply ends the cluster (w =
 	// Empty) — without the bound the scan would re-read the array
 	// forever.
+	last := i + len(t.cells) - 1
+	// Most scans stop at the first cell above the hole, leaving the
+	// re-read nothing to cover. That step runs before the memo exists,
+	// so short scans never pay for zeroing it.
+	if chaos.Enabled {
+		chaos.Yield(chaos.SiteWordDeleteProbe)
+	}
+	j = i + 1
+	if j > last {
+		return j, Empty, 0
+	}
+	w = t.load(j)
+	if w == Empty {
+		return j, w, 0
+	}
+	hw = t.ops.Hash(w)
+	if t.lift(hw&uint64(t.mask), j) <= i {
+		return j, w, hw
+	}
+	seen := [replMemo]uint64{w}
 	for {
 		if chaos.Enabled {
 			chaos.Yield(chaos.SiteWordDeleteProbe)
 		}
 		j++
-		if j > i+len(t.cells)-1 {
+		if j > last {
 			w = Empty
 			break
 		}
 		w = t.load(j)
-		if w == Empty || t.lift(t.ops.Hash(w)&uint64(t.mask), j) <= i {
+		if w == Empty {
 			break
+		}
+		hw = t.ops.Hash(w)
+		if t.lift(hw&uint64(t.mask), j) <= i {
+			break
+		}
+		if d := j - i - 1; d < replMemo {
+			seen[d] = w
 		}
 	}
 	for k := j - 1; k > i; k-- {
 		w2 := t.load(k)
-		if w2 == Empty || t.lift(t.ops.Hash(w2)&uint64(t.mask), k) <= i {
-			w = w2
-			j = k
+		if d := k - i - 1; d < replMemo && w2 == seen[d] {
+			continue
+		}
+		if w2 == Empty {
+			w, j = Empty, k
+			continue
+		}
+		if h2 := t.ops.Hash(w2); t.lift(h2&uint64(t.mask), k) <= i {
+			w, hw, j = w2, h2, k
 		}
 	}
-	return j, w
+	return j, w, hw
 }
 
 // Elements packs the non-empty cells into a fresh slice in table order

@@ -2,6 +2,7 @@ package phasehash
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"phasehash/internal/core"
@@ -143,5 +144,33 @@ func TestCheckedSetClearQuiescentOnly(t *testing.T) {
 	c.Insert(3)
 	if !c.Contains(3) {
 		t.Fatal("set unusable after Clear")
+	}
+}
+
+// TestSaturatedStringMapProbesTerminate fills a StringMap to its
+// power-of-two capacity and probes it for a key that sorts below every
+// stored one: no cell stops that probe, so only the whole-array sweep
+// bound ends it.
+func TestSaturatedStringMapProbesTerminate(t *testing.T) {
+	m := NewStringMap(8, KeepMin)
+	for i := 0; i < 8; i++ {
+		if added, err := m.TryInsert(fmt.Sprintf("k%d", i), uint64(i)); err != nil || !added {
+			t.Fatalf("TryInsert(k%d) = %v, %v", i, added, err)
+		}
+	}
+	if _, ok := m.Find(""); ok {
+		t.Fatal(`absent key "" reported present`)
+	}
+	if m.Delete("") {
+		t.Fatal(`deleting absent key "" reported success`)
+	}
+	if !m.Delete("k3") {
+		t.Fatal("deleting a stored key from the full map failed")
+	}
+	if n := m.Count(); n != 7 {
+		t.Fatalf("Count = %d, want 7", n)
+	}
+	if v, ok := m.Find("k5"); !ok || v != 5 {
+		t.Fatalf(`Find("k5") = %d, %v after the delete`, v, ok)
 	}
 }
