@@ -133,10 +133,7 @@ func (m *StringMap) TryInsertAll(keys []string, vals []uint64) (int, error) {
 	parallel.For(len(keys), func(i int) {
 		entries[i] = &strEntry{key: keys[i], val: vals[i]}
 	})
-	if m.min != nil {
-		return m.min.TryInsertAll(entries)
-	}
-	return m.sum.TryInsertAll(entries)
+	return m.t.TryInsertAll(entries)
 }
 
 // FindAll looks up every key (read phase) and returns how many are
@@ -151,12 +148,7 @@ func (m *StringMap) FindAll(keys []string, vals []uint64) int {
 	if vals != nil {
 		dst = make([]*strEntry, len(keys))
 	}
-	var n int
-	if m.min != nil {
-		n = m.min.FindAll(probes, dst)
-	} else {
-		n = m.sum.FindAll(probes, dst)
-	}
+	n := m.t.FindAll(probes, dst)
 	if vals != nil {
 		parallel.For(len(keys), func(i int) {
 			if dst[i] != nil {
@@ -174,25 +166,5 @@ func (m *StringMap) FindAll(keys []string, vals []uint64) int {
 func (m *StringMap) DeleteAll(keys []string) int {
 	probes := make([]*strEntry, len(keys))
 	parallel.For(len(keys), func(i int) { probes[i] = &strEntry{key: keys[i]} })
-	if m.min != nil {
-		return m.min.DeleteAll(probes)
-	}
-	return m.sum.DeleteAll(probes)
+	return m.t.DeleteAll(probes)
 }
-
-// InsertAll inserts every key (insert phase), growing once before the
-// batch runs if it needs to, and returns how many keys were new. It
-// panics on the reserved key 0; use
-// TryInsertAll to get an error instead.
-func (s *GrowSet) InsertAll(keys []uint64) int { return s.t.InsertAll(keys) }
-
-// TryInsertAll is InsertAll returning ErrReservedKey (matchable with
-// errors.Is) instead of panicking; every non-reserved key is inserted.
-func (s *GrowSet) TryInsertAll(keys []uint64) (int, error) { return s.t.TryInsertAll(keys) }
-
-// ContainsAll reports how many of the keys are present (read phase).
-func (s *GrowSet) ContainsAll(keys []uint64) int { return s.t.ContainsAll(keys) }
-
-// DeleteAll deletes every key (delete phase) and returns how many were
-// removed.
-func (s *GrowSet) DeleteAll(keys []uint64) int { return s.t.DeleteAll(keys) }

@@ -2,15 +2,9 @@ package phasehash
 
 import "phasehash/internal/core"
 
-// This file gives every public phase-disciplined container a
-// runtime-checked twin, matching CheckedSet (checked.go). The phasevet
-// static analyzer suggests these wrappers by name in its diagnostics;
-// AutoSet needs no twin because its room synchronization already makes
-// any interleaving safe.
-
-// CheckedMap32 wraps a Map32 with a runtime phase-discipline detector:
-// any operation that overlaps in time with an operation from a
-// different phase panics with a diagnostic.
+// CheckedMap32 wraps a Map32, of either layout, with a runtime
+// phase-discipline detector: any operation that overlaps in time with
+// an operation from a different phase panics with a diagnostic.
 type CheckedMap32 struct {
 	m     *Map32
 	guard core.PhaseGuard
@@ -19,51 +13,63 @@ type CheckedMap32 struct {
 // NewCheckedMap32 wraps m with phase checking.
 func NewCheckedMap32(m *Map32) *CheckedMap32 { return &CheckedMap32{m: m} }
 
-func (c *CheckedMap32) enter(p core.Phase) {
-	if err := c.guard.Enter(p); err != nil {
-		panic(err)
-	}
-}
-
 // Insert is Map32.Insert with phase checking.
 func (c *CheckedMap32) Insert(k, v uint32) bool {
-	c.enter(core.PhaseInsert)
-	defer c.guard.Exit(core.PhaseInsert)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
 	return c.m.Insert(k, v)
 }
 
 // TryInsert is Map32.TryInsert with phase checking.
 func (c *CheckedMap32) TryInsert(k, v uint32) (bool, error) {
-	c.enter(core.PhaseInsert)
-	defer c.guard.Exit(core.PhaseInsert)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
 	return c.m.TryInsert(k, v)
+}
+
+// InsertAll is Map32.InsertAll with phase checking.
+func (c *CheckedMap32) InsertAll(entries []Entry) int {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
+	return c.m.InsertAll(entries)
+}
+
+// TryInsertAll is Map32.TryInsertAll with phase checking.
+func (c *CheckedMap32) TryInsertAll(entries []Entry) (int, error) {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
+	return c.m.TryInsertAll(entries)
 }
 
 // Delete is Map32.Delete with phase checking.
 func (c *CheckedMap32) Delete(k uint32) bool {
-	c.enter(core.PhaseDelete)
-	defer c.guard.Exit(core.PhaseDelete)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseDelete))
 	return c.m.Delete(k)
+}
+
+// DeleteAll is Map32.DeleteAll with phase checking.
+func (c *CheckedMap32) DeleteAll(keys []uint32) int {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseDelete))
+	return c.m.DeleteAll(keys)
 }
 
 // Find is Map32.Find with phase checking.
 func (c *CheckedMap32) Find(k uint32) (uint32, bool) {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
 	return c.m.Find(k)
+}
+
+// FindAll is Map32.FindAll with phase checking.
+func (c *CheckedMap32) FindAll(keys []uint32, vals []uint32) int {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
+	return c.m.FindAll(keys, vals)
 }
 
 // Entries is Map32.Entries with phase checking.
 func (c *CheckedMap32) Entries() []Entry {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
 	return c.m.Entries()
 }
 
 // Count is Map32.Count with phase checking.
 func (c *CheckedMap32) Count() int {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
 	return c.m.Count()
 }
 
@@ -80,114 +86,65 @@ type CheckedStringMap struct {
 // NewCheckedStringMap wraps m with phase checking.
 func NewCheckedStringMap(m *StringMap) *CheckedStringMap { return &CheckedStringMap{m: m} }
 
-func (c *CheckedStringMap) enter(p core.Phase) {
-	if err := c.guard.Enter(p); err != nil {
-		panic(err)
-	}
-}
-
 // Insert is StringMap.Insert with phase checking.
 func (c *CheckedStringMap) Insert(k string, v uint64) bool {
-	c.enter(core.PhaseInsert)
-	defer c.guard.Exit(core.PhaseInsert)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
 	return c.m.Insert(k, v)
 }
 
 // TryInsert is StringMap.TryInsert with phase checking.
 func (c *CheckedStringMap) TryInsert(k string, v uint64) (bool, error) {
-	c.enter(core.PhaseInsert)
-	defer c.guard.Exit(core.PhaseInsert)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
 	return c.m.TryInsert(k, v)
+}
+
+// InsertAll is StringMap.InsertAll with phase checking.
+func (c *CheckedStringMap) InsertAll(keys []string, vals []uint64) int {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
+	return c.m.InsertAll(keys, vals)
+}
+
+// TryInsertAll is StringMap.TryInsertAll with phase checking.
+func (c *CheckedStringMap) TryInsertAll(keys []string, vals []uint64) (int, error) {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseInsert))
+	return c.m.TryInsertAll(keys, vals)
 }
 
 // Delete is StringMap.Delete with phase checking.
 func (c *CheckedStringMap) Delete(k string) bool {
-	c.enter(core.PhaseDelete)
-	defer c.guard.Exit(core.PhaseDelete)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseDelete))
 	return c.m.Delete(k)
+}
+
+// DeleteAll is StringMap.DeleteAll with phase checking.
+func (c *CheckedStringMap) DeleteAll(keys []string) int {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseDelete))
+	return c.m.DeleteAll(keys)
 }
 
 // Find is StringMap.Find with phase checking.
 func (c *CheckedStringMap) Find(k string) (uint64, bool) {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
 	return c.m.Find(k)
+}
+
+// FindAll is StringMap.FindAll with phase checking.
+func (c *CheckedStringMap) FindAll(keys []string, vals []uint64) int {
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
+	return c.m.FindAll(keys, vals)
 }
 
 // Entries is StringMap.Entries with phase checking.
 func (c *CheckedStringMap) Entries() []StringEntry {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
 	return c.m.Entries()
 }
 
 // Count is StringMap.Count with phase checking.
 func (c *CheckedStringMap) Count() int {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
+	defer c.guard.Exit(enter(&c.guard, core.PhaseRead))
 	return c.m.Count()
 }
 
 // Unwrap returns the underlying StringMap.
 func (c *CheckedStringMap) Unwrap() *StringMap { return c.m }
-
-// CheckedGrowSet wraps a GrowSet with a runtime phase-discipline
-// detector.
-type CheckedGrowSet struct {
-	s     *GrowSet
-	guard core.PhaseGuard
-}
-
-// NewCheckedGrowSet wraps s with phase checking.
-func NewCheckedGrowSet(s *GrowSet) *CheckedGrowSet { return &CheckedGrowSet{s: s} }
-
-func (c *CheckedGrowSet) enter(p core.Phase) {
-	if err := c.guard.Enter(p); err != nil {
-		panic(err)
-	}
-}
-
-// Insert is GrowSet.Insert with phase checking.
-func (c *CheckedGrowSet) Insert(k uint64) bool {
-	c.enter(core.PhaseInsert)
-	defer c.guard.Exit(core.PhaseInsert)
-	return c.s.Insert(k)
-}
-
-// TryInsert is GrowSet.TryInsert with phase checking.
-func (c *CheckedGrowSet) TryInsert(k uint64) (bool, error) {
-	c.enter(core.PhaseInsert)
-	defer c.guard.Exit(core.PhaseInsert)
-	return c.s.TryInsert(k)
-}
-
-// Delete is GrowSet.Delete with phase checking.
-func (c *CheckedGrowSet) Delete(k uint64) bool {
-	c.enter(core.PhaseDelete)
-	defer c.guard.Exit(core.PhaseDelete)
-	return c.s.Delete(k)
-}
-
-// Contains is GrowSet.Contains with phase checking.
-func (c *CheckedGrowSet) Contains(k uint64) bool {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
-	return c.s.Contains(k)
-}
-
-// Elements is GrowSet.Elements with phase checking.
-func (c *CheckedGrowSet) Elements() []uint64 {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
-	return c.s.Elements()
-}
-
-// Count is GrowSet.Count with phase checking.
-func (c *CheckedGrowSet) Count() int {
-	c.enter(core.PhaseRead)
-	defer c.guard.Exit(core.PhaseRead)
-	return c.s.Count()
-}
-
-// Unwrap returns the underlying GrowSet.
-func (c *CheckedGrowSet) Unwrap() *GrowSet { return c.s }

@@ -86,7 +86,7 @@ func TestCheckedStringMapDetectsViolation(t *testing.T) {
 }
 
 func TestCheckedGrowSetAllowsLegalPhases(t *testing.T) {
-	c := NewCheckedGrowSet(NewGrowSet(16))
+	c := Checked(NewGrowSet(16))
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -114,7 +114,7 @@ func TestCheckedGrowSetAllowsLegalPhases(t *testing.T) {
 }
 
 func TestCheckedGrowSetDetectsViolation(t *testing.T) {
-	c := NewCheckedGrowSet(NewGrowSet(16))
+	c := Checked(NewGrowSet(16))
 	if err := c.guard.Enter(core.PhaseDelete); err != nil {
 		t.Fatal(err)
 	}

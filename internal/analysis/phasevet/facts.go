@@ -49,19 +49,23 @@ type factKey struct {
 }
 
 // phaseFacts classifies every phase-disciplined method of the public
-// containers and the internal/core tables. Types deliberately absent:
+// containers and the internal/core tables. The public containers are
+// three types: every set layout is a phasehash.Set (the CompactSet
+// alias resolves to it) and both map layouts are a phasehash.Map32, so
+// one block each covers every constructor. Types deliberately absent:
 // CheckedSet and the other Checked* wrappers (runtime-guarded), and
 // AutoSet (room-synchronized) — operations on those are always safe to
 // issue from any phase.
 var phaseFacts = map[factKey]methodFact{}
 
 // checkedWrapper names the runtime-checked twin the diagnostic should
-// suggest for each classified type.
+// suggest for each classified public type. Each twin has a method for
+// every phase fact of the type it wraps, so following the suggestion
+// compiles (TestCheckedWrappersCoverFacts).
 var checkedWrapper = map[string]string{
 	"phasehash.Set":       "phasehash.Checked",
 	"phasehash.Map32":     "phasehash.NewCheckedMap32",
 	"phasehash.StringMap": "phasehash.NewCheckedStringMap",
-	"phasehash.GrowSet":   "phasehash.NewCheckedGrowSet",
 }
 
 // phaseNeutral lists methods on classified types that are deliberately
@@ -73,8 +77,8 @@ var checkedWrapper = map[string]string{
 // and cross-checked against phaseFacts at init, so a future fact
 // addition cannot silently subject them to the discipline.
 var phaseNeutral = map[factKey]bool{
-	{"phasehash", "ShardedSet", "ShardStats"}:                 true,
-	{"phasehash", "ShardedMap32", "ShardStats"}:               true,
+	{"phasehash", "Set", "ShardStats"}:                        true,
+	{"phasehash", "Map32", "ShardStats"}:                      true,
 	{"phasehash/internal/core", "ShardedTable", "ShardStats"}: true,
 }
 
@@ -88,180 +92,51 @@ func addFacts(pkg, typ string, methods map[string]methodFact) {
 	}
 }
 
+// tableFacts returns the facts of one table type: the six insert- and
+// delete-phase methods every table shares, the given read-phase
+// methods, and the read-phase methods whose result is a snapshot of
+// table state (captures). The *All bulk calls carry the phase of their
+// per-element counterparts: a bulk call is the same phase's
+// operations, just batched.
+func tableFacts(reads []string, captures ...string) map[string]methodFact {
+	m := map[string]methodFact{
+		"Insert":       {phase: PhaseInsert},
+		"TryInsert":    {phase: PhaseInsert},
+		"InsertAll":    {phase: PhaseInsert},
+		"TryInsertAll": {phase: PhaseInsert},
+		"Delete":       {phase: PhaseDelete},
+		"DeleteAll":    {phase: PhaseDelete},
+	}
+	for _, r := range reads {
+		m[r] = methodFact{phase: PhaseRead}
+	}
+	for _, c := range captures {
+		m[c] = methodFact{phase: PhaseRead, capture: true}
+	}
+	return m
+}
+
 func init() {
 	const (
 		ph   = "phasehash"
 		core = "phasehash/internal/core"
 	)
-	// Public containers. The *All bulk kernels carry the phase of their
-	// per-element counterparts: a bulk call is the same phase's
-	// operations, just batched.
-	addFacts(ph, "Set", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
-	addFacts(ph, "Map32", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Entries":      {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
-	addFacts(ph, "StringMap", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Entries":      {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
-	addFacts(ph, "GrowSet", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
-	addFacts(ph, "CompactSet", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
-	// Sharded containers. Their bulk calls are ordinary phase
-	// operations, exactly like the flat containers', so the phase
-	// classification below is their whole contract.
-	addFacts(ph, "ShardedSet", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
-	addFacts(ph, "ShardedMap32", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Entries":      {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
+	var (
+		setReads  = []string{"Contains", "ContainsAll"}
+		mapReads  = []string{"Find", "FindAll"}
+		wordReads = []string{"Find", "FindAll", "Contains", "ContainsAll"}
+		scanReads = []string{"Find", "FindAll", "Contains", "ContainsAll", "ForEach"}
+	)
+	// Public containers.
+	addFacts(ph, "Set", tableFacts(setReads, "Elements", "Count"))
+	addFacts(ph, "Map32", tableFacts(mapReads, "Entries", "Count"))
+	addFacts(ph, "StringMap", tableFacts(mapReads, "Entries", "Count"))
 	// internal/core tables (generic; looked up by their generic name).
-	addFacts(core, "WordTable", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"ElementsInto": {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-		"CountAtomic":  {phase: PhaseRead, capture: true},
-		"ForEach":      {phase: PhaseRead},
-	})
-	addFacts(core, "PtrTable", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"ElementsInto": {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
-	addFacts(core, "ShardedTable", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"ElementsInto": {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-		"ForEach":      {phase: PhaseRead},
-	})
-	addFacts(core, "CompactTable", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"ElementsInto": {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-		"CountAtomic":  {phase: PhaseRead, capture: true},
-		"ForEach":      {phase: PhaseRead},
-	})
-	addFacts(core, "GrowTable", map[string]methodFact{
-		"Insert":       {phase: PhaseInsert},
-		"TryInsert":    {phase: PhaseInsert},
-		"InsertAll":    {phase: PhaseInsert},
-		"TryInsertAll": {phase: PhaseInsert},
-		"Delete":       {phase: PhaseDelete},
-		"DeleteAll":    {phase: PhaseDelete},
-		"Find":         {phase: PhaseRead},
-		"FindAll":      {phase: PhaseRead},
-		"Contains":     {phase: PhaseRead},
-		"ContainsAll":  {phase: PhaseRead},
-		"Elements":     {phase: PhaseRead, capture: true},
-		"ElementsInto": {phase: PhaseRead, capture: true},
-		"Count":        {phase: PhaseRead, capture: true},
-	})
+	addFacts(core, "WordTable", tableFacts(scanReads, "Elements", "ElementsInto", "Count", "CountAtomic"))
+	addFacts(core, "PtrTable", tableFacts(mapReads, "Elements", "ElementsInto", "Count"))
+	addFacts(core, "ShardedTable", tableFacts(scanReads, "Elements", "ElementsInto", "Count"))
+	addFacts(core, "CompactTable", tableFacts(scanReads, "Elements", "ElementsInto", "Count", "CountAtomic"))
+	addFacts(core, "GrowTable", tableFacts(wordReads, "Elements", "ElementsInto", "Count"))
 }
 
 // normalizePkgPath strips the test-variant suffix go vet uses for test
@@ -331,11 +206,12 @@ func classify(fn *types.Func) (typeName string, fact methodFact, ok bool) {
 	return pkg + "." + obj.Name(), fact, ok
 }
 
-// wrapperFor suggests the checked twin for a classified type name, or
-// a generic hint when none is registered.
+// wrapperFor suggests the checked twin for a classified type name. The
+// internal/core tables have no twin; the guard the twins are built on
+// is the suggestion there.
 func wrapperFor(typeName string) string {
 	if w, ok := checkedWrapper[typeName]; ok {
 		return w
 	}
-	return "a Checked* wrapper"
+	return "a core.PhaseGuard (Enter/Exit around each operation)"
 }

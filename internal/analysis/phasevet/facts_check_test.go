@@ -2,6 +2,7 @@ package phasevet_test
 
 import (
 	"go/types"
+	"strings"
 	"testing"
 
 	"phasehash/internal/analysis/load"
@@ -58,6 +59,55 @@ func TestFactTableResolves(t *testing.T) {
 				kind = "phase-neutral"
 			}
 			t.Errorf("%s entry %s.%s.%s: the type declares no such method", kind, ref.Pkg, ref.Type, ref.Method)
+		}
+	}
+}
+
+// TestCheckedWrappersCoverFacts checks that following a diagnostic's
+// advice compiles: for every type with a suggested runtime-checked
+// twin, the constructor's result type has a method for every phase
+// fact of the wrapped type, bulk calls included.
+func TestCheckedWrappersCoverFacts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads packages from source")
+	}
+	loader, err := load.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := map[string][]string{} // "pkg.Type" -> classified methods
+	for _, ref := range phasevet.FactRefs() {
+		if !ref.Neutral {
+			k := ref.Pkg + "." + ref.Type
+			facts[k] = append(facts[k], ref.Method)
+		}
+	}
+	if len(phasevet.CheckedWrappers) == 0 {
+		t.Fatal("no checked wrappers registered")
+	}
+	for wrapped, ctor := range phasevet.CheckedWrappers {
+		dot := strings.LastIndex(ctor, ".")
+		pkg, err := loader.Import(ctor[:dot])
+		if err != nil {
+			t.Fatalf("importing %s: %v", ctor[:dot], err)
+		}
+		fn, ok := pkg.Scope().Lookup(ctor[dot+1:]).(*types.Func)
+		if !ok {
+			t.Errorf("%s (suggested for %s) is not a function", ctor, wrapped)
+			continue
+		}
+		res := fn.Type().(*types.Signature).Results()
+		if res.Len() != 1 {
+			t.Errorf("%s returns %d values, want the wrapper alone", ctor, res.Len())
+			continue
+		}
+		if len(facts[wrapped]) == 0 {
+			t.Errorf("%s has a suggested wrapper but no phase facts", wrapped)
+		}
+		for _, m := range facts[wrapped] {
+			if obj, _, _ := types.LookupFieldOrMethod(res.At(0).Type(), true, pkg, m); obj == nil {
+				t.Errorf("%s suggests %s, whose result %s has no method %s", wrapped, ctor, res.At(0).Type(), m)
+			}
 		}
 	}
 }

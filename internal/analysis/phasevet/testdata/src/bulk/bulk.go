@@ -111,7 +111,7 @@ func stringMapBulkMix(keys []string) {
 	_ = m.FindAll(keys, nil) // want `FindAll \(read phase\) on m may overlap delete-phase operations`
 }
 
-// GrowSet bulk kernels.
+// Growing-set (NewGrowSet) bulk kernels.
 func growSetBulkMix(keys []uint64) {
 	g := phasehash.NewGrowSet(64)
 	go g.InsertAll(keys)

@@ -30,7 +30,7 @@ func statsDuringInsertOK() {
 	wg.Wait()
 }
 
-// ShardStats on the sharded containers reads the shard occupancy
+// ShardStats on a sharded Set or Map32 reads the shard occupancy
 // counters, not the tables, and is declared phase-neutral in the fact
 // table — safe mid-insert, unlike Count/Elements on the same receiver.
 func shardStatsDuringInsertOK() {

@@ -1,9 +1,10 @@
-// Package sharded exercises the diagnostics on the sharded containers
-// (ShardedSet / ShardedMap32 / core.ShardedTable): the per-element
-// operations and bulk kernels carry the same phase classification as
-// their flat counterparts, so cross-phase overlaps must be reported and
-// barrier-separated phases must stay silent. Same-phase overlaps of
-// bulk and per-element calls are legal, as on the flat containers.
+// Package sharded exercises the diagnostics on the sharded layouts
+// (NewShardedSet and NewShardedMap32, which return a plain Set and
+// Map32, and core.ShardedTable): the per-element operations and bulk
+// kernels carry the same phase classification as the flat layouts, so
+// cross-phase overlaps must be reported and barrier-separated phases
+// must stay silent. Same-phase overlaps of bulk and per-element calls
+// are legal, as on the flat layouts.
 package sharded
 
 import (
@@ -96,7 +97,7 @@ func twoGoroutinesShardedMixed(keys []uint64) {
 	<-done
 }
 
-// ShardedMap32 kernels carry the same classification.
+// Sharded Map32 kernels carry the same classification.
 func shardedMap32Mix(entries []phasehash.Entry, keys []uint32) {
 	m := phasehash.NewShardedMap32(1024, phasehash.KeepMin, 4)
 	go m.InsertAll(entries)

@@ -32,7 +32,15 @@ func growSetMixed() {
 	s := phasehash.NewGrowSet(16)
 	go s.Insert(1)
 	_ = s.Elements()  // want `Elements result on s captured while insert-phase operations`
-	_ = s.Contains(2) // want `wrap the table with phasehash\.NewCheckedGrowSet`
+	_ = s.Contains(2) // want `wrap the table with phasehash\.Checked`
+}
+
+// CompactSet is an alias of Set, so calls through it are classified
+// and the suggested wrapper is Set's.
+func compactSetAliasMixed(keys []uint64) {
+	var s *phasehash.CompactSet = phasehash.NewCompactSet(64)
+	go s.InsertAll(keys)
+	_ = s.ContainsAll(keys) // want `wrap the table with phasehash\.Checked`
 }
 
 // TryInsert is the graceful-degradation twin of Insert and classifies
@@ -88,7 +96,7 @@ func checkedMap32OK() {
 }
 
 func checkedGrowSetOK() {
-	s := phasehash.NewCheckedGrowSet(phasehash.NewGrowSet(16))
+	s := phasehash.Checked(phasehash.NewGrowSet(16))
 	go s.Insert(1)
 	_ = s.Elements()
 }

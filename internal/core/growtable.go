@@ -175,6 +175,17 @@ func (g *GrowTable[O]) Count() int { return g.table.Load().Count() }
 // Size returns the table's cell count.
 func (g *GrowTable[O]) Size() int { return g.table.Load().Size() }
 
+// Bytes returns the live table's backing-array footprint in bytes.
+func (g *GrowTable[O]) Bytes() int { return g.table.Load().Bytes() }
+
+// Clear empties the live table and restarts the call count (quiescent
+// use only). The size stays, so refilling a cleared table builds the
+// layout a fresh table of that size would.
+func (g *GrowTable[O]) Clear() {
+	g.table.Load().Clear()
+	g.count.Store(0)
+}
+
 // Snapshot copies the raw cell array (quiescent use only), so tests can
 // compare quiescent layouts byte-for-byte across schedules.
 func (g *GrowTable[O]) Snapshot() []uint64 { return g.table.Load().Snapshot() }

@@ -45,24 +45,34 @@ func (strOpsSum) Merge(cur, new *strEntry) *strEntry {
 // pointer CAS — the representation the paper uses for its string-keyed
 // (trigramSeq) experiments. The phase discipline is the same as Set's.
 type StringMap struct {
-	min *core.PtrTable[strEntry, strOpsMin]
-	sum *core.PtrTable[strEntry, strOpsSum]
+	t strTable
+}
+
+// strTable is the one table behind a StringMap: a core.PtrTable over
+// the policy's strEntry Ops. Both policies' tables satisfy it, so the
+// map's methods are written once.
+type strTable interface {
+	TryInsert(e *strEntry) (bool, error)
+	Find(e *strEntry) (*strEntry, bool)
+	Delete(e *strEntry) bool
+	TryInsertAll(entries []*strEntry) (int, error)
+	FindAll(probes, dst []*strEntry) int
+	DeleteAll(probes []*strEntry) int
+	Elements() []*strEntry
+	Count() int
 }
 
 // NewStringMap returns a string map with the given capacity and
 // duplicate policy (KeepMin, KeepMax is not offered — negate values or
 // use Sum).
 func NewStringMap(capacity int, policy Combine) *StringMap {
-	m := &StringMap{}
 	switch policy {
 	case KeepMin:
-		m.min = core.NewPtrTable[strEntry, strOpsMin](capacity)
+		return &StringMap{t: core.NewPtrTable[strEntry, strOpsMin](capacity)}
 	case Sum:
-		m.sum = core.NewPtrTable[strEntry, strOpsSum](capacity)
-	default:
-		panic("phasehash: StringMap supports KeepMin and Sum policies")
+		return &StringMap{t: core.NewPtrTable[strEntry, strOpsSum](capacity)}
 	}
-	return m
+	panic("phasehash: StringMap supports KeepMin and Sum policies")
 }
 
 // Insert adds (k, v), resolving duplicate keys per the policy (insert
@@ -79,23 +89,12 @@ func (m *StringMap) Insert(k string, v uint64) bool {
 // TryInsert is Insert returning ErrFull (matchable with errors.Is)
 // instead of panicking when the map is saturated.
 func (m *StringMap) TryInsert(k string, v uint64) (bool, error) {
-	e := &strEntry{key: k, val: v}
-	if m.min != nil {
-		return m.min.TryInsert(e)
-	}
-	return m.sum.TryInsert(e)
+	return m.t.TryInsert(&strEntry{key: k, val: v})
 }
 
 // Find returns the value stored under k (read phase).
 func (m *StringMap) Find(k string) (uint64, bool) {
-	probe := &strEntry{key: k}
-	var e *strEntry
-	var ok bool
-	if m.min != nil {
-		e, ok = m.min.Find(probe)
-	} else {
-		e, ok = m.sum.Find(probe)
-	}
+	e, ok := m.t.Find(&strEntry{key: k})
 	if !ok {
 		return 0, false
 	}
@@ -104,11 +103,7 @@ func (m *StringMap) Find(k string) (uint64, bool) {
 
 // Delete removes key k (delete phase).
 func (m *StringMap) Delete(k string) bool {
-	probe := &strEntry{key: k}
-	if m.min != nil {
-		return m.min.Delete(probe)
-	}
-	return m.sum.Delete(probe)
+	return m.t.Delete(&strEntry{key: k})
 }
 
 // StringEntry is one key-value pair of a StringMap.
@@ -119,12 +114,7 @@ type StringEntry struct {
 
 // Entries returns the contents in a deterministic order (read phase).
 func (m *StringMap) Entries() []StringEntry {
-	var raw []*strEntry
-	if m.min != nil {
-		raw = m.min.Elements()
-	} else {
-		raw = m.sum.Elements()
-	}
+	raw := m.t.Elements()
 	out := make([]StringEntry, len(raw))
 	for i, e := range raw {
 		out[i] = StringEntry{Key: e.key, Value: e.val}
@@ -133,9 +123,4 @@ func (m *StringMap) Entries() []StringEntry {
 }
 
 // Count returns the number of keys (read phase).
-func (m *StringMap) Count() int {
-	if m.min != nil {
-		return m.min.Count()
-	}
-	return m.sum.Count()
-}
+func (m *StringMap) Count() int { return m.t.Count() }
