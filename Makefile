@@ -41,6 +41,7 @@ fuzz:
 	go test -fuzz=FuzzCtrlScan -fuzztime=30s ./internal/core
 	go test -fuzz=FuzzCompactTableOps -fuzztime=30s ./internal/core
 	go test -tags chaos -fuzz=FuzzGrowTableChaos -fuzztime=30s ./internal/core
+	go test -fuzz=FuzzFrame -fuzztime=30s ./internal/epoch
 
 # chaos = the fault-injected determinism gate CI blocks on: the whole
 # test suite plus the detres oracle grid with injection armed.

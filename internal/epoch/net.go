@@ -13,17 +13,21 @@ package epoch
 // Requests pipeline freely; responses come back in request order per
 // connection (ops from one connection land in epochs in submission
 // order, and epochs complete in order, so in-order delivery adds no
-// latency). timeout_us is the per-request deadline; 0 means none.
-// Admission refusals (StatusOverloaded, StatusClosed, ...) use the
-// same response frames, so an overloaded server degrades into explicit
-// per-request shed signals, never into dropped bytes or stalled
-// connections.
+// latency). timeout_us is the per-request deadline, counted from
+// admission; 0 means none. Admission refusals (StatusOverloaded,
+// StatusClosed, StatusBadOp for an op code above OpElements, ...) use
+// the same response frames, so an overloaded server degrades into
+// explicit per-request shed signals, never into dropped bytes or
+// stalled connections.
+//
+// The server reads in batches: every whole frame in its read buffer is
+// admitted at once, and the batch is answered in one pass once all its
+// ops have resolved.
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -44,42 +48,33 @@ const (
 	StatusCancelled               // result delivery cancelled mid-epoch
 	StatusReserved                // insert of the reserved empty element
 	StatusInternal                // unexpected server-side error
+	StatusBadOp                   // unknown op code, refused at admission
 )
 
 const (
 	reqFrameLen  = 21
 	respFrameLen = 21
+	// readBufLen is serveConn's read buffer: one wire read admits every
+	// whole frame it holds (at most 195) as one batch.
+	readBufLen = 4096
 	// maxWireElems bounds an OpElements payload a client will accept
 	// (defense against a corrupt length header, not a protocol limit).
 	maxWireElems = 1 << 28
+	// elemChunk is, in words, what a client reserves for a payload
+	// before its first word arrives.
+	elemChunk = 1 << 12
 )
 
-// statusOf maps a resolved Result to its wire status.
-func statusOf(res Result, op Op) uint8 {
-	switch {
-	case res.Err == nil:
-		if op == OpFind && !res.OK {
-			return StatusMiss
-		}
-		return StatusOK
-	case errors.Is(res.Err, ErrOverloaded):
-		return StatusOverloaded
-	case errors.Is(res.Err, ErrClosed):
-		return StatusClosed
-	case errors.Is(res.Err, core.ErrFull):
-		return StatusFull
-	case errors.Is(res.Err, core.ErrReservedKey):
-		return StatusReserved
-	case errors.Is(res.Err, context.DeadlineExceeded):
-		return StatusDeadline
-	case errors.Is(res.Err, context.Canceled):
-		return StatusCancelled
-	default:
-		return StatusInternal
-	}
+// putFrame encodes one request frame into f (batch.op, key and timeout
+// decode it).
+func putFrame(f []byte, id uint64, op Op, key uint64, timeoutUs uint32) {
+	binary.LittleEndian.PutUint64(f[0:8], id)
+	f[8] = byte(op)
+	binary.LittleEndian.PutUint64(f[9:17], key)
+	binary.LittleEndian.PutUint32(f[17:21], timeoutUs)
 }
 
-// errOf is the client-side inverse of statusOf.
+// errOf maps a wire status to the error a Result carries.
 func errOf(status uint8) error {
 	switch status {
 	case StatusOK, StatusMiss:
@@ -92,6 +87,8 @@ func errOf(status uint8) error {
 		return core.ErrFull
 	case StatusReserved:
 		return core.ErrReservedKey
+	case StatusBadOp:
+		return ErrBadOp
 	case StatusDeadline:
 		return context.DeadlineExceeded
 	case StatusCancelled:
@@ -123,60 +120,35 @@ func Serve(ctx context.Context, l net.Listener, s *Server) error {
 	}
 }
 
-// inflight is one admitted (or locally refused) request awaiting its
-// in-order response slot. cancel releases a timed request's deadline
-// timer once its response is written (nil for untimed requests).
-type inflight struct {
-	id     uint64
-	op     Op
-	fut    *Future
-	cancel context.CancelFunc
-}
-
-// serveConn relays one connection: a reader loop submits requests, a
-// writer loop resolves futures in request order and streams responses.
+// serveConn relays one connection: the reader admits each read's whole
+// frames as one batch, and a writer answers the batches in order.
 func serveConn(ctx context.Context, conn net.Conn, s *Server) {
 	defer conn.Close()
 	connCtx, cancel := context.WithCancel(ctx)
 	defer cancel() // sheds this connection's unflushed ops on exit
 
-	// The queue bound only backpressures the reader against a slow
-	// writer; admission control proper lives in Server.Submit. Requests
-	// still queued when the connection ends have their deadline timers
-	// released by the deferred connCtx cancel, their parent.
-	queue := make(chan inflight, 256)
+	// The backlog only holds the reader back from a writer that cannot
+	// keep up; admission control proper lives in Server.admit.
+	bl := &backlog{limit: s.cfg.QueueLimit, ready: make(chan struct{}, 1), room: make(chan struct{}, 1)}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		writeResponses(connCtx, conn, queue)
+		defer cancel() // a failed write ends the conversation
+		writeResponses(connCtx, conn, bl)
 	}()
 
-	br := bufio.NewReader(conn)
-	var frame [reqFrameLen]byte
-	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
+	br := bufio.NewReaderSize(conn, readBufLen)
+	for connCtx.Err() == nil {
+		if _, err := br.Peek(reqFrameLen); err != nil {
 			break // EOF or a torn frame: either way the conversation is over
 		}
-		id := binary.LittleEndian.Uint64(frame[0:8])
-		op := Op(frame[8])
-		key := binary.LittleEndian.Uint64(frame[9:17])
-		timeoutUs := binary.LittleEndian.Uint32(frame[17:21])
-
-		reqCtx := connCtx
-		var reqCancel context.CancelFunc
-		if timeoutUs > 0 {
-			reqCtx, reqCancel = context.WithTimeout(connCtx, time.Duration(timeoutUs)*time.Microsecond)
+		b := newBatch(connCtx, br.Buffered()/reqFrameLen)
+		if _, err := io.ReadFull(br, b.frames); err != nil {
+			break
 		}
-		fut, err := s.Submit(reqCtx, op, key)
-		if err != nil {
-			fut = resolved(Result{Err: err})
-		}
-		select {
-		case queue <- inflight{id: id, op: op, fut: fut, cancel: reqCancel}:
-		case <-connCtx.Done():
-		}
-		if connCtx.Err() != nil {
+		s.admit(b)
+		if !bl.push(connCtx, b) {
 			break
 		}
 	}
@@ -184,62 +156,144 @@ func serveConn(ctx context.Context, conn net.Conn, s *Server) {
 	wg.Wait()
 }
 
-// writeResponses drains the in-flight queue in order, waiting each
-// future and framing its result.
-func writeResponses(ctx context.Context, conn net.Conn, queue <-chan inflight) {
-	bw := bufio.NewWriter(conn)
+// backlog is one connection's admitted, unanswered batches, bounded in
+// ops (QueueLimit) rather than in batches, so a client that writes one
+// frame at a time can keep as many requests in flight as admission
+// allows.
+type backlog struct {
+	mu    sync.Mutex
+	q     []*batch
+	ops   int // ops in batches pushed and not yet answered
+	limit int
+	ready chan struct{} // one token: q became non-empty
+	room  chan struct{} // one token: ops fell
+}
+
+// push appends b once its ops fit (an empty backlog takes any batch),
+// or reports false when ctx is done first.
+func (bl *backlog) push(ctx context.Context, b *batch) bool {
+	n := len(b.status)
 	for {
-		var in inflight
+		bl.mu.Lock()
+		if bl.ops == 0 || bl.ops+n <= bl.limit {
+			bl.q = append(bl.q, b)
+			bl.ops += n
+			bl.mu.Unlock()
+			notify(bl.ready)
+			return true
+		}
+		bl.mu.Unlock()
 		select {
-		case in = <-queue:
+		case <-bl.room:
 		case <-ctx.Done():
-			// Flush what's written, then drain without blocking forever:
-			// remaining futures resolve during server drain or were shed.
-			bw.Flush()
-			return
-		}
-		res, err := in.fut.Wait(ctx)
-		if in.cancel != nil {
-			// The future already carries the outcome (or the connection
-			// is ending), so this cancel cannot shed the request.
-			in.cancel()
-		}
-		if err != nil {
-			bw.Flush()
-			return
-		}
-		if writeResponse(bw, in, res) != nil {
-			return
-		}
-		// Flush when no response is immediately pending, so pipelined
-		// bursts coalesce but a lone response is not held hostage.
-		if len(queue) == 0 {
-			if bw.Flush() != nil {
-				return
-			}
+			return false
 		}
 	}
 }
 
-// writeResponse frames one resolved result onto the buffered writer.
-func writeResponse(bw *bufio.Writer, in inflight, res Result) error {
-	var hdr [respFrameLen]byte
-	binary.LittleEndian.PutUint64(hdr[0:8], in.id)
-	hdr[8] = statusOf(res, in.op)
-	binary.LittleEndian.PutUint64(hdr[9:17], res.Value)
-	var elems []uint64
-	if in.op == OpElements && res.Err == nil {
-		elems = res.Elems
+// take swaps the queued batches out for dst's (emptied) storage.
+func (bl *backlog) take(dst []*batch) []*batch {
+	bl.mu.Lock()
+	dst, bl.q = bl.q, dst[:0]
+	bl.mu.Unlock()
+	return dst
+}
+
+// answered releases n answered ops.
+func (bl *backlog) answered(n int) {
+	bl.mu.Lock()
+	bl.ops -= n
+	bl.mu.Unlock()
+	notify(bl.room)
+}
+
+// notify drops a token into a one-slot channel unless one is waiting.
+func notify(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
 	}
-	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(elems)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
+}
+
+// writeResponses answers the backlog's batches in order: one wait per
+// batch, then all of its responses framed in one pass. The buffer is
+// flushed only before the writer blocks, so pipelined bursts coalesce
+// but no response is held hostage.
+func writeResponses(ctx context.Context, conn net.Conn, bl *backlog) {
+	bw := bufio.NewWriter(conn)
+	var q []*batch
+	for {
+		q = bl.take(q)
+		if len(q) == 0 {
+			if bw.Flush() != nil {
+				return
+			}
+			select {
+			case <-bl.ready:
+				continue
+			case <-ctx.Done():
+				return
+			}
+		}
+		for k, b := range q {
+			select {
+			case <-b.done:
+			default:
+				if bw.Flush() != nil {
+					return
+				}
+				select {
+				case <-b.done:
+				case <-ctx.Done():
+					// Unanswered batches still resolve: the flusher sheds
+					// this connection's ops once its context is done.
+					return
+				}
+			}
+			if writeBatch(bw, b) != nil {
+				return
+			}
+			bl.answered(len(b.status))
+			q[k] = nil
+		}
 	}
-	var word [8]byte
-	for _, e := range elems {
-		binary.LittleEndian.PutUint64(word[:], e)
-		if _, err := bw.Write(word[:]); err != nil {
+}
+
+// writeBatch frames a resolved batch's responses straight into bw's
+// buffer.
+func writeBatch(bw *bufio.Writer, b *batch) error {
+	for i, st := range b.status {
+		var value uint64
+		var elems []uint64
+		if st == StatusOK {
+			switch b.op(i) {
+			case OpFind:
+				value = b.key(i)
+			case OpElements:
+				elems = b.snapshot(i)
+			}
+		}
+		if bw.Available() < respFrameLen {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		p := append(bw.AvailableBuffer(), b.frames[i*reqFrameLen:i*reqFrameLen+8]...) // the request id
+		p = append(p, st)
+		p = binary.LittleEndian.AppendUint64(p, value)
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(elems)))
+		if _, err := bw.Write(p); err != nil {
 			return err
+		}
+		for _, e := range elems {
+			if bw.Available() < 8 {
+				if err := bw.Flush(); err != nil {
+					return err
+				}
+			}
+			if _, err := bw.Write(binary.LittleEndian.AppendUint64(bw.AvailableBuffer(), e)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -289,6 +343,11 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(conn), nil
+}
+
+// newClient starts a Client over an open connection.
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:       conn,
 		bw:         bufio.NewWriter(conn),
@@ -296,7 +355,7 @@ func Dial(addr string) (*Client, error) {
 		readerDone: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // Do sends one operation with an optional per-request deadline
@@ -330,10 +389,7 @@ func (c *Client) Do(op Op, key uint64, timeout time.Duration) (*ClientFuture, er
 	id := c.nextID
 	c.pending[id] = f
 	var frame [reqFrameLen]byte
-	binary.LittleEndian.PutUint64(frame[0:8], id)
-	frame[8] = byte(op)
-	binary.LittleEndian.PutUint64(frame[9:17], key)
-	binary.LittleEndian.PutUint32(frame[17:21], uint32(timeoutUs))
+	putFrame(frame[:], id, op, key, uint32(timeoutUs))
 	_, err := c.bw.Write(frame[:])
 	if err == nil {
 		err = c.bw.Flush()
@@ -407,16 +463,12 @@ func (c *Client) readLoop() {
 				c.mu.Unlock()
 				return
 			}
-			elems = make([]uint64, nelems)
-			var word [8]byte
-			for i := range elems {
-				if _, err := io.ReadFull(br, word[:]); err != nil {
-					c.mu.Lock()
-					c.fail(err)
-					c.mu.Unlock()
-					return
-				}
-				elems[i] = binary.LittleEndian.Uint64(word[:])
+			var err error
+			if elems, err = readElems(br, int(nelems)); err != nil {
+				c.mu.Lock()
+				c.fail(err)
+				c.mu.Unlock()
+				return
 			}
 		}
 		c.mu.Lock()
@@ -432,4 +484,20 @@ func (c *Client) readLoop() {
 			close(f.done)
 		}
 	}
+}
+
+// readElems reads an n-word payload. The slice starts at no more than
+// elemChunk words and grows by append as words arrive, so a corrupt
+// length header costs a bounded reservation rather than an n-word
+// allocation.
+func readElems(br *bufio.Reader, n int) ([]uint64, error) {
+	elems := make([]uint64, 0, min(n, elemChunk))
+	var word [8]byte
+	for len(elems) < n {
+		if _, err := io.ReadFull(br, word[:]); err != nil {
+			return nil, err
+		}
+		elems = append(elems, binary.LittleEndian.Uint64(word[:]))
+	}
+	return elems, nil
 }
