@@ -1,0 +1,37 @@
+package bfs
+
+import (
+	"testing"
+
+	"phasehash/internal/graph"
+	"phasehash/internal/tables"
+)
+
+// BenchmarkBFSTorus is the application layer's own number: one whole BFS
+// of the benchmark's 102^3 torus (about 1.06 M vertices) per op, for the
+// deterministic hash-table BFS and the two baselines it is compared with
+// in Table 7. ns/vertex is the op time over the vertex count.
+//
+//	go test -run '^$' -bench BFSTorus -benchmem ./internal/apps/bfs
+func BenchmarkBFSTorus(b *testing.B) {
+	g := graph.Grid3D(102)
+	n := g.NumVertices()
+	for _, c := range []struct {
+		name string
+		run  func() []int64
+	}{
+		{"Table/" + string(tables.LinearD), func() []int64 { return Table(g, 0, tables.LinearD) }},
+		{"Array", func() []int64 { return Array(g, 0) }},
+		{"Serial", func() []int64 { return Serial(g, 0) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sink = c.run()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/vertex")
+		})
+	}
+}
+
+var sink []int64

@@ -5,9 +5,10 @@
 //   - Array: the deterministic array-based frontier of PBBS — per-vertex
 //     neighbor segments, WriteMin parent selection, prefix-sum packing
 //     (the paper's "array" row).
-//   - Table: the hash-table frontier of Figure 2 — parents claimed with
-//     WriteMin, newly visited vertices inserted into a phase-concurrent
-//     table, the next frontier obtained with Elements().
+//   - Table: the hash-table frontier of Figure 2 — one claim pass per
+//     level lowers parents with WriteMin, the first claimer of each
+//     newly visited vertex adds it to a phase-concurrent table, and
+//     Elements() yields the next frontier.
 //
 // All versions compute the minimum-parent BFS tree: each vertex's parent
 // is the smallest-numbered neighbor in the previous level, so the
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"phasehash/internal/atomicx"
@@ -69,28 +69,79 @@ func Serial(g *graph.Graph, r int) []int64 {
 func encode(p int64) int64 { return -(p + 1) }
 func decode(p int64) int64 { return -p - 1 }
 
-// claimNeighbors runs the WriteMin parent-claim pass for one frontier.
-// Settled vertices are negative and skipped; claimed-but-unsettled
-// vertices still accept smaller claims, which is what makes the result
-// the minimum parent and hence deterministic.
-func claimNeighbors(g *graph.Graph, parents []int64, frontier []uint32, won func(v uint32, u uint32)) {
-	parallel.ForGrain(len(frontier), 1, func(i int) {
+// claimNeighbors runs Array's WriteMin parent-claim pass for one
+// frontier. Settled vertices are negative and skipped; claimed-but-
+// unsettled vertices still accept smaller claims, which is what makes
+// the result the minimum parent and hence deterministic.
+func claimNeighbors(g *graph.Graph, parents []int64, frontier []uint32) {
+	parallel.For(len(frontier), func(i int) {
 		v := frontier[i]
 		for _, u := range g.Neighbors(int(v)) {
 			if atomic.LoadInt64(&parents[u]) < 0 {
 				continue // settled in an earlier level
 			}
-			if atomicx.WriteMinInt64(&parents[u], int64(v)) && won != nil {
-				won(v, u)
+			atomicx.WriteMinInt64(&parents[u], int64(v))
+		}
+	})
+}
+
+// claim is Table's WriteMin: it lowers parents[u] to v unless u is
+// settled (negative) or already claimed by v or a smaller vertex, and
+// reports whether its CAS replaced Unvisited. Exactly one call per newly
+// visited vertex does that, its first claimer; later, smaller claims
+// still lower parents[u], so the level ends with the same minimum parent
+// whichever claimer came first.
+func claim(parents []int64, u uint32, v int64) bool {
+	for {
+		cur := atomic.LoadInt64(&parents[u])
+		if cur <= v {
+			return false
+		}
+		if atomic.CompareAndSwapInt64(&parents[u], cur, v) {
+			return cur == Unvisited
+		}
+	}
+}
+
+// claimBuf is how many keys a claim block stages before handing them on.
+const claimBuf = 256
+
+// claimLevel is Table's one claim pass over a level. frontier holds
+// table keys (vertex+1) and is split at the automatic grain. Each block
+// stages the key of every vertex it first-claims in a fixed buffer and
+// passes the buffer to emit when it fills and when the block ends, so
+// across all calls emit sees each newly visited vertex's key exactly
+// once. Blocks call emit concurrently.
+func claimLevel(g *graph.Graph, parents []int64, frontier []uint64, emit func(keys []uint64)) {
+	parallel.ForBlocked(len(frontier), 0, func(lo, hi int) {
+		var buf [claimBuf]uint64
+		k := 0
+		for _, key := range frontier[lo:hi] {
+			v := int64(key - 1)
+			for _, u := range g.Neighbors(int(v)) {
+				if !claim(parents, u, v) {
+					continue
+				}
+				if k == len(buf) {
+					emit(buf[:])
+					k = 0
+				}
+				buf[k] = uint64(u) + 1 // offset: table keys must not be 0
+				k++
 			}
+		}
+		if k > 0 {
+			emit(buf[:k])
 		}
 	})
 }
 
 // settle negates the parents of the new frontier, marking them visited.
-func settle(parents []int64, frontier []uint32) {
+// Frontier entries are vertex+base: Array's hold vertices (base 0),
+// Table's hold table keys (base 1).
+func settle[V uint32 | uint64](parents []int64, frontier []V, base V) {
 	parallel.For(len(frontier), func(i int) {
-		u := frontier[i]
+		u := frontier[i] - base
 		parents[u] = encode(parents[u])
 	})
 }
@@ -122,10 +173,10 @@ func Array(g *graph.Graph, r int) []int64 {
 		total := parallel.Scan(offsets, degs)
 		next := make([]uint32, total)
 		const none = ^uint32(0)
-		claimNeighbors(g, parents, frontier, nil)
+		claimNeighbors(g, parents, frontier)
 		// With all claims settled, exactly one frontier vertex owns each
 		// newly claimed neighbor; owners copy into their segments.
-		parallel.ForGrain(f, 1, func(i int) {
+		parallel.For(f, func(i int) {
 			v := frontier[i]
 			o := offsets[i]
 			for _, u := range g.Neighbors(int(v)) {
@@ -139,25 +190,40 @@ func Array(g *graph.Graph, r int) []int64 {
 			}
 		})
 		frontier = parallel.Pack(next, func(i int) bool { return next[i] != none })
-		settle(parents, frontier)
+		settle(parents, frontier, 0)
 	}
 	decodeAll(parents)
 	return parents
 }
 
 // Table runs the hash-table BFS of Figure 2 with the given table kind.
-// Each level: WriteMin claims parents and winners insert the neighbor
-// into a fresh table (sized to the frontier's total degree, doubled for
-// cuckoo, as in the paper); Elements() yields the next frontier, with a
-// deterministic order when the table is deterministic.
+// Each level sizes a fresh table to the frontier's total degree (times
+// four for cuckoo) and makes one claim pass over the frontier: WriteMin
+// lowers parents, and the first claimer of each newly visited vertex
+// hands it to the table, so every vertex is inserted once and the
+// neighbors are walked once. Bulk kinds collect those keys and insert
+// them with one InsertAll after the pass; per-element kinds insert each
+// during the pass. Elements() yields the next frontier, in an order that
+// depends only on the level's vertex set and the table capacity when
+// the table is deterministic.
 func Table(g *graph.Graph, r int, kind tables.Kind) []int64 {
+	return table(g, r, kind, nil)
+}
+
+// table is Table with a hook that sees each level's frontier (table
+// keys) before it is expanded; tests use it to compare frontiers.
+func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64)) []int64 {
 	n := g.NumVertices()
 	parents := make([]int64, n)
 	parallel.For(n, func(i int) { parents[i] = Unvisited })
 	parents[r] = encode(int64(r))
-	frontier := []uint32{uint32(r)}
+	frontier := []uint64{uint64(r) + 1}
+	var wins []uint64 // bulk kinds' collected keys, allocated at the first level
 	for len(frontier) > 0 {
-		sumDeg := parallel.Sum(len(frontier), func(i int) int { return g.Degree(int(frontier[i])) })
+		if level != nil {
+			level(frontier)
+		}
+		sumDeg := parallel.Sum(len(frontier), func(i int) int { return g.Degree(int(frontier[i] - 1)) })
 		size := ceilPow2(sumDeg + 1)
 		if kind == tables.Cuckoo {
 			// The paper doubles the cuckoo table for BFS; we double again
@@ -167,48 +233,26 @@ func Table(g *graph.Graph, r int, kind tables.Kind) []int64 {
 			size *= 4
 		}
 		tab := tables.MustNew[core.SetOps](kind, size)
-		// Insert phase: winners insert newly claimed vertices. A vertex
-		// can be inserted by a transient winner and then re-claimed by a
-		// smaller parent; the table stores the vertex id, so duplicates
-		// merge and the *final* WriteMin value is its parent either way.
 		if b, ok := tables.AsBulk(tab); ok {
-			// Bulk path: settle all claims first (as the array version
-			// does), then each frontier vertex collects the neighbors it
-			// owns and the won set is inserted with one bulk call. The
-			// distinct key set — and hence the deterministic layout — is
-			// identical to the per-element path's; only transient
-			// duplicate inserts (which merge to nothing) are skipped.
-			claimNeighbors(g, parents, frontier, nil)
-			var mu sync.Mutex
-			var wins []uint64
-			parallel.ForBlocked(len(frontier), 1, func(lo, hi int) {
-				var local []uint64
-				for i := lo; i < hi; i++ {
-					v := frontier[i]
-					for _, u := range g.Neighbors(int(v)) {
-						if atomic.LoadInt64(&parents[u]) == int64(v) {
-							local = append(local, uint64(u)+1) // offset: table keys must not be 0
-						}
-					}
-				}
-				if len(local) > 0 {
-					mu.Lock()
-					wins = append(wins, local...)
-					mu.Unlock()
-				}
+			if wins == nil {
+				wins = make([]uint64, n)
+			}
+			// Each full buffer reserves its range of wins with one add.
+			var end atomic.Int64
+			claimLevel(g, parents, frontier, func(keys []uint64) {
+				at := end.Add(int64(len(keys))) - int64(len(keys))
+				copy(wins[at:], keys)
 			})
-			b.InsertAll(wins)
+			b.InsertAll(wins[:end.Load()])
 		} else {
-			claimNeighbors(g, parents, frontier, func(_, u uint32) {
-				tab.Insert(uint64(u) + 1) // offset: table keys must not be 0
+			claimLevel(g, parents, frontier, func(keys []uint64) {
+				for _, k := range keys {
+					tab.Insert(k)
+				}
 			})
 		}
-		// Elements phase.
-		elems := tab.Elements()
-		next := make([]uint32, len(elems))
-		parallel.For(len(elems), func(i int) { next[i] = uint32(elems[i] - 1) })
-		frontier = next
-		settle(parents, frontier)
+		frontier = tab.Elements()
+		settle(parents, frontier, 1)
 	}
 	decodeAll(parents)
 	return parents

@@ -1,9 +1,14 @@
 package bfs
 
 import (
+	"cmp"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"phasehash/internal/graph"
+	"phasehash/internal/parallel"
 	"phasehash/internal/tables"
 )
 
@@ -58,7 +63,7 @@ func TestArrayMatchesSerial(t *testing.T) {
 func TestTableKindsValidAndDeterministic(t *testing.T) {
 	for name, g := range graphs(t) {
 		want := Serial(g, 0)
-		for _, kind := range []tables.Kind{tables.LinearD, tables.LinearND, tables.Cuckoo, tables.ChainedCR, tables.HopscotchPC} {
+		for _, kind := range tables.ParallelKinds {
 			parents := Table(g, 0, kind)
 			if _, err := Check(g, 0, parents); err != nil {
 				t.Fatalf("%s/%s: %v", name, kind, err)
@@ -116,4 +121,124 @@ func TestRepeatedRunsIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// completeBipartite returns K_{2,m}: vertices 0 and 1 are each joined to
+// every one of 2..m+1.
+func completeBipartite(m int) *graph.Graph {
+	edges := make([]graph.Edge, 0, 2*m)
+	for u := 2; u < m+2; u++ {
+		edges = append(edges, graph.Edge{U: 0, V: uint32(u)}, graph.Edge{U: 1, V: uint32(u)})
+	}
+	return graph.FromEdges(m+2, edges)
+}
+
+// unvisited returns a parent array with every vertex Unvisited.
+func unvisited(n int) []int64 {
+	parents := make([]int64, n)
+	for i := range parents {
+		parents[i] = Unvisited
+	}
+	return parents
+}
+
+// claimOnce runs one claimLevel over frontier and checks that the keys
+// it emits are exactly the vertices it newly claimed, each once. It
+// returns the emitted keys.
+func claimOnce(t *testing.T, g *graph.Graph, parents []int64, frontier []uint64) []uint64 {
+	t.Helper()
+	var mu sync.Mutex
+	var got []uint64
+	claimLevel(g, parents, frontier, func(keys []uint64) {
+		mu.Lock()
+		got = append(got, keys...)
+		mu.Unlock()
+	})
+	emitted := make([]bool, len(parents))
+	for _, k := range got {
+		u := k - 1
+		if emitted[u] {
+			t.Fatalf("vertex %d emitted twice in one level", u)
+		}
+		emitted[u] = true
+	}
+	for u, p := range parents {
+		// Claimed this level: non-negative (not settled) and not Unvisited.
+		claimed := p >= 0 && p != Unvisited
+		if claimed != emitted[u] {
+			t.Fatalf("vertex %d: claimed %v, emitted %v", u, claimed, emitted[u])
+		}
+	}
+	return got
+}
+
+// TestClaimLevelEmitsEachVertexOnce checks the first-claimer rule: each
+// newly visited vertex is emitted exactly once however many frontier
+// vertices claim it. Every level's frontier is in decreasing vertex
+// order, so a vertex's first claimer is usually beaten later by a
+// smaller one; an emit on every successful WriteMin would emit it again.
+func TestClaimLevelEmitsEachVertexOnce(t *testing.T) {
+	t.Run("K2m", func(t *testing.T) {
+		const m = 5000 // many full claim buffers
+		g := completeBipartite(m)
+		parents := unvisited(g.NumVertices())
+		parents[0], parents[1] = encode(0), encode(0)
+		claimOnce(t, g, parents, []uint64{2, 1}) // vertex 1, then vertex 0
+		for u := 2; u < m+2; u++ {
+			if parents[u] != 0 {
+				t.Fatalf("parent of %d is %d, want 0", u, parents[u])
+			}
+		}
+	})
+	for name, g := range map[string]*graph.Graph{
+		"torus": graph.Grid3D(24),
+		"rmat":  graph.RMat(13, 8<<13, 5),
+	} {
+		t.Run(name, func(t *testing.T) {
+			parents := unvisited(g.NumVertices())
+			parents[0] = encode(0)
+			frontier := []uint64{1}
+			for len(frontier) > 0 {
+				frontier = claimOnce(t, g, parents, frontier)
+				slices.SortFunc(frontier, func(a, b uint64) int { return cmp.Compare(b, a) })
+				settle(parents, frontier, 1)
+			}
+			decodeAll(parents)
+			if !slices.Equal(parents, Serial(g, 0)) {
+				t.Fatal("parents differ from Serial")
+			}
+		})
+	}
+}
+
+// TestTableFrontiersReproducible checks what examples/bfs claims: with a
+// deterministic table kind, the sequence of per-level frontiers, order
+// included, is the same on every run and at every worker count.
+func TestTableFrontiersReproducible(t *testing.T) {
+	g := graph.Random(6000, 5, 3)
+	for _, kind := range []tables.Kind{tables.LinearD, tables.LinearDSharded, tables.LinearDCompact} {
+		var want [][]uint64
+		for _, p := range []int{1, 2, 4} {
+			for run := 0; run < 2; run++ {
+				var got [][]uint64
+				withProcs(p, func() {
+					table(g, 0, kind, func(frontier []uint64) { got = append(got, frontier) })
+				})
+				if want == nil {
+					want = got
+					continue
+				}
+				if !slices.EqualFunc(want, got, slices.Equal[[]uint64]) {
+					t.Fatalf("%s: GOMAXPROCS %d, run %d: frontiers differ", kind, p, run)
+				}
+			}
+		}
+	}
+}
+
+// withProcs runs fn with GOMAXPROCS and the parallel worker count at p.
+func withProcs(p int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+	defer parallel.SetNumWorkers(parallel.SetNumWorkers(p))
+	fn()
 }
