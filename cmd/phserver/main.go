@@ -2,13 +2,15 @@
 // (internal/epoch) over TCP: any number of clients submit mixed
 // Insert/Find/Delete/Elements traffic, the server buffers it into
 // per-phase batches and flushes each epoch through the sharded bulk
-// kernels. See internal/epoch and DESIGN.md §12 for the
-// scheduling and robustness contract.
+// kernels. Epochs are self-clocking: the flusher cuts one as soon as it
+// is idle and requests are pending, so batches grow with load and no
+// timer holds a request back. See internal/epoch and DESIGN.md §12 for
+// the scheduling and robustness contract.
 //
 // Usage:
 //
 //	phserver [-addr :9191] [-size 1048576] [-shards 0]
-//	         [-maxbatch 4096] [-queue 16384] [-interval 1ms]
+//	         [-maxbatch 4096] [-queue 16384]
 //	         [-block] [-flushdelay 0]
 //
 // -shards 0 = default: 8, fewer for small tables, on every machine.
@@ -49,7 +51,6 @@ func main() {
 		shards       = flag.Int("shards", 0, "shard count (0 = default: 8, fewer for small tables)")
 		maxBatch     = flag.Int("maxbatch", 4096, "epoch size watermark (ops per flushed epoch)")
 		queue        = flag.Int("queue", 0, "admission queue limit (0 = 4x maxbatch)")
-		interval     = flag.Duration("interval", time.Millisecond, "linger interval before a partial epoch flushes")
 		block        = flag.Bool("block", false, "block overloaded submits until space or their deadline (default: fail fast)")
 		flushDelay   = flag.Duration("flushdelay", 0, "artificial per-epoch delay (overload experiments)")
 		drainTimeout = flag.Duration("draintimeout", 30*time.Second, "shutdown drain bound")
@@ -71,7 +72,7 @@ func main() {
 		Shards:        *shards,
 		MaxBatch:      *maxBatch,
 		QueueLimit:    *queue,
-		FlushInterval: *interval,
+		FlushInterval: 1, // live mode: only the sign is read
 		Block:         *block,
 		FlushDelay:    *flushDelay,
 	})
@@ -81,8 +82,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "phserver: listen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "phserver: serving on %s (size=%d maxbatch=%d queue=%d interval=%v block=%v)\n",
-		ln.Addr(), *size, *maxBatch, *queue, *interval, *block)
+	fmt.Fprintf(os.Stderr, "phserver: serving on %s (size=%d maxbatch=%d queue=%d block=%v)\n",
+		ln.Addr(), *size, *maxBatch, *queue, *block)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

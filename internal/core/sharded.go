@@ -189,10 +189,15 @@ func recordShardBulk(offsets []int) {
 
 // sumShards runs kernel(s, lo, hi) on every non-empty shard run
 // [offsets[s], offsets[s+1]), one worker per shard, and returns the
-// summed results.
+// summed results. A call of at most parallel.MinGrain keys runs inline,
+// as a flat bulk call of that size does.
 func (t *ShardedTable[O]) sumShards(offsets []int, kernel func(s, lo, hi int) int) int {
 	counts := make([]int, len(t.shards))
-	parallel.ForGrain(len(t.shards), 1, func(s int) {
+	grain := 1
+	if offsets[len(t.shards)] <= parallel.MinGrain {
+		grain = len(t.shards) // one block: ForGrain runs it on the caller
+	}
+	parallel.ForGrain(len(t.shards), grain, func(s int) {
 		if offsets[s] < offsets[s+1] {
 			counts[s] = kernel(s, offsets[s], offsets[s+1])
 		}

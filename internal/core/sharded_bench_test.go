@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"phasehash/internal/hashx"
@@ -142,4 +143,32 @@ func BenchmarkShardedDeleteAllDup(b *testing.B) {
 	b.ReportMetric(float64(bulkBenchN), "elems/op")
 	b.ReportMetric(float64(8*4*bulkBenchN)/float64(bulkBenchN), "bytes/elem")
 	benchObsReport(b, "delete")
+}
+
+// BenchmarkShardedSmallEpoch is the per-layer cost of one small epoch
+// on the epoch server's default table, NewShardedTable(1<<20, 0): the
+// InsertAll, FindAll (into a result slice) and DeleteAll an epoch of n
+// mixed ops makes, here all over the same n keys. Epochs this small
+// are what a live server flushes at low request rates, where every key
+// count stays at or below parallel.MinGrain and the calls run inline.
+// ns/op is per epoch.
+func BenchmarkShardedSmallEpoch(b *testing.B) {
+	t := NewShardedTable[SetOps](1<<20, 0)
+	for _, n := range []int{4, 32, 256} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+			}
+			dst := make([]uint64, n)
+			withBenchWorkers(b, func() {
+				b.ResetTimer()
+				for range b.N {
+					t.InsertAll(keys)
+					t.FindAll(keys, dst)
+					t.DeleteAll(keys)
+				}
+			})
+		})
+	}
 }

@@ -16,8 +16,14 @@
 // scripted epochs across its seed × worker × fault-profile grid and
 // byte-compares the quiescent layout after every epoch. What is NOT
 // deterministic under live traffic is which epoch an op lands in: that
-// depends on arrival timing, deadlines and admission pressure. See
-// DESIGN.md §12 for the full claim and its limits.
+// depends on arrival timing, flusher availability, deadlines and
+// admission pressure. See DESIGN.md §12 for the full claim and its
+// limits.
+//
+// Live epochs are self-clocking: the flusher takes the whole pending
+// queue as soon as it is idle, so at low load a lone op flushes at
+// once, and under load everything admitted while one epoch runs
+// becomes the next. No timer holds a partial epoch open.
 //
 // Requests travel in batches: one wire read, or one Submit, is admitted
 // under one lock acquisition, resolved by the flusher one status byte per
@@ -50,8 +56,8 @@
 //     flusher goroutine exits (the shutdown tests assert zero leaks).
 //
 // Retry policy for ErrOverloaded and ErrFull: both are load signals,
-// not corruption. Back off (jittered, starting around one flush
-// interval), shrink the request rate, and retry; ErrFull additionally
+// not corruption. Back off (jittered, starting around one epoch's
+// flush time), shrink the request rate, and retry; ErrFull additionally
 // means the table needs a larger Size — retrying without deleting or
 // resizing will keep failing for the same keys.
 package epoch
@@ -291,10 +297,12 @@ type Config struct {
 	// mode (FlushInterval 0) the caller's explicit Flush is then the
 	// only thing that drains a full queue.
 	QueueLimit int
-	// FlushInterval is the longest a pending op lingers before a
-	// partial epoch flushes (default 0: flush only at the MaxBatch
-	// watermark, an explicit Flush, or Close — the scripted mode the
-	// determinism oracle and the tests drive).
+	// FlushInterval selects the flush mode; only its sign is read. A
+	// positive value is live mode: the flusher cuts an epoch as soon as
+	// it is idle and the queue is non-empty, so ops admitted while an
+	// epoch runs form the next one. 0 (the default) is scripted mode:
+	// epochs flush only at the MaxBatch watermark, an explicit Flush, or
+	// Close — the mode the determinism oracle and the tests drive.
 	FlushInterval time.Duration
 	// Block switches admission from fail-fast ErrOverloaded to
 	// block-with-deadline: an op waits for queue space until its
@@ -608,57 +616,34 @@ func (s *Server) Table() *core.ShardedTable[core.SetOps] { return s.table }
 
 // --- flusher ---
 
-// run is the flusher goroutine: it waits for work (watermark kicks,
-// linger timeouts, explicit flushes, shutdown), claims the pending
-// queue, and flushes it as one or more epochs. The linger timer decides
-// WHEN an epoch flushes, never what the flushed multiset produces.
+// run is the flusher goroutine: it waits for work (admission kicks,
+// watermark kicks, explicit flushes, shutdown), claims the pending
+// queue, and flushes it as one or more epochs. In live mode any
+// admission kick is enough: the flusher takes the queue as soon as it
+// is idle and the queue is non-empty, so ops admitted while an epoch
+// runs form the next epoch and epochs grow with load by themselves. In
+// scripted mode only the watermark, Flush or Close cut an epoch. Either
+// way the flusher's availability decides WHEN an epoch flushes, never
+// what the flushed multiset produces.
 func (s *Server) run() {
 	defer close(s.done)
 	kickCh := s.kick
 	if s.cfg.FlushInterval <= 0 {
-		kickCh = nil // manual mode: only the watermark, Flush or Close trigger
+		kickCh = nil // scripted mode: only the watermark, Flush or Close trigger
 	}
 	for {
 		var ack chan struct{}
 		select {
 		case <-kickCh:
-			if s.QueueDepth() == 0 {
-				continue // stale kick: the queue was already claimed
-			}
-			ack = s.linger()
 		case <-s.kickFull:
 		case ack = <-s.flushReq:
 		case <-s.closing:
 			s.drain()
 			return
 		}
-		s.flushBatch(s.take())
+		s.flushBatch(s.take()) // a stale kick takes an empty queue: no epoch
 		if ack != nil {
 			close(ack)
-		}
-	}
-}
-
-// linger holds a partial epoch open for up to FlushInterval so small
-// requests batch up, returning early when the watermark fills the
-// batch, a Flush arrives (its ack is returned for the caller to close
-// after flushing), or the server starts closing.
-func (s *Server) linger() chan struct{} {
-	t := time.NewTimer(s.cfg.FlushInterval)
-	defer t.Stop()
-	for {
-		if s.QueueDepth() >= s.cfg.MaxBatch {
-			return nil
-		}
-		select {
-		case <-s.kickFull:
-			return nil
-		case <-t.C:
-			return nil
-		case ack := <-s.flushReq:
-			return ack
-		case <-s.closing:
-			return nil
 		}
 	}
 }

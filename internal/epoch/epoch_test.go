@@ -13,8 +13,9 @@ import (
 	"phasehash/internal/parallel"
 )
 
-// manualServer builds a scripted-mode server (no linger timer): epochs
-// flush only at the MaxBatch watermark, an explicit Flush, or Close.
+// manualServer builds a server that Close releases at test end. It is
+// in scripted mode unless cfg sets a FlushInterval: epochs flush only
+// at the MaxBatch watermark, an explicit Flush, or Close.
 func manualServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s := NewServer(cfg)
@@ -326,13 +327,84 @@ func TestInsertFullPerFuture(t *testing.T) {
 	t.Logf("landed=%d full=%d", okN, fullN)
 }
 
-// TestTimerMode: with a FlushInterval, a lone op flushes on its own
-// without an explicit Flush or hitting the watermark.
+// TestTimerMode: in live mode (a positive FlushInterval) a lone op
+// flushes on its own, in an epoch of its own, with no explicit Flush
+// and far below the watermark.
 func TestTimerMode(t *testing.T) {
 	s := manualServer(t, Config{Size: 1 << 10, FlushInterval: 2 * time.Millisecond})
 	f := mustSubmit(t, s, OpInsert, 5)
 	if res := mustResult(t, f); !res.OK {
 		t.Fatalf("timer-mode insert: %+v", res)
+	}
+	if st := flushedStats(t, s, 1); st.Epochs != 1 {
+		t.Fatalf("want one epoch of one op, stats %+v", st)
+	}
+}
+
+// flushedStats returns s's counters once its epochs have recorded n
+// executed ops: an op resolves before its epoch's counters are updated.
+func flushedStats(t *testing.T, s *Server, n uint64) Stats {
+	t.Helper()
+	waitFor(t, "the epochs' counters", func() bool { return s.Stats().FlushedOps >= n })
+	return s.Stats()
+}
+
+// holdEpoch starts a live server whose epochs each take cfg.FlushDelay,
+// and returns it once the flusher has taken a lone first op and is
+// holding that epoch open.
+func holdEpoch(t *testing.T, cfg Config) (*Server, *Future) {
+	t.Helper()
+	cfg.FlushInterval = time.Millisecond
+	s := manualServer(t, cfg)
+	first := mustSubmit(t, s, OpInsert, 1)
+	waitFor(t, "the flusher to take the first op", func() bool { return s.QueueDepth() == 0 })
+	return s, first
+}
+
+// submitDuring admits n inserts (keys 2 through n+1) while the epoch
+// of first is still running, failing the test if it ends first.
+func submitDuring(t *testing.T, s *Server, first *Future, n int) []*Future {
+	t.Helper()
+	futs := make([]*Future, n)
+	for i := range futs {
+		futs[i] = mustSubmit(t, s, OpInsert, uint64(i+2))
+	}
+	select {
+	case <-first.Done():
+		t.Fatal("the held epoch ended before the next ops were admitted; raise FlushDelay")
+	default:
+	}
+	return futs
+}
+
+// TestEagerNextEpoch: ops admitted while an epoch runs (held open by
+// FlushDelay) flush together as exactly one next epoch, with no Flush.
+func TestEagerNextEpoch(t *testing.T) {
+	s, first := holdEpoch(t, Config{Size: 1 << 10, FlushDelay: 100 * time.Millisecond})
+	futs := submitDuring(t, s, first, 10)
+	for _, f := range append(futs, first) {
+		if res := mustResult(t, f); !res.OK {
+			t.Fatalf("insert: %+v", res)
+		}
+	}
+	if st := flushedStats(t, s, 11); st.Epochs != 2 || st.Splits != 0 {
+		t.Fatalf("want epochs of 1 then 10 ops, stats %+v", st)
+	}
+}
+
+// TestEagerSplitsBacklog: a backlog admitted while an epoch runs that
+// exceeds MaxBatch still splits into epochs of at most MaxBatch ops.
+func TestEagerSplitsBacklog(t *testing.T) {
+	s, first := holdEpoch(t, Config{Size: 1 << 10, MaxBatch: 8, QueueLimit: 64, FlushDelay: 50 * time.Millisecond})
+	futs := submitDuring(t, s, first, 20)
+	for _, f := range append(futs, first) {
+		if res := mustResult(t, f); !res.OK {
+			t.Fatalf("insert: %+v", res)
+		}
+	}
+	// 1 op, then 20 cut at the watermark: 8, 8 and 4.
+	if st := flushedStats(t, s, 21); st.Epochs != 4 || st.Splits != 2 {
+		t.Fatalf("want epochs of 1, 8, 8 and 4 ops, stats %+v", st)
 	}
 }
 

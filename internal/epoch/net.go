@@ -126,6 +126,11 @@ func serveConn(ctx context.Context, conn net.Conn, s *Server) {
 	defer conn.Close()
 	connCtx, cancel := context.WithCancel(ctx)
 	defer cancel() // sheds this connection's unflushed ops on exit
+	// Closing the connection as soon as its context ends unblocks a
+	// reader parked on an idle client and a writer stuck on a client
+	// that never reads, so Serve returns once its ctx is done.
+	stop := context.AfterFunc(connCtx, func() { conn.Close() })
+	defer stop()
 
 	// The backlog only holds the reader back from a writer that cannot
 	// keep up; admission control proper lives in Server.admit.

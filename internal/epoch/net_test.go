@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -320,6 +321,93 @@ func TestWireTimedRequestsNoGoroutinePerRequest(t *testing.T) {
 	}
 }
 
+// serveUntilStuck serves a fresh live server, lets stick leave a
+// client connection stuck, then cancels Serve's context. Serve must
+// return within 5 s, and Close must still drain every admitted op:
+// each one executes or is shed at flush, and none stays queued.
+func serveUntilStuck(t *testing.T, stick func(t *testing.T, addr string)) {
+	s := NewServer(Config{Size: 1 << 10, MaxBatch: 64, QueueLimit: 256, FlushInterval: time.Millisecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- Serve(ctx, ln, s) }()
+
+	stick(t, ln.Addr().String())
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil && !errors.Is(err, net.ErrClosed) {
+			t.Errorf("Serve: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve still running 5s after its context ended")
+	}
+	closeCtx, closeCancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer closeCancel()
+	if err := s.Close(closeCtx); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st := s.Stats()
+	if st.Admitted == 0 || st.Admitted != st.FlushedOps+st.ShedDeadline || s.QueueDepth() != 0 {
+		t.Fatalf("admitted ops not drained: queue %d, stats %+v", s.QueueDepth(), st)
+	}
+}
+
+// TestWireServeCancelIdleClient: a client that completes one round
+// trip and then sends nothing leaves its connection's reader parked;
+// cancelling Serve's context still ends it.
+func TestWireServeCancelIdleClient(t *testing.T) {
+	serveUntilStuck(t, func(t *testing.T, addr string) {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		t.Cleanup(func() { c.Close() })
+		if res, err := c.Call(OpInsert, 7, time.Second); err != nil || !res.OK {
+			t.Fatalf("insert: res=%+v err=%v", res, err)
+		}
+	})
+}
+
+// TestWireServeCancelUnreadClient: a client that keeps writing
+// requests and never reads a response blocks its connection's writer,
+// then its reader (the backlog fills); cancelling Serve's context
+// still ends both.
+func TestWireServeCancelUnreadClient(t *testing.T) {
+	serveUntilStuck(t, func(t *testing.T, addr string) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.(*net.TCPConn).SetReadBuffer(4096)
+		var burst []byte
+		for i := range 512 {
+			burst = appendFrame(burst, uint64(i), OpFind, 1, 0)
+		}
+		// Write until a write stalls: the server has stopped reading,
+		// so its writer is blocked on the responses this client never
+		// reads.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if time.Now().After(deadline) {
+				t.Fatal("server kept reading for 30s from a client that never reads")
+			}
+			conn.SetWriteDeadline(time.Now().Add(200 * time.Millisecond))
+			if _, err := conn.Write(burst); err != nil {
+				if !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Fatalf("Write: %v", err)
+				}
+				return
+			}
+		}
+	})
+}
+
 // appendFrame appends one request frame to buf.
 func appendFrame(buf []byte, id uint64, op Op, key uint64, timeoutUs uint32) []byte {
 	buf = append(buf, make([]byte, reqFrameLen)...)
@@ -559,10 +647,12 @@ func TestWireBlockPartialRead(t *testing.T) {
 // client and server together per request as a fraction (the testing
 // package prints allocs/op rounded down to an integer, and the server
 // allocates per wire read, not per request); the client writes
-// pre-framed bursts and allocates nothing per request.
+// pre-framed bursts and allocates nothing per request. ops/epoch is the
+// mean fill of the epochs flushed during the timed run, against the
+// MaxBatch watermark of 4096.
 func BenchmarkWireSaturated(b *testing.B) {
 	const conns, window, burst = 2, 4096, 512
-	addr, _, shutdown := startWireServer(b, Config{Size: 1 << 20, MaxBatch: 4096, FlushInterval: time.Millisecond})
+	addr, s, shutdown := startWireServer(b, Config{Size: 1 << 20, MaxBatch: 4096, FlushInterval: time.Millisecond})
 	defer shutdown()
 	cs := make([]net.Conn, conns)
 	for c := range cs {
@@ -578,6 +668,7 @@ func BenchmarkWireSaturated(b *testing.B) {
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	st0 := s.Stats()
 	b.ResetTimer()
 	var wg sync.WaitGroup
 	for c, conn := range cs {
@@ -634,6 +725,8 @@ func BenchmarkWireSaturated(b *testing.B) {
 	wg.Wait()
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
+	st := s.Stats()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mop/s")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/req")
+	b.ReportMetric(float64(st.FlushedOps-st0.FlushedOps)/float64(max(st.Epochs-st0.Epochs, 1)), "ops/epoch")
 }

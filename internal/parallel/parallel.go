@@ -39,9 +39,11 @@ func SetNumWorkers(n int) int {
 // NumWorkers reports the current worker count.
 func NumWorkers() int { return int(maxProcs.Load()) }
 
-// minGrain is the smallest block size For will create, to keep dispatch
-// overhead negligible relative to useful work.
-const minGrain = 512
+// MinGrain is the smallest block size For will create, to keep dispatch
+// overhead negligible relative to useful work: a loop of at most
+// MinGrain iterations runs inline on the caller. Callers that dispatch
+// their own coarse units (one per shard, say) use it as the same bound.
+const MinGrain = 512
 
 // defaultBlocksPerWorker is the automatic grain policy's oversplit
 // factor: enough blocks per worker that dynamic claiming smooths load
@@ -50,7 +52,7 @@ const defaultBlocksPerWorker = 8
 
 // grainFor is the single source of the package's grain policy: the
 // explicit grain when one is given, otherwise ~defaultBlocksPerWorker
-// blocks per worker for load balance, clamped below by minGrain.
+// blocks per worker for load balance, clamped below by MinGrain.
 // ForBlocked and makeBlocks (the two places that need it) both call
 // this helper so the policy cannot drift between the loop runtime and
 // the block planner.
@@ -59,8 +61,8 @@ func grainFor(n, p, grain int) int {
 		return grain
 	}
 	g := n / (defaultBlocksPerWorker * p)
-	if g < minGrain {
-		g = minGrain
+	if g < MinGrain {
+		g = MinGrain
 	}
 	return g
 }

@@ -40,7 +40,7 @@ func Partition[T any](dst, src []T, nbuckets int, bucket func(i int) int) []int 
 	if nbuckets <= 256 {
 		ids = make([]uint8, n)
 	}
-	if n < 4*minGrain || NumWorkers() == 1 {
+	if n < 4*MinGrain || NumWorkers() == 1 {
 		partitionSerial(dst, src, offsets, ids, bucket)
 		return offsets
 	}

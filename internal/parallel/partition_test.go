@@ -25,10 +25,10 @@ func refPartition(src []uint64, nbuckets int, bucket func(i int) int) ([]uint64,
 }
 
 // partitionSizes are the satellite's edge sizes around the grain policy
-// (minGrain and the 4*minGrain serial-fallback threshold), plus larger
+// (MinGrain and the 4*MinGrain serial-fallback threshold), plus larger
 // irregular sizes that exercise multi-block scatters.
-var partitionSizes = []int{0, 1, 2, minGrain - 1, minGrain, minGrain + 1,
-	4*minGrain - 1, 4 * minGrain, 4*minGrain + 1, 3*minGrain + 7, 10*minGrain + 13}
+var partitionSizes = []int{0, 1, 2, MinGrain - 1, MinGrain, MinGrain + 1,
+	4*MinGrain - 1, 4 * MinGrain, 4*MinGrain + 1, 3*MinGrain + 7, 10*MinGrain + 13}
 
 func partitionInput(n int, seed uint64) []uint64 {
 	src := make([]uint64, n)
@@ -75,7 +75,7 @@ func TestPartitionMatchesReference(t *testing.T) {
 // sharded table kernels inherit.
 func TestPartitionDeterministic(t *testing.T) {
 	defer SetNumWorkers(SetNumWorkers(0))
-	const n, nbuckets = 5*minGrain + 3, 16
+	const n, nbuckets = 5*MinGrain + 3, 16
 	src := partitionInput(n, 99)
 	bucket := func(i int) int { return int(src[i] >> 60) }
 	var ref []uint64
@@ -108,7 +108,7 @@ func TestPartitionDeterministic(t *testing.T) {
 // applying the permutation reproduces Partition's output.
 func TestPartitionIndexStablePermutation(t *testing.T) {
 	defer SetNumWorkers(SetNumWorkers(0))
-	const n, nbuckets = 4*minGrain + 1, 8
+	const n, nbuckets = 4*MinGrain + 1, 8
 	src := partitionInput(n, 7)
 	bucket := func(i int) int { return int(src[i] % nbuckets) }
 	for _, workers := range []int{1, 2, 3, 8} {

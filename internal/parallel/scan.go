@@ -16,7 +16,7 @@ func Scan(dst, src []int) int {
 	if n == 0 {
 		return 0
 	}
-	if n < 4*minGrain || NumWorkers() == 1 {
+	if n < 4*MinGrain || NumWorkers() == 1 {
 		return scanSerial(dst, src)
 	}
 	blocks := makeBlocks(n)
