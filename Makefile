@@ -15,7 +15,7 @@ test:
 
 race:
 	go test -race ./internal/core/... ./internal/apps/... ./internal/tables/... \
-		./internal/epoch/... ./internal/rooms/... .
+		./internal/epoch/... .
 
 # lint = everything CI gates on besides the test suite.
 lint: fmt phasevet

@@ -7,8 +7,7 @@ import "phasehash/internal/core"
 // CheckedMap32 and CheckedStringMap. Each twin has every
 // phase-classified method of the container it wraps, bulk calls
 // included, so the phasevet static analyzer can suggest it by name in
-// its diagnostics. AutoSet needs no twin because its room
-// synchronization already makes any interleaving safe.
+// its diagnostics.
 
 // enter admits an operation of phase p under g and returns p for the
 // caller's deferred g.Exit. It panics with a diagnostic when an

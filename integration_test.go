@@ -172,41 +172,6 @@ func TestIntegrationGrowSet(t *testing.T) {
 	}
 }
 
-func TestIntegrationAutoSetMixedWorkload(t *testing.T) {
-	a := NewAutoSet(1 << 14)
-	var wg sync.WaitGroup
-	// Mixed concurrent operations: the rooms serialize phases; nothing
-	// should race, deadlock, or corrupt the table.
-	for w := 0; w < 9; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			switch w % 3 {
-			case 0:
-				for k := uint64(1); k <= 2000; k++ {
-					a.Insert(k)
-				}
-			case 1:
-				for k := uint64(1); k <= 2000; k++ {
-					a.Contains(k)
-				}
-			default:
-				for k := uint64(1500); k <= 1600; k++ {
-					a.Delete(k)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Reinsert everything so the final state is known, then verify.
-	for k := uint64(1); k <= 2000; k++ {
-		a.Insert(k)
-	}
-	if got := a.Count(); got != 2000 {
-		t.Fatalf("AutoSet Count = %d, want 2000", got)
-	}
-}
-
 func TestIntegrationGraphBuildersFeedApps(t *testing.T) {
 	// Sanity that every generated graph works through every app path at
 	// tiny scale (smoke for the bench harness wiring).

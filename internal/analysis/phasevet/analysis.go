@@ -18,9 +18,9 @@
 // happens-before barrier — propagated to a fixed point within each
 // package and exported across packages as object facts through
 // framework.FactStore. Functions that bracket their operations with
-// the runtime guards (core.PhaseGuard, rooms.Rooms) are recognized as
-// runtime-checked and excluded, exactly like the Checked* wrappers'
-// absence from the fact table.
+// the runtime guard (core.PhaseGuard) are recognized as runtime-checked
+// and excluded, exactly like the Checked* wrappers' absence from the
+// fact table.
 //
 // The analyzer is modelled on golang.org/x/tools/go/analysis but is
 // self-contained (this module has no dependencies): the Analyzer,

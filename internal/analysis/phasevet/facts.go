@@ -53,9 +53,8 @@ type factKey struct {
 // three types: every set layout is a phasehash.Set (the CompactSet
 // alias resolves to it) and both map layouts are a phasehash.Map32, so
 // one block each covers every constructor. Types deliberately absent:
-// CheckedSet and the other Checked* wrappers (runtime-guarded), and
-// AutoSet (room-synchronized) — operations on those are always safe to
-// issue from any phase.
+// CheckedSet and the other Checked* wrappers (runtime-guarded) —
+// operations on those are always safe to call from any phase.
 var phaseFacts = map[factKey]methodFact{}
 
 // checkedWrapper names the runtime-checked twin the diagnostic should

@@ -12,9 +12,9 @@ package phasevet
 // Two function classes are deliberately excluded from inference:
 // fact-table methods (the curated facts are the ground truth for the
 // table API itself) and functions that bracket their operations with
-// the runtime guards (core.PhaseGuard.Enter/EnterExclusive,
-// rooms.Rooms.Enter/EnterCtx) — those are runtime-checked, exactly like the
-// Checked* wrappers' deliberate absence from the fact table.
+// the runtime guard (core.PhaseGuard.Enter/EnterExclusive) — those are
+// runtime-checked, exactly like the Checked* wrappers' deliberate
+// absence from the fact table.
 
 import (
 	"encoding/json"
@@ -297,8 +297,8 @@ func slotObjects(decl *ast.FuncDecl, info *types.Info) map[types.Object]int {
 	return slots
 }
 
-// guarded reports whether a body calls one of the runtime phase
-// guards; such functions are runtime-checked and excluded from
+// guarded reports whether a body calls the runtime phase guard
+// (core.PhaseGuard's Enter or EnterExclusive); such functions are runtime-checked and excluded from
 // inference (flagging them statically would double-report what the
 // guard already enforces dynamically, with its richer context).
 func guarded(info *types.Info, decl *ast.FuncDecl) bool {
@@ -331,16 +331,9 @@ func guarded(info *types.Info, decl *ast.FuncDecl) bool {
 		if !isNamed || named.Obj().Pkg() == nil {
 			return true
 		}
-		pkg := normalizePkgPath(named.Obj().Pkg().Path())
-		typ := named.Obj().Name()
-		switch {
-		case pkg == "phasehash/internal/core" && typ == "PhaseGuard" &&
-			(fn.Name() == "Enter" || fn.Name() == "EnterExclusive"):
-			found = true
-		case pkg == "phasehash/internal/rooms" && typ == "Rooms" &&
-			(fn.Name() == "Enter" || fn.Name() == "EnterCtx"):
-			found = true
-		}
+		found = normalizePkgPath(named.Obj().Pkg().Path()) == "phasehash/internal/core" &&
+			named.Obj().Name() == "PhaseGuard" &&
+			(fn.Name() == "Enter" || fn.Name() == "EnterExclusive")
 		return !found
 	})
 	return found

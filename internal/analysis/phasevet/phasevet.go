@@ -36,8 +36,8 @@ or an explicit //phasehash:barrier comment) — and reports:
 The analysis is interprocedural: a function that (transitively)
 performs insert-phase table operations is itself an insert-phase
 operation at its call sites, with summaries propagated across
-packages as object facts. Functions guarded at runtime (PhaseGuard,
-rooms) are exempt, like the Checked* wrappers.
+packages as object facts. Functions guarded at runtime (PhaseGuard)
+are exempt, like the Checked* wrappers.
 
 A //phasehash:ignore comment on the operation's line suppresses the
 diagnostic.`

@@ -100,11 +100,3 @@ func checkedGrowSetOK() {
 	go s.Insert(1)
 	_ = s.Elements()
 }
-
-// AutoSet serializes phases with rooms; any interleaving is safe.
-func autoSetOK() {
-	a := phasehash.NewAutoSet(64)
-	go a.Insert(1)
-	_ = a.Contains(1)
-	_ = a.Elements()
-}

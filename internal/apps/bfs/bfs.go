@@ -200,10 +200,9 @@ func Array(g *graph.Graph, r int) []int64 {
 // Each level sizes a fresh table to the frontier's total degree (times
 // four for cuckoo) and makes one claim pass over the frontier: WriteMin
 // lowers parents, and the first claimer of each newly visited vertex
-// hands it to the table, so every vertex is inserted once and the
-// neighbors are walked once. Bulk kinds collect those keys and insert
-// them with one InsertAll after the pass; per-element kinds insert each
-// during the pass. Elements() yields the next frontier, in an order that
+// hands it on, so every vertex is inserted once and the neighbors are
+// walked once. The pass collects those keys and one tables.InsertAll
+// inserts them. Elements() yields the next frontier, in an order that
 // depends only on the level's vertex set and the table capacity when
 // the table is deterministic.
 func Table(g *graph.Graph, r int, kind tables.Kind) []int64 {
@@ -218,7 +217,7 @@ func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64
 	parallel.For(n, func(i int) { parents[i] = Unvisited })
 	parents[r] = encode(int64(r))
 	frontier := []uint64{uint64(r) + 1}
-	var wins []uint64 // bulk kinds' collected keys, allocated at the first level
+	wins := make([]uint64, n) // each level's newly visited keys
 	for len(frontier) > 0 {
 		if level != nil {
 			level(frontier)
@@ -233,24 +232,13 @@ func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64
 			size *= 4
 		}
 		tab := tables.MustNew[core.SetOps](kind, size)
-		if b, ok := tables.AsBulk(tab); ok {
-			if wins == nil {
-				wins = make([]uint64, n)
-			}
-			// Each full buffer reserves its range of wins with one add.
-			var end atomic.Int64
-			claimLevel(g, parents, frontier, func(keys []uint64) {
-				at := end.Add(int64(len(keys))) - int64(len(keys))
-				copy(wins[at:], keys)
-			})
-			b.InsertAll(wins[:end.Load()])
-		} else {
-			claimLevel(g, parents, frontier, func(keys []uint64) {
-				for _, k := range keys {
-					tab.Insert(k)
-				}
-			})
-		}
+		// Each full buffer reserves its range of wins with one add.
+		var end atomic.Int64
+		claimLevel(g, parents, frontier, func(keys []uint64) {
+			at := end.Add(int64(len(keys))) - int64(len(keys))
+			copy(wins[at:], keys)
+		})
+		tables.InsertAll(tab, wins[:end.Load()])
 		frontier = tab.Elements()
 		settle(parents, frontier, 1)
 	}

@@ -159,7 +159,11 @@ func Relabeling(matched []int32) []uint32 {
 func Run(kind tables.Kind, edges []graph.Edge, labels []uint32, weights []uint16) []uint64 {
 	size := tables.SizeFor(kind, len(edges)*4/3)
 	tab := tables.MustNew[EdgeOps](kind, size)
-	body := func(i int) {
+	// Self-loops drop out of the relabeled graph. 0 never encodes a
+	// surviving edge — PackEdge is 0 only for the filtered 0-0
+	// self-loop — so it serves as the gap sentinel of the pack.
+	packed := make([]uint64, len(edges))
+	parallel.For(len(edges), func(i int) {
 		e := edges[i]
 		nu, nv := labels[e.U], labels[e.V]
 		if nu == nv {
@@ -169,39 +173,9 @@ func Run(kind tables.Kind, edges []graph.Edge, labels []uint32, weights []uint16
 		if weights != nil {
 			w = weights[i]
 		}
-		tab.Insert(PackEdge(nu, nv, w))
-	}
-	switch b, ok := tables.AsBulk(tab); {
-	case kind.IsSerial():
-		for i := range edges {
-			body(i)
-		}
-	case ok:
-		// Bulk path: pack the surviving edges (self-loops drop out of the
-		// relabeled graph) and insert the whole phase with one kernel
-		// call. 0 never encodes a surviving edge — PackEdge is 0 only for
-		// the filtered 0-0 self-loop — so it serves as the gap sentinel.
-		packed := make([]uint64, len(edges))
-		parallel.For(len(edges), func(i int) {
-			e := edges[i]
-			nu, nv := labels[e.U], labels[e.V]
-			if nu == nv {
-				return
-			}
-			w := uint16(1)
-			if weights != nil {
-				w = weights[i]
-			}
-			packed[i] = PackEdge(nu, nv, w)
-		})
-		b.InsertAll(parallel.Pack(packed, func(i int) bool { return packed[i] != 0 }))
-	default:
-		parallel.ForBlocked(len(edges), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				body(i)
-			}
-		})
-	}
+		packed[i] = PackEdge(nu, nv, w)
+	})
+	tables.InsertAll(tab, parallel.Pack(packed, func(i int) bool { return packed[i] != 0 }))
 	return tab.Elements()
 }
 

@@ -18,28 +18,8 @@ import (
 // distinct count — the paper uses 2^27 cells for n=10^8 inputs).
 func Run(kind tables.Kind, elems []uint64, capacity int) []uint64 {
 	tab := tables.MustNew[core.SetOps](kind, capacity)
-	insertPhase(kind, tab, elems)
+	tables.InsertAll(tab, elems)
 	return tab.Elements()
-}
-
-// insertPhase drives the whole insert phase: serial loop for the
-// sequential baselines, the bulk kernel where the table has one
-// (linearHash-D), a parallel per-element loop otherwise.
-func insertPhase(kind tables.Kind, tab tables.Table, elems []uint64) {
-	switch b, ok := tables.AsBulk(tab); {
-	case kind.IsSerial():
-		for _, e := range elems {
-			tab.Insert(e)
-		}
-	case ok:
-		b.InsertAll(elems)
-	default:
-		parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				tab.Insert(elems[i])
-			}
-		})
-	}
 }
 
 // RunPairs removes duplicate *keys* from packed key-value elements,
@@ -47,7 +27,7 @@ func insertPhase(kind tables.Kind, tab tables.Table, elems []uint64) {
 // priority-on-values rule (minimum value wins).
 func RunPairs(kind tables.Kind, elems []uint64, capacity int) []uint64 {
 	tab := tables.MustNew[core.PairMinOps](kind, capacity)
-	insertPhase(kind, tab, elems)
+	tables.InsertAll(tab, elems)
 	return tab.Elements()
 }
 

@@ -21,7 +21,6 @@ package spanning
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"phasehash/internal/atomicx"
@@ -51,23 +50,6 @@ func Serial(n int, edges []graph.Edge) []int {
 
 const noRes = ^uint64(0)
 
-// keptSet accumulates committed edge indices from concurrent commits.
-type keptSet struct {
-	mu   sync.Mutex
-	idxs []int
-}
-
-func (k *keptSet) add(i int) {
-	k.mu.Lock()
-	k.idxs = append(k.idxs, i)
-	k.mu.Unlock()
-}
-
-func (k *keptSet) sorted() []int {
-	parallel.Sort(k.idxs, func(a, b int) bool { return a < b })
-	return k.idxs
-}
-
 // arrayStep is the deterministic-reservations step with array-based
 // reservations (one WriteMin cell per vertex, indexed by component root).
 type arrayStep struct {
@@ -75,7 +57,7 @@ type arrayStep struct {
 	edges    []graph.Edge
 	reserved []uint64
 	roots    [][2]int32 // per-edge roots cached between reserve and commit
-	kept     keptSet
+	kept     []bool     // per-edge: committed into the forest
 }
 
 func (s *arrayStep) Reserve(i int) bool {
@@ -99,12 +81,12 @@ func (s *arrayStep) Commit(i int) bool {
 		// v dies; release u (still live) if we hold it too.
 		atomic.CompareAndSwapUint64(&s.reserved[u], uint64(i), noRes)
 		s.uf.Link(v, u)
-		s.kept.add(i)
+		s.kept[i] = true
 		return true
 	}
 	if atomic.CompareAndSwapUint64(&s.reserved[u], uint64(i), noRes) {
 		s.uf.Link(u, v)
-		s.kept.add(i)
+		s.kept[i] = true
 		return true
 	}
 	return false
@@ -120,10 +102,11 @@ func Array(n int, edges []graph.Edge) []int {
 		edges:    edges,
 		reserved: make([]uint64, n),
 		roots:    make([][2]int32, len(edges)),
+		kept:     make([]bool, len(edges)),
 	}
 	parallel.For(n, func(i int) { s.reserved[i] = noRes })
 	detres.SpeculativeFor(s, 0, len(edges), 0)
-	return s.kept.sorted()
+	return keptIndices(s.kept)
 }
 
 // Table computes the spanning forest with hash-table reservations using
@@ -131,143 +114,109 @@ func Array(n int, edges []graph.Edge) []int {
 // paper's Table 8 configuration. For deterministic tables the result
 // equals Serial's; for the others it is still a valid spanning forest.
 func Table(n int, edges []graph.Edge, kind tables.Kind) []int {
-	tab := tables.MustNew[core.PairMinOps](kind, tables.SizeFor(kind, 2*n))
-	uf := unionfind.New(n)
-	roots := make([][2]int32, len(edges))
-	var kept keptSet
-
-	granularity := len(edges)/50 + 256
-	active := make([]int, 0, granularity+8)
-	next := 0
-	key := func(root int32) uint64 { return core.Pair(uint32(root)+1, 0) }
-	bulk, hasBulk := tables.AsBulk(tab)
-	for {
-		for len(active) < granularity && next < len(edges) {
-			active = append(active, next)
-			next++
-		}
-		if len(active) == 0 {
-			break
-		}
-		p := len(active)
-		keep := make([]bool, p)
-		release := make([]int32, p) // live roots whose reservation we must delete
-		// --- Insert phase: reserve both roots (PairMin keeps the
-		// minimum edge index per root key). With a bulk-capable table
-		// the root lookups run first and the reservations land with one
-		// InsertAll; the reservation multiset is exactly the per-element
-		// path's, so the deterministic minimum per root is too.
-		if hasBulk {
-			resv := make([]uint64, 2*p)
-			parallel.ForGrain(p, 1, func(j int) {
-				i := active[j]
-				e := edges[i]
-				u := uf.Find(int(e.U))
-				v := uf.Find(int(e.V))
-				release[j] = -1
-				if u == v {
-					return
-				}
-				roots[i] = [2]int32{int32(u), int32(v)}
-				resv[2*j] = core.Pair(uint32(u)+1, uint32(i))
-				resv[2*j+1] = core.Pair(uint32(v)+1, uint32(i))
-				keep[j] = true
-			})
-			bulk.InsertAll(parallel.Pack(resv, func(k int) bool { return resv[k] != 0 }))
-		} else {
-			parallel.ForGrain(p, 1, func(j int) {
-				i := active[j]
-				e := edges[i]
-				u := uf.Find(int(e.U))
-				v := uf.Find(int(e.V))
-				release[j] = -1
-				if u == v {
-					return
-				}
-				roots[i] = [2]int32{int32(u), int32(v)}
-				tab.Insert(core.Pair(uint32(u)+1, uint32(i)))
-				tab.Insert(core.Pair(uint32(v)+1, uint32(i)))
-				keep[j] = true
-			})
-		}
-		// --- Find phase: commit edges that hold a reservation. The
-		// table is read-only through this phase, so the bulk path
-		// prefetches both roots' reservations with one FindAll and the
-		// commit logic consumes the prefetched values.
-		var found []uint64
-		if hasBulk {
-			probes := make([]uint64, 2*p)
-			parallel.For(p, func(j int) {
-				if !keep[j] {
-					return
-				}
-				i := active[j]
-				probes[2*j] = key(roots[i][0])
-				probes[2*j+1] = key(roots[i][1])
-			})
-			found = make([]uint64, 2*p)
-			bulk.FindAll(probes, found)
-		}
-		lookup := func(j int, slot int, k uint64) (uint64, bool) {
-			if found != nil {
-				e := found[2*j+slot]
-				return e, e != 0
-			}
-			return tab.Find(k)
-		}
-		parallel.ForGrain(p, 1, func(j int) {
-			if !keep[j] {
-				return
-			}
-			i := active[j]
-			u, v := roots[i][0], roots[i][1]
-			ev, okV := lookup(j, 1, key(v))
-			if okV && core.PairValue(ev) == uint32(i) {
-				// v dies under u; if we also hold u (still live),
-				// schedule its reservation for release.
-				if eu, okU := lookup(j, 0, key(u)); okU && core.PairValue(eu) == uint32(i) {
-					release[j] = u
-				}
-				uf.Link(int(v), int(u))
-				kept.add(i)
-				keep[j] = false
-				return
-			}
-			if eu, okU := lookup(j, 0, key(u)); okU && core.PairValue(eu) == uint32(i) {
-				uf.Link(int(u), int(v))
-				kept.add(i)
-				keep[j] = false
-			}
-		})
-		// --- Delete phase: release reservations on surviving roots so
-		// stale minima cannot block the next round. (Reservations on
-		// dead roots are never consulted again and stay in the table;
-		// at most one per vertex over the whole run.)
-		if hasBulk {
-			dels := make([]uint64, p)
-			parallel.For(p, func(j int) {
-				if release[j] >= 0 {
-					dels[j] = key(release[j])
-				}
-			})
-			bulk.DeleteAll(parallel.Pack(dels, func(k int) bool { return dels[k] != 0 }))
-		} else {
-			parallel.ForGrain(p, 1, func(j int) {
-				if release[j] >= 0 {
-					tab.Delete(key(release[j]))
-				}
-			})
-		}
-		w := 0
-		for j := 0; j < p; j++ {
-			if keep[j] {
-				active[w] = active[j]
-				w++
-			}
-		}
-		active = active[:w]
+	r := &tableRound{
+		tab:   tables.MustNew[core.PairMinOps](kind, tables.SizeFor(kind, 2*n)),
+		uf:    unionfind.New(n),
+		edges: edges,
+		roots: make([][2]int32, len(edges)),
+		kept:  make([]bool, len(edges)),
 	}
-	return kept.sorted()
+	detres.Run(r, 0, len(edges), 0)
+	return keptIndices(r.kept)
+}
+
+// tableRound is Table's round body for detres.Run. A reservation
+// is the element Pair(root+1, edge index) under PairMinOps, so a root's
+// key keeps its minimum reserving edge. Reserve finds each edge's roots
+// and drops edges inside one tree; Commit runs the round's three phases
+// over the live edges.
+type tableRound struct {
+	tab   tables.Table
+	uf    *unionfind.UF
+	edges []graph.Edge
+	roots [][2]int32 // per-edge roots cached between reserve and commit
+	kept  []bool     // per-edge: committed into the forest
+	// Phase buffers, sized once at the run's granularity.
+	resv, found, release []uint64
+}
+
+func (r *tableRound) Reserve(active []int, done []bool) {
+	parallel.For(len(active), func(j int) {
+		i := active[j]
+		e := r.edges[i]
+		u, v := r.uf.Find(int(e.U)), r.uf.Find(int(e.V))
+		r.roots[i] = [2]int32{int32(u), int32(v)}
+		done[j] = u == v
+	})
+}
+
+func (r *tableRound) Commit(active []int, done []bool) {
+	q := len(active)
+	if r.resv == nil {
+		g := cap(active)
+		r.resv, r.found, r.release = make([]uint64, 2*g), make([]uint64, 2*g), make([]uint64, g)
+	}
+	resv, found, release := r.resv[:2*q], r.found[:2*q], r.release[:q]
+	// Insert phase: reserve both roots.
+	parallel.For(q, func(j int) {
+		i := active[j]
+		resv[2*j] = core.Pair(uint32(r.roots[i][0])+1, uint32(i))
+		resv[2*j+1] = core.Pair(uint32(r.roots[i][1])+1, uint32(i))
+	})
+	tables.InsertAll(r.tab, resv)
+	// Find phase: read back each root's minimum reservation. An edge
+	// commits if it holds either root and links the held root under
+	// the other; holding both, it keeps u and must release u's key.
+	tables.FindAll(r.tab, resv, found)
+	parallel.For(q, func(j int) {
+		i := active[j]
+		u, v := int(r.roots[i][0]), int(r.roots[i][1])
+		holdsU, holdsV := found[2*j] == resv[2*j], found[2*j+1] == resv[2*j+1]
+		release[j] = 0
+		switch {
+		case holdsV:
+			if holdsU {
+				release[j] = core.Pair(uint32(u)+1, 0)
+			}
+			r.uf.Link(v, u)
+		case holdsU:
+			r.uf.Link(u, v)
+		default:
+			return
+		}
+		r.kept[i] = true
+		done[j] = true
+	})
+	// Delete phase: release reservations on surviving roots so stale
+	// minima cannot block the next round. (Reservations on dead roots
+	// are never consulted again and stay in the table; at most one per
+	// vertex over the whole run.)
+	tables.DeleteAll(r.tab, parallel.Pack(release, func(j int) bool { return release[j] != 0 }))
+}
+
+// keptIndices returns the indices of the kept edges in increasing
+// order.
+func keptIndices(kept []bool) []int {
+	bs := parallel.CountBlocks(len(kept), 0, func(lo, hi int) int {
+		c := 0
+		for _, k := range kept[lo:hi] {
+			if k {
+				c++
+			}
+		}
+		return c
+	})
+	out := make([]int, bs.Total())
+	parallel.EmitBlocks(bs, out, func(lo, hi int, region []int) {
+		o := 0
+		for i := lo; i < hi; i++ {
+			if kept[i] {
+				region[o] = i
+				o++
+			}
+		}
+	})
+	return out
 }
 
 // Forest converts kept edge indices back to edges.

@@ -1,10 +1,12 @@
 package spanning
 
 import (
+	"fmt"
 	"testing"
 
 	"phasehash/internal/graph"
 	"phasehash/internal/hashx"
+	"phasehash/internal/parallel"
 	"phasehash/internal/tables"
 )
 
@@ -55,16 +57,77 @@ func TestArrayMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestTableLinearDMatchesSerial runs Table with every deterministic
+// kind (linearHash-D, its sharded and compact layouts, serialHash-HI)
+// on random edge lists and on the paper's three graph inputs, large
+// enough that prefixes span several pack blocks: the kept edges must
+// equal Serial's.
 func TestTableLinearDMatchesSerial(t *testing.T) {
-	for seed := uint64(1); seed <= 6; seed++ {
-		n := 600
-		edges := randomEdges(n, 2500, seed)
-		want := Serial(n, edges)
-		got := Table(n, edges, tables.LinearD)
-		if !sameInts(want, got) {
-			t.Fatalf("seed %d: linearHash-D forest differs from serial", seed)
+	type input struct {
+		name  string
+		n     int
+		edges []graph.Edge
+	}
+	var inputs []input
+	for seed := uint64(1); seed <= 3; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("random-edges-%d", seed), 600, randomEdges(600, 2500, seed)})
+	}
+	for _, name := range graph.Names {
+		g, err := graph.Build(name, 20000, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{string(name), g.NumVertices(), edgeList(g)})
+	}
+	for _, in := range inputs {
+		want := Serial(in.n, in.edges)
+		for _, kind := range tables.Kinds {
+			if !kind.IsDeterministic() {
+				continue
+			}
+			if got := Table(in.n, in.edges, kind); !sameInts(want, got) {
+				t.Fatalf("%s, %s: forest differs from serial (%d vs %d edges)", in.name, kind, len(got), len(want))
+			}
 		}
 	}
+}
+
+// TestOneWorkerMatchesSerial runs Table and Array at one worker, where
+// every parallel loop is a single block, on a grid whose round prefixes
+// (granularity m/50) span several pack blocks.
+func TestOneWorkerMatchesSerial(t *testing.T) {
+	defer parallel.SetNumWorkers(parallel.SetNumWorkers(1))
+	g, err := graph.Build(graph.Names[0], 30000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, edges := g.NumVertices(), edgeList(g)
+	if len(edges)/50 <= parallel.MinGrain {
+		t.Fatalf("%d edges: prefixes fit one pack block", len(edges))
+	}
+	want := Serial(n, edges)
+	if got := Array(n, edges); !sameInts(want, got) {
+		t.Fatalf("array: forest differs from serial (%d vs %d edges)", len(got), len(want))
+	}
+	for _, kind := range []tables.Kind{tables.LinearD, tables.SerialHI} {
+		if got := Table(n, edges, kind); !sameInts(want, got) {
+			t.Fatalf("%s: forest differs from serial (%d vs %d edges)", kind, len(got), len(want))
+		}
+	}
+}
+
+// edgeList converts a CSR graph back to an edge list (u < v once per
+// edge).
+func edgeList(g *graph.Graph) []graph.Edge {
+	var edges []graph.Edge
+	for v := 0; v < g.NumVertices(); v++ {
+		for _, u := range g.Neighbors(v) {
+			if int(u) > v {
+				edges = append(edges, graph.Edge{U: uint32(v), V: u})
+			}
+		}
+	}
+	return edges
 }
 
 func TestTableOtherKindsValid(t *testing.T) {
@@ -92,15 +155,7 @@ func TestGraphInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Convert CSR back to an edge list (u < v once per edge).
-		var edges []graph.Edge
-		for v := 0; v < g.NumVertices(); v++ {
-			for _, u := range g.Neighbors(v) {
-				if int(u) > v {
-					edges = append(edges, graph.Edge{U: uint32(v), V: u})
-				}
-			}
-		}
+		edges := edgeList(g)
 		n := g.NumVertices()
 		want := Serial(n, edges)
 		for _, f := range []func() []int{

@@ -34,51 +34,6 @@ const (
 // Ops lists Table 1's operations in order.
 var Ops = []Op{OpInsert, OpFindRandom, OpFindInserted, OpDeleteRandom, OpDeleteInserted, OpElements}
 
-// applyAll drives n operations through a table, parallel for concurrent
-// kinds, sequential for the serial baselines — the measured inner loop
-// of every Table 1 cell.
-func applyAll(kind tables.Kind, elems []uint64, f func(e uint64)) {
-	if kind.IsSerial() {
-		for _, e := range elems {
-			f(e)
-		}
-		return
-	}
-	parallel.ForBlocked(len(elems), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(elems[i])
-		}
-	})
-}
-
-// insertAll drives a whole insert phase: the bulk kernel when the table
-// has one (linearHash-D), the per-element loop otherwise.
-func insertAll(kind tables.Kind, tab tables.Table, elems []uint64) {
-	if b, ok := tables.AsBulk(tab); ok && !kind.IsSerial() {
-		b.InsertAll(elems)
-		return
-	}
-	applyAll(kind, elems, func(e uint64) { tab.Insert(e) })
-}
-
-// findAll drives a whole find phase; see insertAll.
-func findAll(kind tables.Kind, tab tables.Table, keys []uint64) {
-	if b, ok := tables.AsBulk(tab); ok && !kind.IsSerial() {
-		b.FindAll(keys, nil)
-		return
-	}
-	applyAll(kind, keys, func(e uint64) { tab.Find(e) })
-}
-
-// deleteAll drives a whole delete phase; see insertAll.
-func deleteAll(kind tables.Kind, tab tables.Table, keys []uint64) {
-	if b, ok := tables.AsBulk(tab); ok && !kind.IsSerial() {
-		b.DeleteAll(keys)
-		return
-	}
-	applyAll(kind, keys, func(e uint64) { tab.Delete(e) })
-}
-
 // opsForDist picks the element semantics matching the distribution: set
 // semantics for key-only inputs, min-combine pairs for key-value inputs
 // (the paper's deterministic priority-on-values rule).
@@ -131,24 +86,24 @@ func Table1Cell(kind tables.Kind, d sequence.Distribution, op Op, n, tableSize i
 	tab := newTableForDist(kind, d, tableSize)
 	switch op {
 	case OpInsert:
-		return timedPhase("bench:insert", func() { insertAll(kind, tab, elems) })
+		return timedPhase("bench:insert", func() { tables.InsertAll(tab, elems) })
 	case OpFindRandom, OpFindInserted, OpDeleteRandom, OpDeleteInserted:
 		// Pre-fill with the inserted set (untimed), then operate on
 		// either the same elements or a fresh draw from the
 		// distribution.
-		insertAll(kind, tab, elems)
+		tables.InsertAll(tab, elems)
 		probe := elems
 		if op == OpFindRandom || op == OpDeleteRandom {
 			probe = sequence.WordElements(d, n, 43)
 		}
 		switch op {
 		case OpFindRandom, OpFindInserted:
-			return timedPhase("bench:find", func() { findAll(kind, tab, probe) })
+			return timedPhase("bench:find", func() { tables.FindAll(tab, probe, nil) })
 		default:
-			return timedPhase("bench:delete", func() { deleteAll(kind, tab, probe) })
+			return timedPhase("bench:delete", func() { tables.DeleteAll(tab, probe) })
 		}
 	case OpElements:
-		insertAll(kind, tab, elems)
+		tables.InsertAll(tab, elems)
 		return timedPhase("bench:elements", func() { tab.Elements() })
 	default:
 		panic("bench: unknown op " + string(op))

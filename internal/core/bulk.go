@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"phasehash/internal/obs"
@@ -48,23 +50,70 @@ import (
 const stageChunk = 64
 
 // tryInsertBlocks runs an insert kernel over the blocks of [0, n) and
-// returns the summed count with the error of one failed insert, if any.
-func tryInsertBlocks(n int, kernel func(lo, hi int) (int, error)) (int, error) {
-	var added atomic.Int64
-	var firstErr atomic.Pointer[error]
+// returns the summed count, the inserts rejected on a full table (for
+// the caller to unwind once every block is done) and the error of one
+// failed insert, if any.
+func tryInsertBlocks[E comparable](n int, kernel func(lo, hi int) (int, []homeless[E], error)) (int, []homeless[E], error) {
+	var r struct {
+		added atomic.Int64
+		mu    sync.Mutex
+		err   error
+		undo  []homeless[E]
+	}
 	parallel.ForBlocked(n, 0, func(lo, hi int) {
-		a, err := kernel(lo, hi)
-		if err != nil {
-			firstErr.CompareAndSwap(nil, &err)
-		}
+		a, undo, err := kernel(lo, hi)
 		if a != 0 {
-			added.Add(int64(a))
+			r.added.Add(int64(a))
+		}
+		if err != nil {
+			r.mu.Lock()
+			if r.err == nil {
+				r.err = err
+			}
+			r.undo = append(r.undo, undo...)
+			r.mu.Unlock()
 		}
 	})
-	if e := firstErr.Load(); e != nil {
-		return int(added.Load()), *e
+	return int(r.added.Load()), r.undo, r.err
+}
+
+// homeless records an insert that swept a full table: it swapped orig
+// in, and its displacement chain pushed carried off the array.
+type homeless[E comparable] struct{ orig, carried E }
+
+// unwindAll undoes inserts rejected on a full table, once the call that
+// made them has finished: delete each orig, then re-insert the element
+// its chain pushed out (into the cell the delete freed). By history
+// independence, with no other operation on the table this restores
+// exactly what it held before those inserts, in that set's canonical
+// layout — a rejected insert changes nothing. A later rejected insert
+// can push out an earlier one's orig, so pairs are undone latest first,
+// and a pair whose orig is not stored waits for another pair's
+// re-insert to put it back; pairs that never see their orig stored
+// pushed each other's origs out and are dropped.
+//
+// When rejected inserts meet the table concurrently (per-element
+// inserts on several goroutines, or the blocks of one flat bulk call
+// while another call runs), each still reports ErrFull, but the undo's
+// deletes then overlap other inserts: which keys stay stored, and the
+// counts, are unspecified, and the table should be cleared before
+// further use.
+func unwindAll[E comparable](hs []homeless[E], del func(E) bool, ins func(E)) {
+	for len(hs) > 0 {
+		var wait []homeless[E]
+		for i := len(hs) - 1; i >= 0; i-- {
+			if del(hs[i].orig) {
+				ins(hs[i].carried)
+			} else {
+				wait = append(wait, hs[i])
+			}
+		}
+		if len(wait) == len(hs) {
+			return
+		}
+		slices.Reverse(wait)
+		hs = wait
 	}
-	return int(added.Load()), nil
 }
 
 // sumBlocks runs a find or delete kernel over the blocks of [0, n) and
@@ -108,11 +157,15 @@ func (t *WordTable[O]) InsertAll(elems []uint64) int {
 // with errors.Is). Which elements land when the table saturates
 // mid-phase is schedule-dependent, exactly as for concurrent
 // per-element TryInserts; the quiescent layout of whatever landed is
-// still history-independent.
+// still history-independent. The rejected inserts are unwound after
+// every block is done, so a call that runs alone leaves exactly the
+// prior set plus the elements that landed.
 func (t *WordTable[O]) TryInsertAll(elems []uint64) (int, error) {
-	return tryInsertBlocks(len(elems), func(lo, hi int) (int, error) {
+	n, undo, err := tryInsertBlocks(len(elems), func(lo, hi int) (int, []homeless[uint64], error) {
 		return t.insertRange(elems, lo, hi)
 	})
+	t.unwind(undo)
+	return n, err
 }
 
 // stage is the stage pass of the block kernels: it hashes a chunk into
@@ -138,8 +191,9 @@ func (t *WordTable[O]) stage(keys []uint64, homes []int) {
 // The always-on counter core is fed one batched call per kernel call,
 // a block or a shard run (ops and probe steps accumulate in locals),
 // which keeps the per-element cost inside the 1% overhead gate budget.
-// Only completed ops are counted.
-func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added int, err error) {
+// Only completed ops are counted. Inserts rejected on a full table are
+// returned in undo, for the caller to unwind.
+func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added int, undo []homeless[uint64], err error) {
 	var homes [stageChunk]int
 	var coreOps, coreSteps uint64
 	for base := lo; base < hi; base += stageChunk {
@@ -153,10 +207,13 @@ func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added int, err e
 				}
 				continue
 			}
-			a, full, s := t.insertLoopFrom(v, homes[i-base])
+			a, full, s, carried := t.insertLoopFrom(v, homes[i-base])
 			if full {
 				if err == nil {
 					err = t.fullErr()
+				}
+				if carried != v {
+					undo = append(undo, homeless[uint64]{v, carried})
 				}
 				continue
 			}
@@ -170,7 +227,7 @@ func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added int, err e
 	if obs.CoreEnabled {
 		obs.CoreInsert(lo>>6, coreOps, coreSteps)
 	}
-	return added, err
+	return added, undo, err
 }
 
 // FindAll looks up every key of keys (find/elements phase only) and
@@ -274,9 +331,11 @@ func (t *PtrTable[T, O]) InsertAll(elems []*T) int {
 // TryInsertAll is InsertAll returning errors instead of panicking; see
 // WordTable.TryInsertAll for the saturation semantics.
 func (t *PtrTable[T, O]) TryInsertAll(elems []*T) (int, error) {
-	return tryInsertBlocks(len(elems), func(lo, hi int) (int, error) {
+	n, undo, err := tryInsertBlocks(len(elems), func(lo, hi int) (int, []homeless[*T], error) {
 		return t.insertRange(elems, lo, hi)
 	})
+	t.unwind(undo)
+	return n, err
 }
 
 // stage is WordTable.stage for records. A nil record has nothing to
@@ -294,7 +353,7 @@ func (t *PtrTable[T, O]) stage(elems []*T, homes []int) {
 
 // insertRange is the insert block kernel over elems[lo:hi); see
 // WordTable.insertRange. Nil records are reported as ErrNilValue.
-func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, err error) {
+func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, undo []homeless[*T], err error) {
 	var homes [stageChunk]int
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
@@ -307,10 +366,13 @@ func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, err err
 				}
 				continue
 			}
-			a, full := t.insertLoopFrom(v, homes[i-base])
+			a, full, carried := t.insertLoopFrom(v, homes[i-base])
 			if full {
 				if err == nil {
 					err = t.fullErr()
+				}
+				if carried != v {
+					undo = append(undo, homeless[*T]{v, carried})
 				}
 				continue
 			}
@@ -319,7 +381,7 @@ func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, err err
 			}
 		}
 	}
-	return added, err
+	return added, undo, err
 }
 
 // FindAll looks up every probe record (find/elements phase only; only

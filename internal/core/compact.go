@@ -279,8 +279,7 @@ func (t *CompactTable[O]) Insert(v uint64) bool {
 	if v == Empty {
 		panic("core: CompactTable: cannot insert the reserved empty element")
 	}
-	h := t.ops.Hash(v)
-	added, full := t.insertLoopFrom(v, h, int(h)&t.mask)
+	added, full := t.insertLoop(v)
 	if full {
 		panic("core: CompactTable: " + t.fullErr().Error())
 	}
@@ -295,12 +294,33 @@ func (t *CompactTable[O]) TryInsert(v uint64) (bool, error) {
 	if v == Empty {
 		return false, reservedErr()
 	}
-	h := t.ops.Hash(v)
-	added, full := t.insertLoopFrom(v, h, int(h)&t.mask)
+	added, full := t.insertLoop(v)
 	if full {
 		return false, t.fullErr()
 	}
 	return added, nil
+}
+
+// insertLoop is the probe loop shared by Insert and TryInsert; a
+// rejected insert is unwound before it returns.
+func (t *CompactTable[O]) insertLoop(v uint64) (added, full bool) {
+	h := t.ops.Hash(v)
+	added, full, carried := t.insertLoopFrom(v, h, int(h)&t.mask)
+	if full && carried != v {
+		t.unwind([]homeless[uint64]{{v, carried}})
+	}
+	return added, full
+}
+
+// unwind undoes inserts rejected on a full table; see unwindAll.
+func (t *CompactTable[O]) unwind(hs []homeless[uint64]) {
+	unwindAll(hs, func(e uint64) bool {
+		h := t.ops.Hash(e)
+		return t.deleteFrom(e, h, int(h)&t.mask)
+	}, func(e uint64) {
+		h := t.ops.Hash(e)
+		t.insertLoopFrom(e, h, int(h)&t.mask)
+	})
 }
 
 // insertLoopFrom is WordTable.insertLoopFrom — the same Figure 1 INSERT
@@ -313,8 +333,10 @@ func (t *CompactTable[O]) TryInsert(v uint64) (bool, error) {
 // equal hashes, so the fingerprint is unchanged and no sync is needed.
 // Inserts do not consult the ctrl array at all — see the type comment:
 // mid-phase ctrl bytes can lag their cells, and a probe decision taken
-// on a stale byte would make the layout schedule-dependent.
-func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, full bool) {
+// on a stale byte would make the layout schedule-dependent. The element
+// carried out of a full table is returned as by
+// WordTable.insertLoopFrom.
+func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, full bool, carried uint64) {
 	var obsCAS, obsFail, obsDisp uint64
 	start := i
 	limit := i + len(t.cells)
@@ -326,7 +348,7 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 			if obs.Enabled {
 				obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
 			}
-			return false, true
+			return false, true, v
 		}
 		c := t.load(i)
 		if c == Empty {
@@ -341,7 +363,7 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 				if obs.Enabled {
 					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
 				}
-				return true, false
+				return true, false, Empty
 			}
 			if obs.Enabled {
 				obsCAS, obsFail = obsCAS+1, obsFail+1
@@ -373,7 +395,7 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 					}
 					obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
 				}
-				return false, false
+				return false, false, Empty
 			}
 			if obs.Enabled {
 				obsCAS, obsFail = obsCAS+1, obsFail+1

@@ -52,14 +52,16 @@ func (t *CompactTable[O]) InsertAll(elems []uint64) int {
 // TryInsertAll is InsertAll returning errors instead of panicking; see
 // WordTable.TryInsertAll for the saturation semantics.
 func (t *CompactTable[O]) TryInsertAll(elems []uint64) (int, error) {
-	return tryInsertBlocks(len(elems), func(lo, hi int) (int, error) {
+	n, undo, err := tryInsertBlocks(len(elems), func(lo, hi int) (int, []homeless[uint64], error) {
 		return t.insertRange(elems, lo, hi)
 	})
+	t.unwind(undo)
+	return n, err
 }
 
 // insertRange is the insert block kernel over elems[lo:hi); see
 // WordTable.insertRange.
-func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, err error) {
+func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, undo []homeless[uint64], err error) {
 	var hs [stageChunk]uint64
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
@@ -73,10 +75,13 @@ func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, er
 				continue
 			}
 			h := hs[i-base]
-			a, full := t.insertLoopFrom(v, h, int(h)&t.mask)
+			a, full, carried := t.insertLoopFrom(v, h, int(h)&t.mask)
 			if full {
 				if err == nil {
 					err = t.fullErr()
+				}
+				if carried != v {
+					undo = append(undo, homeless[uint64]{v, carried})
 				}
 				continue
 			}
@@ -85,7 +90,7 @@ func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, er
 			}
 		}
 	}
-	return added, err
+	return added, undo, err
 }
 
 // FindAll looks up every key of keys (find/elements phase only) and

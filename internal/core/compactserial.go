@@ -21,11 +21,13 @@ func (t *CompactTable[O]) setCtrlSerial(p int, b byte) {
 // insertSerial is insertLoopFrom with plain memory operations, plus the
 // ctrl byte write after every store that changes a slot's occupancy or
 // fingerprint (claims and displacements; merges keep the key and hence
-// the fingerprint).
+// the fingerprint). A rejected insert is unwound as the concurrent
+// path's is.
 //
 //phasehash:serial sequential reference: the table is reachable from one goroutine only, and history independence makes the serial replay land in the same quiescent layout
 func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 	var obsDisp uint64
+	orig := v
 	hv := t.ops.Hash(v)
 	i := int(hv) & t.mask
 	start := i
@@ -34,6 +36,9 @@ func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 		if i >= limit {
 			if obs.Enabled {
 				obs.RecordInsert(start, uint64(i-start), 0, 0, obsDisp)
+			}
+			if v != orig {
+				t.unwind([]homeless[uint64]{{orig, v}})
 			}
 			return false, true
 		}

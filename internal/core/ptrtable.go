@@ -107,14 +107,24 @@ func (t *PtrTable[T, O]) TryInsert(v *T) (bool, error) {
 // of error construction so both stay thin inlinable wrappers. full
 // reports a whole-array sweep (saturation).
 func (t *PtrTable[T, O]) insertLoop(v *T) (added, full bool) {
-	return t.insertLoopFrom(v, t.home(v))
+	added, full, carried := t.insertLoopFrom(v, t.home(v))
+	if full && carried != v {
+		t.unwind([]homeless[*T]{{v, carried}})
+	}
+	return added, full
+}
+
+// unwind undoes inserts rejected on a full table; see unwindAll.
+func (t *PtrTable[T, O]) unwind(hs []homeless[*T]) {
+	unwindAll(hs, func(e *T) bool { return t.deleteFrom(e, t.home(e)) },
+		func(e *T) { t.insertLoopFrom(e, t.home(e)) })
 }
 
 // insertLoopFrom is insertLoop starting from a caller-supplied probe
 // origin (i must be t.home(v)); the bulk kernels pre-hash and
-// cache-stage homes ahead of the probe. Telemetry mirrors
-// WordTable.insertLoopFrom: local tallies, one publish per operation.
-func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool) {
+// cache-stage homes ahead of the probe. Telemetry and the element
+// carried out of a full table mirror WordTable.insertLoopFrom.
+func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool, carried *T) {
 	var obsCAS, obsFail, obsDisp uint64
 	start := i
 	limit := i + len(t.cells)
@@ -126,7 +136,7 @@ func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool) {
 			if obs.Enabled {
 				obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
 			}
-			return false, true
+			return false, true, v
 		}
 		c := t.load(i)
 		if c == nil {
@@ -140,7 +150,7 @@ func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool) {
 				if obs.Enabled {
 					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
 				}
-				return true, false
+				return true, false, nil
 			}
 			if obs.Enabled {
 				obsCAS, obsFail = obsCAS+1, obsFail+1
@@ -164,7 +174,7 @@ func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool) {
 					}
 					obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
 				}
-				return false, false
+				return false, false, nil
 			}
 			if obs.Enabled {
 				obsCAS, obsFail = obsCAS+1, obsFail+1

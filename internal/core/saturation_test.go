@@ -1,6 +1,13 @@
 package core
 
-import "testing"
+import (
+	"errors"
+	"slices"
+	"testing"
+
+	"phasehash/internal/hashx"
+	"phasehash/internal/parallel"
+)
 
 // These tests pin probe termination on a *saturated* table. With no
 // Empty cell left, find and the delete victim scan can only terminate
@@ -160,5 +167,163 @@ func TestSaturatedPtrDeleteTerminates(t *testing.T) {
 	}
 	if got := pt.Count(); got != pt.Size()-2 {
 		t.Fatalf("Count = %d, want %d", got, pt.Size()-2)
+	}
+}
+
+// saturable is what TestSaturatedInsertKeepsSet needs of a fixed layout.
+type saturable interface {
+	TryInsert(v uint64) (bool, error)
+	TryInsertAll(elems []uint64) (int, error)
+	Insert(v uint64) bool
+	Contains(v uint64) bool
+	Count() int
+	Size() int
+	Snapshot() []uint64
+}
+
+// TestSaturatedInsertKeepsSet fills each fixed word layout, then
+// attempts absent inserts one at a time: per-element TryInserts, a
+// bulk TryInsertAll of one block, and a panicking Insert. Every attempt
+// must fail with ErrFull and leave the stored set, and its layout,
+// exactly as it was. Sizes 8 to 256 and random keys make the rejected
+// insert displace long chains before it meets the sweep bound.
+func TestSaturatedInsertKeepsSet(t *testing.T) {
+	layouts := map[string]func(m int) saturable{
+		"Word":    func(m int) saturable { return NewWordTable[SetOps](m) },
+		"Compact": func(m int) saturable { return NewCompactTable[SetOps](m) },
+		"Sharded": func(m int) saturable { return NewShardedTable[SetOps](m, 4) },
+	}
+	for name, newTable := range layouts {
+		for _, m := range []int{8, 64, 256} {
+			tab := newTable(m)
+			var stored []uint64
+			for i := 0; tab.Count() < tab.Size(); i++ {
+				if i > 100*m {
+					t.Fatalf("%s/%d: could not saturate", name, m)
+				}
+				k := hashx.At(uint64(m), i) | 1
+				if added, err := tab.TryInsert(k); err == nil && added {
+					stored = append(stored, k)
+				}
+			}
+			before := tab.Snapshot()
+			check := func(what string) {
+				t.Helper()
+				if !slices.Equal(tab.Snapshot(), before) {
+					t.Fatalf("%s/%d: %s changed the layout", name, m, what)
+				}
+				for _, k := range stored {
+					if !tab.Contains(k) {
+						t.Fatalf("%s/%d: %s lost stored key %#x", name, m, what, k)
+					}
+				}
+			}
+			absent := make([]uint64, 20)
+			for i := range absent {
+				absent[i] = hashx.At(uint64(m)+1000, i) | 1
+			}
+			absent[0], absent[1] = 1, ^uint64(0) // both ends of the priority order
+			for _, k := range absent {
+				if _, err := tab.TryInsert(k); !errors.Is(err, ErrFull) {
+					t.Fatalf("%s/%d: TryInsert(%#x) into a full table: err = %v", name, m, k, err)
+				}
+				check("a rejected TryInsert")
+				if tab.Contains(k) {
+					t.Fatalf("%s/%d: rejected key %#x reads present", name, m, k)
+				}
+			}
+			if n, err := tab.TryInsertAll(absent); n != 0 || !errors.Is(err, ErrFull) {
+				t.Fatalf("%s/%d: TryInsertAll of absent keys = %d, %v", name, m, n, err)
+			}
+			check("a rejected TryInsertAll")
+			func() {
+				defer func() { _ = recover() }()
+				tab.Insert(absent[2])
+				t.Fatalf("%s/%d: Insert into a full table did not panic", name, m)
+			}()
+			check("a panicking Insert")
+		}
+	}
+}
+
+// TestSaturatedSerialInsertKeepsSet is TestSaturatedInsertKeepsSet for
+// CompactTable's sequential reference insert, ctrl bytes included.
+func TestSaturatedSerialInsertKeepsSet(t *testing.T) {
+	tab := NewCompactTable[SetOps](64)
+	for i := 0; tab.Count() < tab.Size(); i++ {
+		tab.insertSerial(hashx.At(7, i) | 1)
+	}
+	cells, ctrl := tab.Snapshot(), tab.CtrlSnapshot()
+	for i := 0; i < 20; i++ {
+		if _, full := tab.insertSerial(hashx.At(8, i) | 1); !full {
+			t.Fatal("insertSerial into a full table did not report full")
+		}
+		if !slices.Equal(tab.Snapshot(), cells) || !slices.Equal(tab.CtrlSnapshot(), ctrl) {
+			t.Fatalf("rejected insertSerial %d changed the layout", i)
+		}
+	}
+}
+
+// TestSaturatedPtrInsertKeepsSet is TestSaturatedInsertKeepsSet for
+// PtrTable: absent records both outranking and outranked by the stored
+// ones are rejected without changing what is stored, or where.
+func TestSaturatedPtrInsertKeepsSet(t *testing.T) {
+	pt, stored := fillPtrTable(t)
+	before := pt.Elements()
+	for _, k := range []uint64{absentLowKey, 50, 1045, 1 << 40, ^uint64(0)} {
+		if _, err := pt.TryInsert(&rec{key: k}); !errors.Is(err, ErrFull) {
+			t.Fatalf("TryInsert(%d) into a full table: err = %v", k, err)
+		}
+		if !slices.Equal(pt.Elements(), before) {
+			t.Fatalf("rejected TryInsert(%d) changed the layout", k)
+		}
+		if _, ok := pt.Find(&rec{key: k}); ok {
+			t.Fatalf("rejected key %d reads present", k)
+		}
+	}
+	for _, r := range stored {
+		if got, ok := pt.Find(&rec{key: r.key}); !ok || got != r {
+			t.Fatalf("stored key %d lost", r.key)
+		}
+	}
+}
+
+// TestSaturatedBulkInsertUnwinds overfills each fixed word layout with
+// one bulk call of many blocks, which run concurrently when there are
+// workers to run them. The rejected inserts are unwound once every
+// block is done, so the count equals the call's added total, and the
+// table holds exactly the canonical layout of the keys that landed.
+func TestSaturatedBulkInsertUnwinds(t *testing.T) {
+	layouts := map[string]func(m int) saturable{
+		"Word":    func(m int) saturable { return NewWordTable[SetOps](m) },
+		"Compact": func(m int) saturable { return NewCompactTable[SetOps](m) },
+		"Sharded": func(m int) saturable { return NewShardedTable[SetOps](m, 4) },
+	}
+	keys := make([]uint64, 8*parallel.MinGrain)
+	for i := range keys {
+		keys[i] = hashx.At(99, i) | 1
+	}
+	for name, newTable := range layouts {
+		tab := newTable(1024)
+		n, err := tab.TryInsertAll(keys)
+		if !errors.Is(err, ErrFull) || n != tab.Count() || n != tab.Size() {
+			t.Fatalf("%s: TryInsertAll = %d, %v; Count %d, Size %d", name, n, err, tab.Count(), tab.Size())
+		}
+		var landed []uint64
+		for _, k := range keys {
+			if tab.Contains(k) {
+				landed = append(landed, k)
+			}
+		}
+		if len(landed) != n {
+			t.Fatalf("%s: %d keys read present, TryInsertAll added %d", name, len(landed), n)
+		}
+		ref := newTable(1024)
+		for _, k := range landed {
+			ref.Insert(k)
+		}
+		if !slices.Equal(tab.Snapshot(), ref.Snapshot()) {
+			t.Fatalf("%s: layout differs from a sequential build of the keys that landed", name)
+		}
 	}
 }

@@ -233,7 +233,10 @@ func (t *ShardedTable[O]) TryInsertAll(elems []uint64) (int, error) {
 	scratch, offsets := t.partitionByShard(elems)
 	errs := make([]error, len(t.shards))
 	added := t.sumShards(offsets, func(s, lo, hi int) int {
-		a, err := t.shards[s].insertRange(scratch, lo, hi)
+		// A shard's run is one worker's, so its rejected inserts are
+		// unwound as soon as the run is done.
+		a, undo, err := t.shards[s].insertRange(scratch, lo, hi)
+		t.shards[s].unwind(undo)
 		errs[s] = err
 		return a
 	})

@@ -28,10 +28,12 @@ type WordTable[O Ops] struct {
 // two m >= size. A table of m cells stores up to m distinct keys;
 // inserting a further absent key into a completely full table fails
 // with ErrFull (Insert panics, TryInsert returns it), detected by the
-// probe sweeping the whole array. The paper assumes the table never
-// becomes completely full: a full table still answers correctly, but
-// absent-key probes degrade to O(m) sweeps, so size with headroom (the
-// paper's experiments run at load factors <= ~0.9). PtrTable and
+// probe sweeping the whole array; a rejected insert is undone before
+// its call returns (see unwindAll for what that guarantees). The paper
+// assumes the table never becomes completely full: a full table still
+// answers correctly, but absent-key probes degrade to O(m) sweeps, so
+// size with headroom (the paper's experiments run at load factors <=
+// ~0.9). PtrTable and
 // CompactTable share these capacity semantics and the ErrFull message.
 func NewWordTable[O Ops](size int) *WordTable[O] {
 	if size < 1 {
@@ -115,8 +117,10 @@ func (t *WordTable[O]) TryInsert(v uint64) (bool, error) {
 // blocks instead (bulk.go).
 func (t *WordTable[O]) insertLoop(v uint64) (added, full bool) {
 	h := t.home(v)
-	var steps int
-	added, full, steps = t.insertLoopFrom(v, h)
+	added, full, steps, carried := t.insertLoopFrom(v, h)
+	if full && carried != v {
+		t.unwind([]homeless[uint64]{{v, carried}})
+	}
 	if obs.CoreEnabled {
 		obs.CoreInsert(h, 1, uint64(steps))
 	}
@@ -137,7 +141,11 @@ func (t *WordTable[O]) insertLoop(v uint64) (added, full bool) {
 // offset is exactly the cells walked — also returned as steps so the
 // caller can feed the always-on counter core (per op from the
 // per-element API, batched per block from the bulk kernels).
-func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps int) {
+//
+// A sweep that finds the table full returns the element it carries
+// when it gives up: v itself, or the element its displacement chain
+// pushed off the array, in which case the caller must unwind.
+func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps int, carried uint64) {
 	var obsCAS, obsFail, obsDisp uint64
 	start := i
 	limit := i + len(t.cells)
@@ -149,7 +157,7 @@ func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps 
 			if obs.Enabled {
 				obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
 			}
-			return false, true, i - start
+			return false, true, i - start, v
 		}
 		c := t.load(i)
 		if c == Empty {
@@ -163,7 +171,7 @@ func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps 
 				if obs.Enabled {
 					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
 				}
-				return true, false, i - start
+				return true, false, i - start, Empty
 			}
 			if obs.Enabled {
 				obsCAS, obsFail = obsCAS+1, obsFail+1
@@ -190,7 +198,7 @@ func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps 
 					}
 					obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
 				}
-				return false, false, i - start
+				return false, false, i - start, Empty
 			}
 			if obs.Enabled {
 				obsCAS, obsFail = obsCAS+1, obsFail+1
@@ -218,6 +226,14 @@ func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps 
 			}
 		}
 	}
+}
+
+// unwind undoes inserts rejected on a full table; see unwindAll.
+func (t *WordTable[O]) unwind(hs []homeless[uint64]) {
+	unwindAll(hs, func(e uint64) bool {
+		deleted, _ := t.deleteFrom(e, t.home(e))
+		return deleted
+	}, func(e uint64) { t.insertLoopFrom(e, t.home(e)) })
 }
 
 // fullErr builds the ErrFull report for a saturated table. The count is

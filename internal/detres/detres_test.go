@@ -1,11 +1,13 @@
 package detres
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"phasehash/internal/atomicx"
+	"phasehash/internal/parallel"
 )
 
 // slotStep has n iterates competing for m slots (iterate i wants slot
@@ -144,5 +146,82 @@ func TestSpeculativeForDrops(t *testing.T) {
 	}
 	if s.committed.Load() != int64(n/2) {
 		t.Fatalf("step saw %d commits", s.committed.Load())
+	}
+}
+
+// TestRunAllocsIndependentOfRounds pins Run's round buffers to
+// one allocation per run: a run of 100 rounds allocates exactly what a
+// run of one round does. Prefixes of 64 iterates keep every loop on the
+// calling goroutine (below parallel.MinGrain), so the parallel runtime's
+// per-dispatch job, which is not Run's, stays out of the count.
+func TestRunAllocsIndependentOfRounds(t *testing.T) {
+	const g = 64
+	s := &dropStep{}
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(20, func() { SpeculativeFor(s, 0, g*rounds, g) })
+	}
+	one, many := allocs(1), allocs(100)
+	if many != one {
+		t.Fatalf("SpeculativeFor allocates %.0f times over 1 round, %.0f over 100", one, many)
+	}
+}
+
+// TestRunPacksSurvivorsInOrder checks Run itself: over prefixes
+// larger than a pack block, survivors keep priority order ahead of
+// fresh iterates, and every iterate is seen by Commit until it commits.
+// It runs at one worker too, where a parallel loop is one block.
+func TestRunPacksSurvivorsInOrder(t *testing.T) {
+	defer parallel.SetNumWorkers(parallel.SetNumWorkers(0))
+	const n, g = 20000, 3000
+	for _, workers := range []int{1, 2, 4} {
+		parallel.SetNumWorkers(workers)
+		r := &orderRound{attempts: make([]int, n)}
+		stats := Run(r, 0, n, g)
+		if stats.Committed+stats.Dropped != n {
+			t.Fatalf("%d workers: Committed %d + Dropped %d != %d", workers, stats.Committed, stats.Dropped, n)
+		}
+		if r.badOrder != "" {
+			t.Fatalf("%d workers: %s", workers, r.badOrder)
+		}
+		for i, a := range r.attempts {
+			want := 0
+			if i%3 != 0 {
+				want = 1 + i%4
+			}
+			if a != want {
+				t.Fatalf("%d workers: iterate %d reached Commit %d times, want %d", workers, i, a, want)
+			}
+		}
+	}
+}
+
+// orderRound drops every third iterate and commits iterate i on its
+// (1+i%4)-th commit attempt. Its passes are sequential, so it can
+// record what it sees.
+type orderRound struct {
+	attempts []int
+	badOrder string
+}
+
+func (r *orderRound) Reserve(active []int, done []bool) {
+	r.check(active)
+	for j, i := range active {
+		done[j] = i%3 == 0
+	}
+}
+
+func (r *orderRound) Commit(active []int, done []bool) {
+	r.check(active)
+	for j, i := range active {
+		r.attempts[i]++
+		done[j] = r.attempts[i] == 1+i%4
+	}
+}
+
+func (r *orderRound) check(active []int) {
+	for j := 1; j < len(active); j++ {
+		if active[j] <= active[j-1] && r.badOrder == "" {
+			r.badOrder = fmt.Sprintf("prefix out of priority order at %d: %d after %d", j, active[j], active[j-1])
+		}
 	}
 }

@@ -161,26 +161,29 @@ type span struct{ lo, hi int }
 
 // makeBlocks splits [0,n) into contiguous spans sized for the current
 // worker count (same policy as ForBlocked, via grainFor).
-func makeBlocks(n int) []span { return segBlocks(n, n) }
+func makeBlocks(n int) []span { return segBlocks(nil, n, n) }
 
 // segBlocks is makeBlocks over [0,n) cut into segments of seg indexes
 // (the last may be shorter): no span straddles a multiple of seg, and a
 // segment shorter than the grain is one span. The grain is computed
 // over the whole range, so the total block count stays ~8 per worker
-// however the range is segmented.
-func segBlocks(n, seg int) []span {
+// however the range is segmented. The spans are appended to dst[:0].
+func segBlocks(dst []span, n, seg int) []span {
 	grain := grainFor(n, NumWorkers(), 0)
 	if grain > seg {
 		grain = seg
 	}
-	blocks := make([]span, 0, (n+grain-1)/grain)
+	if dst == nil {
+		dst = make([]span, 0, (n+grain-1)/grain)
+	}
+	dst = dst[:0]
 	for s := 0; s < n; s += seg {
 		end := min(s+seg, n)
 		for lo := s; lo < end; lo += grain {
-			blocks = append(blocks, span{lo, min(lo+grain, end)})
+			dst = append(dst, span{lo, min(lo+grain, end)})
 		}
 	}
-	return blocks
+	return dst
 }
 
 // Sum is Reduce specialised to integer addition.

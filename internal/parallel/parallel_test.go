@@ -147,6 +147,41 @@ func TestPack(t *testing.T) {
 	}
 }
 
+// TestPackerReused pins the reusable pack: one Packer packs shrinking
+// and growing ranges at every worker count, in index order, and the
+// emit offsets come from the plan both passes share (at one worker a
+// whole range is one loop block, not one pack block).
+func TestPackerReused(t *testing.T) {
+	defer SetNumWorkers(SetNumWorkers(0))
+	const max = 50000
+	keep := func(i int) bool { return i%7 != 3 }
+	var out []int
+	pk := NewPacker(func(lo, hi int) int { return countKept(lo, hi, keep) },
+		func(lo, hi, off int) {
+			for i := lo; i < hi; i++ {
+				if keep(i) {
+					out[off] = i
+					off++
+				}
+			}
+		})
+	xs := make([]int, max)
+	for i := range xs {
+		xs[i] = i
+	}
+	for _, w := range []int{1, 2, 3, 8} {
+		SetNumWorkers(w)
+		for _, n := range []int{max, 3000, 0, 513, 1, 20000} {
+			out = make([]int, n)
+			total := pk.Pack(n)
+			want := Pack(xs[:n], keep)
+			if !slices.Equal(out[:total], want) {
+				t.Fatalf("workers=%d n=%d: Packer kept %d indexes, Pack %d, or their order differs", w, n, total, len(want))
+			}
+		}
+	}
+}
+
 // TestEmitBlocks pins the two-pass driver: blocks never straddle a
 // segment boundary, Offset reads per-segment totals off the count pass,
 // the copy pass preserves index order at every worker count, and a

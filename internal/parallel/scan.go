@@ -81,21 +81,38 @@ type Blocks struct {
 // the per-block counts into output offsets. The grain is the package's
 // automatic policy (grainFor) over the whole range.
 func CountBlocks(n, seg int, count func(lo, hi int) int) Blocks {
-	if n <= 0 {
-		return Blocks{offs: []int{0}}
-	}
-	if seg <= 0 {
-		seg = n
-	}
-	spans := segBlocks(n, seg)
-	offs := make([]int, len(spans)+1)
+	var bs Blocks
+	bs.plan(n, seg)
+	spans, offs := bs.spans, bs.offs
 	ForGrain(len(spans), 1, func(b int) {
 		offs[b+1] = count(spans[b].lo, spans[b].hi)
 	})
-	for b := range spans {
-		offs[b+1] += offs[b]
+	bs.scan()
+	return bs
+}
+
+// plan splits [0, n) into bs's spans and sizes its offsets for them,
+// reusing both buffers.
+func (bs *Blocks) plan(n, seg int) {
+	bs.spans = bs.spans[:0]
+	if n > 0 {
+		if seg <= 0 {
+			seg = n
+		}
+		bs.spans = segBlocks(bs.spans, n, seg)
 	}
-	return Blocks{spans: spans, offs: offs}
+	if cap(bs.offs) <= len(bs.spans) {
+		bs.offs = make([]int, len(bs.spans)+1)
+	}
+	bs.offs = bs.offs[:len(bs.spans)+1]
+	bs.offs[0] = 0
+}
+
+// scan turns the block counts in offs[1:] into output offsets.
+func (bs *Blocks) scan() {
+	for b := range bs.spans {
+		bs.offs[b+1] += bs.offs[b]
+	}
 }
 
 // Total returns the sum of the block counts: the packed length.
@@ -123,6 +140,45 @@ func EmitBlocks[T any](bs Blocks, dst []T, emit func(lo, hi int, out []T)) {
 	ForGrain(len(bs.spans), 1, func(b int) {
 		emit(bs.spans[b].lo, bs.spans[b].hi, dst[bs.offs[b]:bs.offs[b+1]])
 	})
+}
+
+// Packer is the blocked two-pass pack for a caller that packs every
+// round (detres.Run): it keeps its block plan and offsets between
+// calls and builds its pass bodies once, so a Pack allocates nothing
+// of its own once its buffers have grown. (A loop the pool runs still
+// allocates its dispatch.)
+type Packer struct {
+	bs                  Blocks
+	countPass, emitPass func(lo, hi int)
+}
+
+// NewPacker returns a Packer over the caller's kernels: count(lo, hi)
+// returns how many indexes of [lo, hi) the pack keeps, and emit(lo,
+// hi, off) writes them in index order from output offset off.
+func NewPacker(count func(lo, hi int) int, emit func(lo, hi, off int)) *Packer {
+	pk := &Packer{}
+	pk.countPass = func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			pk.bs.offs[b+1] = count(pk.bs.spans[b].lo, pk.bs.spans[b].hi)
+		}
+	}
+	pk.emitPass = func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			emit(pk.bs.spans[b].lo, pk.bs.spans[b].hi, pk.bs.offs[b])
+		}
+	}
+	return pk
+}
+
+// Pack runs the count pass, the scan and the emit pass over [0, n)
+// and returns the packed length. Both passes run over one block plan,
+// CountBlocks', so every block's offset holds at any worker count.
+func (pk *Packer) Pack(n int) int {
+	pk.bs.plan(n, n)
+	ForBlocked(len(pk.bs.spans), 1, pk.countPass)
+	pk.bs.scan()
+	ForBlocked(len(pk.bs.spans), 1, pk.emitPass)
+	return pk.bs.Total()
 }
 
 // Pack returns the elements xs[i] for which keep(i) is true, preserving

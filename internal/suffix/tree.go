@@ -141,27 +141,23 @@ func New(text []byte) *Tree {
 func (t *Tree) NumNodes() int { return len(t.Parent) }
 
 // BuildIndex fills the child index using a table of the given kind and
-// returns it; this parallel insert phase is the timed portion of Table
-// 5(a). The table is sized at twice the node count rounded up to a power
+// returns it; building the edge elements and their one insert phase
+// (tables.InsertAll) are the timed portion of Table 5(a). The table is sized at twice the node count rounded up to a power
 // of two, as in the paper.
 func (t *Tree) BuildIndex(kind tables.Kind) tables.Table {
 	tab := tables.MustNew[EdgeOps](kind, tables.SizeFor(kind, 2*t.NumNodes()))
-	nodes := t.NumNodes()
-	body := func(v int) {
+	// 0 never encodes an edge (it would be node 0 as its own child), so
+	// it marks the nodes without a parent, which the pack drops.
+	elems := make([]uint64, t.NumNodes())
+	parallel.For(len(elems), func(v int) {
 		p := t.Parent[v]
 		if p < 0 {
 			return // root (or the pre-root placeholder)
 		}
 		ch := t.Text[t.Rep[v]+t.Depth[p]]
-		tab.Insert(edgeElement(p, ch, int32(v)))
-	}
-	if kind.IsSerial() {
-		for v := 0; v < nodes; v++ {
-			body(v)
-		}
-	} else {
-		parallel.ForGrain(nodes, 256, func(v int) { body(v) })
-	}
+		elems[v] = edgeElement(p, ch, int32(v))
+	})
+	tables.InsertAll(tab, parallel.Pack(elems, func(v int) bool { return elems[v] != 0 }))
 	t.index = tab
 	return tab
 }

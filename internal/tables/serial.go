@@ -273,3 +273,59 @@ func (t *SerialHDTable[O]) Elements() []uint64 {
 	}
 	return out
 }
+
+// The sequential baselines implement Bulk as plain loops on the calling
+// goroutine, so their phases stay one-threaded behind tables.InsertAll,
+// FindAll and DeleteAll.
+
+// InsertAll implements Bulk sequentially.
+func (t *SerialHITable[O]) InsertAll(elems []uint64) int { return serialInsertAll(t, elems) }
+
+// FindAll implements Bulk sequentially.
+func (t *SerialHITable[O]) FindAll(keys, dst []uint64) int { return serialFindAll(t, keys, dst) }
+
+// DeleteAll implements Bulk sequentially.
+func (t *SerialHITable[O]) DeleteAll(keys []uint64) int { return serialDeleteAll(t, keys) }
+
+// InsertAll implements Bulk sequentially.
+func (t *SerialHDTable[O]) InsertAll(elems []uint64) int { return serialInsertAll(t, elems) }
+
+// FindAll implements Bulk sequentially.
+func (t *SerialHDTable[O]) FindAll(keys, dst []uint64) int { return serialFindAll(t, keys, dst) }
+
+// DeleteAll implements Bulk sequentially.
+func (t *SerialHDTable[O]) DeleteAll(keys []uint64) int { return serialDeleteAll(t, keys) }
+
+func serialInsertAll(t Table, elems []uint64) int {
+	n := 0
+	for _, e := range elems {
+		if t.Insert(e) {
+			n++
+		}
+	}
+	return n
+}
+
+func serialFindAll(t Table, keys, dst []uint64) int {
+	n := 0
+	for i, k := range keys {
+		e, ok := t.Find(k)
+		if ok {
+			n++
+		}
+		if dst != nil {
+			dst[i] = e
+		}
+	}
+	return n
+}
+
+func serialDeleteAll(t Table, keys []uint64) int {
+	n := 0
+	for _, k := range keys {
+		if t.Delete(k) {
+			n++
+		}
+	}
+	return n
+}

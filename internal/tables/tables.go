@@ -24,8 +24,10 @@ package tables
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"phasehash/internal/core"
+	"phasehash/internal/parallel"
 )
 
 // Table is the operation set shared by every implementation, matching
@@ -57,13 +59,14 @@ func Contains(t Table, e uint64) bool {
 	return ok
 }
 
-// Bulk is the optional bulk-kernel extension of Table: whole-phase
-// operations over element slices (internal/core/bulk.go). Only
-// linearHash-D, linearHash-D-sharded and linearHash-D-compact implement
-// it — the bulk kernels exist to make the deterministic table fast, not
-// to accelerate the comparison baselines, which keep the per-element
-// loop the paper describes for them. Every implementation's bulk calls
-// are ordinary phase operations.
+// Bulk is the bulk-kernel extension of Table: whole-phase operations
+// over element slices. linearHash-D, linearHash-D-sharded and
+// linearHash-D-compact implement it with the staged kernels of
+// internal/core; serialHash-HI and serialHash-HD implement it as plain
+// sequential loops, so they stay one-threaded. Callers use InsertAll,
+// FindAll and DeleteAll below, which also cover the kinds without it;
+// Bulk and AsBulk stay exported for the benchmark module, which times
+// a kernel call on its own.
 type Bulk interface {
 	// InsertAll inserts every element (insert phase), returning how many
 	// grew the count.
@@ -77,10 +80,77 @@ type Bulk interface {
 	DeleteAll(keys []uint64) int
 }
 
-// AsBulk returns t's bulk extension when it has one.
+// AsBulk returns t's bulk extension when it has one. Only the
+// benchmark module calls it; this module's phases go through InsertAll,
+// FindAll and DeleteAll.
 func AsBulk(t Table) (Bulk, bool) {
 	b, ok := t.(Bulk)
 	return b, ok
+}
+
+// InsertAll runs one insert phase of every element through t and
+// returns how many grew the count. A kind with Bulk runs its own
+// kernel; every other kind runs the per-element parallel loop the paper
+// describes for the baselines.
+func InsertAll(t Table, elems []uint64) int {
+	if b, ok := t.(Bulk); ok {
+		return b.InsertAll(elems)
+	}
+	return sumBlocks(len(elems), func(lo, hi int) (n int) {
+		for _, e := range elems[lo:hi] {
+			if t.Insert(e) {
+				n++
+			}
+		}
+		return n
+	})
+}
+
+// FindAll runs one find phase of every key through t and returns how
+// many are present. When dst is non-nil (len(dst) >= len(keys)), dst[i]
+// receives the element stored under keys[i], or 0 when it is absent.
+func FindAll(t Table, keys, dst []uint64) int {
+	if b, ok := t.(Bulk); ok {
+		return b.FindAll(keys, dst)
+	}
+	return sumBlocks(len(keys), func(lo, hi int) (n int) {
+		for i := lo; i < hi; i++ {
+			e, ok := t.Find(keys[i])
+			if ok {
+				n++
+			} else {
+				e = core.Empty
+			}
+			if dst != nil {
+				dst[i] = e
+			}
+		}
+		return n
+	})
+}
+
+// DeleteAll runs one delete phase of every key through t and returns
+// how many were removed.
+func DeleteAll(t Table, keys []uint64) int {
+	if b, ok := t.(Bulk); ok {
+		return b.DeleteAll(keys)
+	}
+	return sumBlocks(len(keys), func(lo, hi int) (n int) {
+		for _, k := range keys[lo:hi] {
+			if t.Delete(k) {
+				n++
+			}
+		}
+		return n
+	})
+}
+
+// sumBlocks is the per-element phase loop: it runs count over the
+// parallel blocks of [0, n) and sums what the blocks report.
+func sumBlocks(n int, count func(lo, hi int) int) int {
+	var total atomic.Int64
+	parallel.ForBlocked(n, 0, func(lo, hi int) { total.Add(int64(count(lo, hi))) })
+	return int(total.Load())
 }
 
 // Memory is the optional memory-accounting extension of Table: the

@@ -85,29 +85,86 @@ func TestAllKindsBasicOps(t *testing.T) {
 	})
 }
 
+// TestAllKindsSetSemanticsSerialBulk fills one table per kind with
+// per-element calls and a twin with the whole-phase calls (InsertAll,
+// FindAll, DeleteAll): both must hold the distinct keys, and the phase
+// calls must return the per-element counts and find results.
 func TestAllKindsSetSemanticsSerialBulk(t *testing.T) {
 	keys := keysFor(20000, 2, 1)
 	want := distinct(keys)
+	probes := append(keys[:5000:5000], keysFor(5000, 8, 9)...)
+	// Distinct deletes: which of two concurrent deletes of one key
+	// reports the removal, and whether both do, is up to the kind.
+	var dels []uint64
+	for k := range distinct(keys[:7000]) {
+		dels = append(dels, k)
+	}
 	forEachKind(t, func(t *testing.T, kind Kind) {
-		tab := MustNew[core.SetOps](kind, 1<<16)
+		each, phase := MustNew[core.SetOps](kind, 1<<16), MustNew[core.SetOps](kind, 1<<16)
+		added := 0
 		for _, k := range keys {
-			tab.Insert(k)
-		}
-		if got := tab.Count(); got != len(want) {
-			t.Fatalf("Count = %d, want %d", got, len(want))
-		}
-		elems := tab.Elements()
-		if len(elems) != len(want) {
-			t.Fatalf("len(Elements) = %d, want %d", len(elems), len(want))
-		}
-		for _, e := range elems {
-			if !want[e] {
-				t.Fatalf("element %d never inserted", e)
+			if each.Insert(k) {
+				added++
 			}
 		}
-		for k := range want {
-			if !Contains(tab, k) {
-				t.Fatalf("key %d missing", k)
+		if got := InsertAll(phase, keys); got != added {
+			t.Fatalf("InsertAll = %d, per-element inserts grew %d", got, added)
+		}
+		for name, tab := range map[string]Table{"per-element": each, "phase": phase} {
+			if got := tab.Count(); got != len(want) {
+				t.Fatalf("%s: Count = %d, want %d", name, got, len(want))
+			}
+			elems := tab.Elements()
+			if len(elems) != len(want) {
+				t.Fatalf("%s: len(Elements) = %d, want %d", name, len(elems), len(want))
+			}
+			for _, e := range elems {
+				if !want[e] {
+					t.Fatalf("%s: element %d never inserted", name, e)
+				}
+			}
+			for k := range want {
+				if !Contains(tab, k) {
+					t.Fatalf("%s: key %d missing", name, k)
+				}
+			}
+		}
+
+		dst := make([]uint64, len(probes))
+		hits, wantHits := FindAll(phase, probes, dst), 0
+		for i, k := range probes {
+			e, ok := each.Find(k)
+			if ok {
+				wantHits++
+			} else {
+				e = 0
+			}
+			if dst[i] != e {
+				t.Fatalf("FindAll dst[%d] = %d, Find(%d) = %d", i, dst[i], k, e)
+			}
+		}
+		if hits != wantHits || FindAll(phase, probes, nil) != wantHits {
+			t.Fatalf("FindAll = %d, per-element finds hit %d", hits, wantHits)
+		}
+
+		removed := 0
+		for _, k := range dels {
+			if each.Delete(k) {
+				removed++
+			}
+		}
+		if got := DeleteAll(phase, dels); got != removed {
+			t.Fatalf("DeleteAll = %d, per-element deletes removed %d", got, removed)
+		}
+		a, b := each.Elements(), phase.Elements()
+		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
+		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+		if len(a) != len(b) || phase.Count() != each.Count() {
+			t.Fatalf("after deletes: %d phase elements (Count %d), %d per-element (Count %d)", len(b), phase.Count(), len(a), each.Count())
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("after deletes: sets differ at %d: %d vs %d", i, b[i], a[i])
 			}
 		}
 	})

@@ -100,19 +100,25 @@ func testSetFull(t *testing.T, l setLayout) {
 	if n != s.Count() || n != s.Capacity() {
 		t.Fatalf("TryInsertAll added %d, Count %d, Capacity %d; want all equal", n, s.Count(), s.Capacity())
 	}
-	// A rejected insert into a full table can still displace a stored
-	// key (ROADMAP, "Saturated inserts lose a key"), so the panicking
-	// Insert below uses a key the rejected TryInsert never carried.
+	// A rejected insert leaves the set as it was, so the panicking
+	// Insert below retries the very key TryInsert was refused.
+	stored := s.Elements()
 	fresh := keys[len(keys)-1] + 2
 	if _, err := s.TryInsert(fresh); !errors.Is(err, ErrFull) {
 		t.Fatalf("TryInsert into a full set: err = %v, want ErrFull", err)
+	}
+	if !slices.Equal(s.Elements(), stored) || s.Contains(fresh) {
+		t.Fatalf("a rejected TryInsert changed the set (Contains(rejected) = %v)", s.Contains(fresh))
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Insert into a full set did not panic")
 		}
+		if !slices.Equal(s.Elements(), stored) {
+			t.Fatal("a rejected Insert changed the set")
+		}
 	}()
-	s.Insert(fresh + 2)
+	s.Insert(fresh)
 }
 
 func testSetBulkMatchesPerElement(t *testing.T, l setLayout) {

@@ -61,7 +61,12 @@ var (
 	// ErrFull reports a saturated fixed-capacity container: the insert's
 	// probe sequence swept the whole backing array. TryInsert returns it
 	// where the panicking Insert would crash; size containers for a load
-	// factor below ~0.9 to stay clear of it.
+	// factor below ~0.9 to stay clear of it. A rejected insert is undone
+	// before its call returns, so a call that runs alone leaves the
+	// container holding what it held plus the keys that landed. When
+	// calls meet a full container concurrently, each rejected insert
+	// still returns ErrFull, but which keys stay stored is unspecified;
+	// clear the container before using it further.
 	ErrFull = core.ErrFull
 	// ErrNilValue reports an attempt to store a nil record in a
 	// pointer-backed container.
