@@ -6,9 +6,10 @@
 //     neighbor segments, WriteMin parent selection, prefix-sum packing
 //     (the paper's "array" row).
 //   - Table: the hash-table frontier of Figure 2 — one claim pass per
-//     level lowers parents with WriteMin, the first claimer of each
-//     newly visited vertex adds it to a phase-concurrent table, and
-//     Elements() yields the next frontier.
+//     level lowers parents with WriteMin and collects the first claimer
+//     of each newly visited vertex; a phase-concurrent table sized from
+//     that count takes the collected keys, and Elements() yields the
+//     next frontier.
 //
 // All versions compute the minimum-parent BFS tree: each vertex's parent
 // is the smallest-numbered neighbor in the previous level, so the
@@ -197,48 +198,51 @@ func Array(g *graph.Graph, r int) []int64 {
 }
 
 // Table runs the hash-table BFS of Figure 2 with the given table kind.
-// Each level sizes a fresh table to the frontier's total degree (times
-// four for cuckoo) and makes one claim pass over the frontier: WriteMin
+// Each level makes one claim pass over the frontier first: WriteMin
 // lowers parents, and the first claimer of each newly visited vertex
-// hands it on, so every vertex is inserted once and the neighbors are
-// walked once. The pass collects those keys and one tables.InsertAll
-// inserts them. Elements() yields the next frontier, in an order that
-// depends only on the level's vertex set and the table capacity when
-// the table is deterministic.
+// hands it on, so every vertex is collected once and the neighbors are
+// walked once. Only then is the level's table built, sized from the k
+// keys the pass collected: the smallest power of two above 2k (times
+// four for cuckoo), where Figure 2 sizes it from the frontier's total
+// degree because it inserts every neighbor. One tables.InsertAll
+// inserts the keys and Elements() yields the next frontier; a level
+// that claims nothing ends the search without building a table. The
+// capacity depends only on the level's vertex set, so for a
+// deterministic kind the frontier order does too.
 func Table(g *graph.Graph, r int, kind tables.Kind) []int64 {
 	return table(g, r, kind, nil)
 }
 
-// table is Table with a hook that sees each level's frontier (table
-// keys) before it is expanded; tests use it to compare frontiers.
-func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64)) []int64 {
+// table is Table with a hook called once per level with the frontier
+// it expanded (table keys) and the table built from the keys it
+// claimed, nil for the last level, which claims none. Tests use it to
+// compare frontiers and check table sizes.
+func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64, tab tables.Table)) []int64 {
 	n := g.NumVertices()
 	parents := make([]int64, n)
 	parallel.For(n, func(i int) { parents[i] = Unvisited })
 	parents[r] = encode(int64(r))
 	frontier := []uint64{uint64(r) + 1}
 	wins := make([]uint64, n) // each level's newly visited keys
-	for len(frontier) > 0 {
-		if level != nil {
-			level(frontier)
-		}
-		sumDeg := parallel.Sum(len(frontier), func(i int) int { return g.Degree(int(frontier[i] - 1)) })
-		size := ceilPow2(sumDeg + 1)
-		if kind == tables.Cuckoo {
-			// The paper doubles the cuckoo table for BFS; we double again
-			// because a frontier whose neighbors are all distinct and
-			// unvisited fills sumDeg cells, and two-choice cuckoo
-			// degrades right at 50% load.
-			size *= 4
-		}
-		tab := tables.MustNew[core.SetOps](kind, size)
+	for {
 		// Each full buffer reserves its range of wins with one add.
 		var end atomic.Int64
 		claimLevel(g, parents, frontier, func(keys []uint64) {
 			at := end.Add(int64(len(keys))) - int64(len(keys))
 			copy(wins[at:], keys)
 		})
-		tables.InsertAll(tab, wins[:end.Load()])
+		k := int(end.Load())
+		if k == 0 {
+			if level != nil {
+				level(frontier, nil)
+			}
+			break
+		}
+		tab := tables.MustNew[core.SetOps](kind, levelSize(kind, k))
+		tables.InsertAll(tab, wins[:k])
+		if level != nil {
+			level(frontier, tab)
+		}
 		frontier = tab.Elements()
 		settle(parents, frontier, 1)
 	}
@@ -246,12 +250,19 @@ func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64
 	return parents
 }
 
-func ceilPow2(x int) int {
-	m := 1
-	for m < x {
-		m <<= 1
+// levelSize is the capacity of a level's table holding k keys: the
+// smallest power of two above 2k, so the load stays below 1/2. Cuckoo
+// gets four times that, as the paper doubles its cuckoo tables for BFS
+// and two-choice cuckoo degrades right at 50% load.
+func levelSize(kind tables.Kind, k int) int {
+	size := 1
+	for size <= 2*k {
+		size <<= 1
 	}
-	return m
+	if kind == tables.Cuckoo {
+		size *= 4
+	}
+	return size
 }
 
 // Check verifies that parents is a valid BFS tree of g rooted at r — the

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"phasehash/internal/core"
 	"phasehash/internal/graph"
 	"phasehash/internal/parallel"
 	"phasehash/internal/tables"
@@ -61,19 +62,62 @@ func TestArrayMatchesSerial(t *testing.T) {
 }
 
 func TestTableKindsValidAndDeterministic(t *testing.T) {
-	for name, g := range graphs(t) {
-		want := Serial(g, 0)
-		for _, kind := range tables.ParallelKinds {
-			parents := Table(g, 0, kind)
-			if _, err := Check(g, 0, parents); err != nil {
-				t.Fatalf("%s/%s: %v", name, kind, err)
-			}
-			// Every kind computes the min-parent tree (WriteMin decides
-			// parents, not the table), so all match serial.
-			for v := range want {
-				if want[v] != parents[v] {
-					t.Fatalf("%s/%s: parent of %d is %d, serial %d", name, kind, v, parents[v], want[v])
+	// One worker runs every claim pass and insert phase inline, so a
+	// kind that relied on concurrent blocks would show it there.
+	for name, p := range map[string]int{"default": 0, "one-worker": 1} {
+		t.Run(name, func(t *testing.T) {
+			defer parallel.SetNumWorkers(parallel.SetNumWorkers(p))
+			for name, g := range graphs(t) {
+				want := Serial(g, 0)
+				for _, kind := range tables.ParallelKinds {
+					parents := Table(g, 0, kind)
+					if _, err := Check(g, 0, parents); err != nil {
+						t.Fatalf("%s/%s: %v", name, kind, err)
+					}
+					// Every kind computes the min-parent tree (WriteMin
+					// decides parents, not the table), so all match serial.
+					for v := range want {
+						if want[v] != parents[v] {
+							t.Fatalf("%s/%s: parent of %d is %d, serial %d", name, kind, v, parents[v], want[v])
+						}
+					}
 				}
+			}
+		})
+	}
+}
+
+// TestTableLevelSizes checks the sizing rule: each level's table is
+// built after its claim pass, at the smallest power of two above twice
+// the keys it holds (four times that for cuckoo), and the level that
+// claims nothing, the last, builds none.
+func TestTableLevelSizes(t *testing.T) {
+	for name, g := range graphs(t) {
+		for _, kind := range tables.ParallelKinds {
+			var levels, built int
+			table(g, 0, kind, func(frontier []uint64, tab tables.Table) {
+				levels++
+				if tab == nil {
+					return
+				}
+				built++
+				k := tab.Count()
+				want := 4
+				for want <= 2*k {
+					want *= 2
+				}
+				if kind == tables.Cuckoo {
+					want *= 4
+				}
+				// Compare with the kind's own table of that capacity: a
+				// kind may round small sizes up.
+				want = tables.MustNew[core.SetOps](kind, want).Size()
+				if got := tab.Size(); k == 0 || got != want {
+					t.Fatalf("%s/%s: level %d holds %d keys in %d cells, want %d", name, kind, levels, k, got, want)
+				}
+			})
+			if built != levels-1 {
+				t.Fatalf("%s/%s: %d levels built %d tables, want %d", name, kind, levels, built, levels-1)
 			}
 		}
 	}
@@ -222,7 +266,7 @@ func TestTableFrontiersReproducible(t *testing.T) {
 			for run := 0; run < 2; run++ {
 				var got [][]uint64
 				withProcs(p, func() {
-					table(g, 0, kind, func(frontier []uint64) { got = append(got, frontier) })
+					table(g, 0, kind, func(frontier []uint64, _ tables.Table) { got = append(got, frontier) })
 				})
 				if want == nil {
 					want = got

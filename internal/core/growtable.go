@@ -15,11 +15,12 @@ import (
 // There is one live WordTable at all times. Every insert first counts
 // its call; while the count is at least half the table size, the
 // goroutine that sees the threshold crossed takes the write side of a
-// sync.RWMutex, rehashes every element once into a table of the final
-// power-of-two size and publishes it. Inserts hold the read side while
-// they probe, so a doubling runs between operations, never alongside
-// one — the resize shape of Maier–Sanders' growing tables rather than
-// the paper's incremental two-table migration.
+// sync.RWMutex, rehashes every element once, on the worker pool, into a
+// table of the final power-of-two size and publishes it. Inserts hold
+// the read side while they probe, so a doubling runs between
+// operations, never alongside one — the resize shape of Maier–Sanders'
+// growing tables rather than the paper's incremental two-table
+// migration.
 //
 // What this buys:
 //
@@ -121,35 +122,40 @@ func (g *GrowTable[O]) grow() {
 	}
 }
 
-// rehash inserts every element of old into t, which must be empty, and
-// returns how many it moved. The keys are distinct and t has free
-// cells, so the loop is the displacement insert without the merge and
-// saturation cases; history independence makes the scan order
-// irrelevant to the result. Grow traffic is not insert traffic: nothing
-// here feeds the insert counters.
-//
-//phasehash:serial grow: runs under GrowTable's write lock, which excludes every insert, and the phase discipline excludes finds and deletes
+// rehash inserts every element of old into t, which must be empty and
+// visible only to the grower, and returns how many it moved. Blocks of
+// old's cells run on the worker pool; the keys are distinct and t has
+// free cells, so each block runs Figure 1's concurrent insert without
+// the merge and saturation cases, and history independence gives the
+// layout a serial loop would. Grow traffic is not insert traffic:
+// nothing here feeds the insert counters.
 func (t *WordTable[O]) rehash(old *WordTable[O]) (moved uint64) {
-	for _, v := range old.cells {
-		if v == Empty {
-			continue
-		}
-		if chaos.Enabled {
-			chaos.Yield(chaos.SiteGrowRehash)
-		}
-		for i := t.home(v); ; i++ {
-			c := t.cells[i&t.mask]
-			if c == Empty {
-				t.cells[i&t.mask] = v
-				break
+	return uint64(sumBlocks(len(old.cells), func(lo, hi int) (n int) {
+		for j := lo; j < hi; j++ {
+			v := old.load(j)
+			if v == Empty {
+				continue
 			}
-			if t.ops.Cmp(c, v) < 0 {
-				t.cells[i&t.mask], v = v, c
+			if chaos.Enabled {
+				chaos.Yield(chaos.SiteGrowRehash)
 			}
+			for i := t.home(v); ; {
+				c := t.load(i)
+				if c == Empty {
+					if t.cas(i, Empty, v) {
+						break
+					}
+				} else if t.ops.Cmp(c, v) > 0 {
+					i++
+				} else if t.cas(i, c, v) {
+					v = c // carry the displaced element on
+					i++
+				}
+			}
+			n++
 		}
-		moved++
-	}
-	return moved
+		return n
+	}))
 }
 
 // Find returns the element under v's key (find/elements phase only).

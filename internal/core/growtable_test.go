@@ -123,7 +123,8 @@ func TestGrowTableDelete(t *testing.T) {
 // InsertAll calls on pool workers across several doublings: the readers
 // a doubling blocks are pool workers, and the occasional large InsertAll
 // holds the read lock across its own pool dispatch. The phase must
-// finish (the grower never needs the pool), the insert results must sum
+// finish (the grower's rehash is a pool dispatch too, and a dispatcher
+// runs every block no free worker takes), the insert results must sum
 // to the distinct-key count, and the layout must match a sequential
 // per-element replay of the same calls. Run it under -race too.
 func TestGrowTableMixedInsertsFromPoolWorkers(t *testing.T) {
@@ -182,6 +183,39 @@ func TestGrowTableMixedInsertsFromPoolWorkers(t *testing.T) {
 		if a[i] != r[i] {
 			t.Fatalf("cell %d = %#x, sequential replay %#x", i, a[i], r[i])
 		}
+	}
+}
+
+// TestGrowRehashLayoutAcrossWorkers checks that the parallel rehash
+// builds the history-independent layout: a table grown at 1, 2 and 4
+// workers, by concurrent per-element inserts and then by bulk calls,
+// holds cell for cell what a WordTable of its final size filled one key
+// at a time holds.
+func TestGrowRehashLayoutAcrossWorkers(t *testing.T) {
+	const n, call = 1 << 16, 1 << 12
+	keys := make([]uint64, n)
+	for i := range keys {
+		keys[i] = hashx.At(7, i)%(2*n) + 1
+	}
+	for _, p := range []int{1, 2, 4} {
+		func() {
+			defer parallel.SetNumWorkers(parallel.SetNumWorkers(p))
+			g := NewGrowTable[SetOps](minGrowSize)
+			parallel.ForGrain(n/2, 1, func(i int) { g.Insert(keys[i]) })
+			for i := n / 2; i < n; i += call {
+				g.InsertAll(keys[i : i+call])
+			}
+			w := NewWordTable[SetOps](g.Size())
+			for _, k := range keys {
+				w.Insert(k)
+			}
+			a, r := g.Snapshot(), w.Snapshot()
+			for i := range a {
+				if a[i] != r[i] {
+					t.Fatalf("workers %d: cell %d = %#x, one-at-a-time WordTable %#x", p, i, a[i], r[i])
+				}
+			}
+		}()
 	}
 }
 

@@ -16,28 +16,32 @@ import (
 	"sync/atomic"
 )
 
-// maxProcs is the degree of parallelism used by all loops in this package.
-// It defaults to runtime.GOMAXPROCS(0) and can be overridden with
-// SetNumWorkers, which the benchmark drivers use for thread-scaling sweeps
-// (Figure 4 of the paper).
-var maxProcs atomic.Int64
-
-func init() {
-	maxProcs.Store(int64(runtime.GOMAXPROCS(0)))
-}
+// workersSet is the worker count SetNumWorkers fixed, or 0 while the
+// count follows runtime.GOMAXPROCS(0). Following it per call, rather
+// than reading it once at start-up, lets go test -cpu and any later
+// GOMAXPROCS change reach every loop; the benchmark drivers set a count
+// for thread-scaling sweeps (Figure 4 of the paper).
+var workersSet atomic.Int64
 
 // SetNumWorkers sets the number of workers used by subsequent parallel
-// operations. n < 1 resets to runtime.GOMAXPROCS(0). It returns the
-// previous value.
+// operations; n < 1 makes the count follow runtime.GOMAXPROCS(0) again.
+// It returns the previous setting, 0 when the count was following
+// GOMAXPROCS, so defer SetNumWorkers(SetNumWorkers(n)) restores it.
 func SetNumWorkers(n int) int {
 	if n < 1 {
-		n = runtime.GOMAXPROCS(0)
+		n = 0
 	}
-	return int(maxProcs.Swap(int64(n)))
+	return int(workersSet.Swap(int64(n)))
 }
 
-// NumWorkers reports the current worker count.
-func NumWorkers() int { return int(maxProcs.Load()) }
+// NumWorkers reports the current worker count: the SetNumWorkers
+// setting, or runtime.GOMAXPROCS(0) when there is none.
+func NumWorkers() int {
+	if n := workersSet.Load(); n > 0 {
+		return int(n)
+	}
+	return runtime.GOMAXPROCS(0)
+}
 
 // MinGrain is the smallest block size For will create, to keep dispatch
 // overhead negligible relative to useful work: a loop of at most
@@ -97,12 +101,19 @@ func ForBlocked(n, grain int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := NumWorkers()
-	grain = grainFor(n, p, grain)
-	if p == 1 || n <= grain {
+	// A loop no longer than its grain (MinGrain when automatic) runs
+	// inline at any worker count, so it skips NumWorkers, whose
+	// GOMAXPROCS read takes the scheduler's lock.
+	if n <= grain || (grain <= 0 && n <= MinGrain) {
 		body(0, n)
 		return
 	}
+	p := NumWorkers()
+	if p == 1 {
+		body(0, n)
+		return
+	}
+	grain = grainFor(n, p, grain)
 	nblocks := (n + grain - 1) / grain
 	j := &job{n: n, grain: grain, nblocks: nblocks, body: body, done: make(chan struct{})}
 	j.remaining.Store(int64(nblocks))

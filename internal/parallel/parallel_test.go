@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -336,6 +337,36 @@ func TestSetNumWorkers(t *testing.T) {
 	SetNumWorkers(0) // resets to GOMAXPROCS
 	if NumWorkers() < 1 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestNumWorkersFollowsGOMAXPROCS checks that without a SetNumWorkers
+// setting the worker count tracks GOMAXPROCS as it changes (go test
+// -cpu changes it after start-up), that a setting overrides it, and
+// that SetNumWorkers returns the previous setting, 0 while following.
+func TestNumWorkersFollowsGOMAXPROCS(t *testing.T) {
+	defer SetNumWorkers(SetNumWorkers(0))
+	p := runtime.GOMAXPROCS(0) + 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
+	if got := NumWorkers(); got != p {
+		t.Fatalf("GOMAXPROCS %d: NumWorkers = %d", p, got)
+	}
+	runtime.GOMAXPROCS(1)
+	if got := NumWorkers(); got != 1 {
+		t.Fatalf("GOMAXPROCS 1: NumWorkers = %d", got)
+	}
+	if prev := SetNumWorkers(p + 2); prev != 0 {
+		t.Fatalf("SetNumWorkers returned %d while following GOMAXPROCS, want 0", prev)
+	}
+	runtime.GOMAXPROCS(p)
+	if got := NumWorkers(); got != p+2 {
+		t.Fatalf("setting %d, GOMAXPROCS %d: NumWorkers = %d", p+2, p, got)
+	}
+	if prev := SetNumWorkers(0); prev != p+2 {
+		t.Fatalf("SetNumWorkers returned %d, want the setting %d", prev, p+2)
+	}
+	if got := NumWorkers(); got != p {
+		t.Fatalf("after reset, GOMAXPROCS %d: NumWorkers = %d", p, got)
 	}
 }
 

@@ -182,7 +182,8 @@ func WorkerID() int {
 // report: the number of pool workers started so far. The pool grows
 // only when a dispatch requests more parallelism than ever before, so
 // scratch sized MaxWorkerID()+1 immediately before a loop is safe for
-// that loop unless SetNumWorkers is raised concurrently (don't).
+// that loop unless the worker count (SetNumWorkers, or GOMAXPROCS while
+// there is no setting) is raised concurrently (don't).
 func MaxWorkerID() int { return int(workers.started.Load()) }
 
 // goid parses the calling goroutine's ID from runtime.Stack's header

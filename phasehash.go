@@ -388,8 +388,9 @@ func entriesOf(t pairTable) []Entry {
 }
 
 // SetParallelism bounds the worker count used by the library's internal
-// parallel operations (Elements packing, Clear). n < 1 resets to
-// GOMAXPROCS. It returns the previous setting. Intended for benchmarks
-// and tests; the containers themselves scale to any number of caller
-// goroutines regardless.
+// parallel operations (Elements packing, Clear). n < 1 makes it follow
+// GOMAXPROCS again. It returns the previous setting, 0 while following
+// GOMAXPROCS, so defer SetParallelism(SetParallelism(n)) restores it.
+// Intended for benchmarks and tests; the containers themselves scale to
+// any number of caller goroutines regardless.
 func SetParallelism(n int) int { return parallel.SetNumWorkers(n) }
