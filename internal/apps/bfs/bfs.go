@@ -15,9 +15,12 @@
 // is the smallest-numbered neighbor in the previous level, so the
 // deterministic versions agree exactly with the serial reference.
 //
-// Following Figure 2, visited vertices hold their parent *negated*
-// (encoded -(p+1)) while a level is being processed; the exported
-// functions decode before returning.
+// Where Figure 2 negates a visited vertex's parent, which takes a settle
+// pass per level, every claim here carries its depth: a claim at depth d
+// writes d<<32 | parent, so WriteMin keeps the smallest depth and then the
+// smallest parent, and a vertex visited at an earlier level rejects later
+// claims by itself. The tree is the same; the exported functions mask the
+// depth off before returning. The encoding holds fewer than 2^31 levels.
 package bfs
 
 import (
@@ -26,7 +29,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"phasehash/internal/atomicx"
 	"phasehash/internal/core"
 	"phasehash/internal/graph"
 	"phasehash/internal/parallel"
@@ -66,32 +68,23 @@ func Serial(g *graph.Graph, r int) []int64 {
 	return parents
 }
 
-// visited encoding: -(p+1) for a settled vertex with parent p.
-func encode(p int64) int64 { return -(p + 1) }
-func decode(p int64) int64 { return -p - 1 }
-
-// claimNeighbors runs Array's WriteMin parent-claim pass for one
-// frontier. Settled vertices are negative and skipped; claimed-but-
-// unsettled vertices still accept smaller claims, which is what makes
-// the result the minimum parent and hence deterministic.
-func claimNeighbors(g *graph.Graph, parents []int64, frontier []uint32) {
-	parallel.For(len(frontier), func(i int) {
-		v := frontier[i]
-		for _, u := range g.Neighbors(int(v)) {
-			if atomic.LoadInt64(&parents[u]) < 0 {
-				continue // settled in an earlier level
-			}
-			atomicx.WriteMinInt64(&parents[u], int64(v))
-		}
-	})
+// depthTag is the high half of every claim at depth d: parent v claims
+// with depthTag(d) | v. Below 2^31 levels (d <= maxDepth) that stays
+// under Unvisited for every uint32 parent.
+func depthTag(d int) int64 {
+	const maxDepth = 1<<31 - 2
+	if d > maxDepth {
+		panic(fmt.Sprintf("bfs: level %d is past the %d levels a claim can encode", d, maxDepth+1))
+	}
+	return int64(d) << 32
 }
 
-// claim is Table's WriteMin: it lowers parents[u] to v unless u is
-// settled (negative) or already claimed by v or a smaller vertex, and
-// reports whether its CAS replaced Unvisited. Exactly one call per newly
-// visited vertex does that, its first claimer; later, smaller claims
-// still lower parents[u], so the level ends with the same minimum parent
-// whichever claimer came first.
+// claim is claimLevel's WriteMin: it lowers parents[u] to v unless u
+// holds v or less (visited at an earlier depth, or claimed by v or a
+// smaller vertex at this one), and reports whether its CAS replaced
+// Unvisited. Exactly one call per newly visited vertex does that, its
+// first claimer; later, smaller claims still lower parents[u], so the
+// level ends with the same minimum parent whichever claimer came first.
 func claim(parents []int64, u uint32, v int64) bool {
 	for {
 		cur := atomic.LoadInt64(&parents[u])
@@ -104,31 +97,48 @@ func claim(parents []int64, u uint32, v int64) bool {
 	}
 }
 
-// claimBuf is how many keys a claim block stages before handing them on.
-const claimBuf = 256
+// claimChunk is the staging window of the claim pass: how many frontier
+// vertices have every neighbor's parents word touched before the chunk
+// is claimed. The touches are independent loads, so the core keeps many
+// of their misses in flight, where each claim's load-CAS chain waits.
+// claimBuf is how many keys a claim block buffers before handing them on.
+const claimChunk, claimBuf = 32, 256
 
-// claimLevel is Table's one claim pass over a level. frontier holds
-// table keys (vertex+1) and is split at the automatic grain. Each block
-// stages the key of every vertex it first-claims in a fixed buffer and
-// passes the buffer to emit when it fills and when the block ends, so
-// across all calls emit sees each newly visited vertex's key exactly
-// once. Blocks call emit concurrently.
-func claimLevel(g *graph.Graph, parents []int64, frontier []uint64, emit func(keys []uint64)) {
+// claimLevel is the claim pass over a frontier at depth d-1, with tag =
+// depthTag(d); entries are vertex+base (Array's vertices, Table's keys).
+// Each block of the automatic grain touches a chunk's neighbors' parents
+// with atomic loads (which cannot race with the CASes), then claims the
+// chunk. With a non-nil emit, a block buffers the key (vertex+1) of every
+// vertex it first-claims and passes the buffer to emit when it fills and
+// when the block ends, so emit sees each newly visited vertex's key
+// exactly once. Blocks call emit concurrently.
+func claimLevel[V uint32 | uint64](g *graph.Graph, parents []int64, frontier []V, base V, tag int64, emit func(keys []uint64)) {
 	parallel.ForBlocked(len(frontier), 0, func(lo, hi int) {
-		var buf [claimBuf]uint64
+		var buf []uint64 // escapes through emit, so only a block that emits allocates it
+		if emit != nil {
+			buf = make([]uint64, claimBuf)
+		}
 		k := 0
-		for _, key := range frontier[lo:hi] {
-			v := int64(key - 1)
-			for _, u := range g.Neighbors(int(v)) {
-				if !claim(parents, u, v) {
-					continue
+		for c := lo; c < hi; c += claimChunk {
+			chunk := frontier[c:min(c+claimChunk, hi)]
+			for _, f := range chunk {
+				for _, u := range g.Neighbors(int(f - base)) {
+					atomic.LoadInt64(&parents[u])
 				}
-				if k == len(buf) {
-					emit(buf[:])
-					k = 0
+			}
+			for _, f := range chunk {
+				v := tag | int64(f-base)
+				for _, u := range g.Neighbors(int(f - base)) {
+					if !claim(parents, u, v) || emit == nil {
+						continue
+					}
+					if k == len(buf) {
+						emit(buf)
+						k = 0
+					}
+					buf[k] = uint64(u) + 1 // offset: table keys must not be 0
+					k++
 				}
-				buf[k] = uint64(u) + 1 // offset: table keys must not be 0
-				k++
 			}
 		}
 		if k > 0 {
@@ -137,21 +147,11 @@ func claimLevel(g *graph.Graph, parents []int64, frontier []uint64, emit func(ke
 	})
 }
 
-// settle negates the parents of the new frontier, marking them visited.
-// Frontier entries are vertex+base: Array's hold vertices (base 0),
-// Table's hold table keys (base 1).
-func settle[V uint32 | uint64](parents []int64, frontier []V, base V) {
-	parallel.For(len(frontier), func(i int) {
-		u := frontier[i] - base
-		parents[u] = encode(parents[u])
-	})
-}
-
-// decodeAll converts the negated encoding back to plain parents.
+// decodeAll masks the depth off every visited vertex's parent.
 func decodeAll(parents []int64) {
 	parallel.For(len(parents), func(i int) {
-		if parents[i] < 0 {
-			parents[i] = decode(parents[i])
+		if parents[i] != Unvisited {
+			parents[i] &= 1<<32 - 1
 		}
 	})
 }
@@ -164,9 +164,9 @@ func Array(g *graph.Graph, r int) []int64 {
 	n := g.NumVertices()
 	parents := make([]int64, n)
 	parallel.For(n, func(i int) { parents[i] = Unvisited })
-	parents[r] = encode(int64(r))
+	parents[r] = int64(r)
 	frontier := []uint32{uint32(r)}
-	for len(frontier) > 0 {
+	for d := 1; len(frontier) > 0; d++ {
 		f := len(frontier)
 		degs := make([]int, f)
 		parallel.For(f, func(i int) { degs[i] = g.Degree(int(frontier[i])) })
@@ -174,14 +174,15 @@ func Array(g *graph.Graph, r int) []int64 {
 		total := parallel.Scan(offsets, degs)
 		next := make([]uint32, total)
 		const none = ^uint32(0)
-		claimNeighbors(g, parents, frontier)
+		tag := depthTag(d)
+		claimLevel(g, parents, frontier, 0, tag, nil)
 		// With all claims settled, exactly one frontier vertex owns each
 		// newly claimed neighbor; owners copy into their segments.
 		parallel.For(f, func(i int) {
 			v := frontier[i]
 			o := offsets[i]
 			for _, u := range g.Neighbors(int(v)) {
-				if atomic.LoadInt64(&parents[u]) == int64(v) {
+				if atomic.LoadInt64(&parents[u]) == tag|int64(v) {
 					next[o] = u
 					o++
 				}
@@ -191,7 +192,6 @@ func Array(g *graph.Graph, r int) []int64 {
 			}
 		})
 		frontier = parallel.Pack(next, func(i int) bool { return next[i] != none })
-		settle(parents, frontier, 0)
 	}
 	decodeAll(parents)
 	return parents
@@ -199,16 +199,17 @@ func Array(g *graph.Graph, r int) []int64 {
 
 // Table runs the hash-table BFS of Figure 2 with the given table kind.
 // Each level makes one claim pass over the frontier first: WriteMin
-// lowers parents, and the first claimer of each newly visited vertex
-// hands it on, so every vertex is collected once and the neighbors are
-// walked once. Only then is the level's table built, sized from the k
-// keys the pass collected: the smallest power of two above 2k (times
-// four for cuckoo), where Figure 2 sizes it from the frontier's total
-// degree because it inserts every neighbor. One tables.InsertAll
-// inserts the keys and Elements() yields the next frontier; a level
-// that claims nothing ends the search without building a table. The
-// capacity depends only on the level's vertex set, so for a
-// deterministic kind the frontier order does too.
+// lowers parents with depth-tagged claims, which vertices visited at an
+// earlier level reject, so no pass settles the new frontier; and the
+// first claimer of each newly visited vertex hands it on, so every
+// vertex is collected once and the neighbors are walked once. Only then
+// is the level's table built, sized from the k keys the pass collected:
+// the smallest power of two above 2k (times four for cuckoo), where
+// Figure 2 sizes it from the frontier's total degree because it inserts
+// every neighbor. One tables.InsertAll inserts the keys and Elements()
+// yields the next frontier; a level that claims nothing ends the search
+// without a table. The capacity depends only on the level's vertex set,
+// so for a deterministic kind the frontier order does too.
 func Table(g *graph.Graph, r int, kind tables.Kind) []int64 {
 	return table(g, r, kind, nil)
 }
@@ -221,13 +222,13 @@ func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64
 	n := g.NumVertices()
 	parents := make([]int64, n)
 	parallel.For(n, func(i int) { parents[i] = Unvisited })
-	parents[r] = encode(int64(r))
+	parents[r] = int64(r)
 	frontier := []uint64{uint64(r) + 1}
 	wins := make([]uint64, n) // each level's newly visited keys
-	for {
+	for d := 1; ; d++ {
 		// Each full buffer reserves its range of wins with one add.
 		var end atomic.Int64
-		claimLevel(g, parents, frontier, func(keys []uint64) {
+		claimLevel(g, parents, frontier, 1, depthTag(d), func(keys []uint64) {
 			at := end.Add(int64(len(keys))) - int64(len(keys))
 			copy(wins[at:], keys)
 		})
@@ -244,7 +245,6 @@ func table(g *graph.Graph, r int, kind tables.Kind, level func(frontier []uint64
 			level(frontier, tab)
 		}
 		frontier = tab.Elements()
-		settle(parents, frontier, 1)
 	}
 	decodeAll(parents)
 	return parents

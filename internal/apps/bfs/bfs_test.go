@@ -186,14 +186,14 @@ func unvisited(n int) []int64 {
 	return parents
 }
 
-// claimOnce runs one claimLevel over frontier and checks that the keys
-// it emits are exactly the vertices it newly claimed, each once. It
-// returns the emitted keys.
-func claimOnce(t *testing.T, g *graph.Graph, parents []int64, frontier []uint64) []uint64 {
+// claimOnce runs one claimLevel at depth d over frontier and checks that
+// the keys it emits are exactly the vertices it newly claimed, each once.
+// It returns the emitted keys.
+func claimOnce(t *testing.T, g *graph.Graph, parents []int64, frontier []uint64, d int) []uint64 {
 	t.Helper()
 	var mu sync.Mutex
 	var got []uint64
-	claimLevel(g, parents, frontier, func(keys []uint64) {
+	claimLevel(g, parents, frontier, 1, depthTag(d), func(keys []uint64) {
 		mu.Lock()
 		got = append(got, keys...)
 		mu.Unlock()
@@ -207,8 +207,8 @@ func claimOnce(t *testing.T, g *graph.Graph, parents []int64, frontier []uint64)
 		emitted[u] = true
 	}
 	for u, p := range parents {
-		// Claimed this level: non-negative (not settled) and not Unvisited.
-		claimed := p >= 0 && p != Unvisited
+		// Claimed this level: tagged with depth d.
+		claimed := p != Unvisited && p>>32 == int64(d)
 		if claimed != emitted[u] {
 			t.Fatalf("vertex %d: claimed %v, emitted %v", u, claimed, emitted[u])
 		}
@@ -226,11 +226,11 @@ func TestClaimLevelEmitsEachVertexOnce(t *testing.T) {
 		const m = 5000 // many full claim buffers
 		g := completeBipartite(m)
 		parents := unvisited(g.NumVertices())
-		parents[0], parents[1] = encode(0), encode(0)
-		claimOnce(t, g, parents, []uint64{2, 1}) // vertex 1, then vertex 0
+		parents[0], parents[1] = 0, 0               // both at depth 0
+		claimOnce(t, g, parents, []uint64{2, 1}, 1) // vertex 1, then vertex 0
 		for u := 2; u < m+2; u++ {
-			if parents[u] != 0 {
-				t.Fatalf("parent of %d is %d, want 0", u, parents[u])
+			if parents[u] != depthTag(1) {
+				t.Fatalf("parent of %d is %#x, want depth 1, parent 0", u, parents[u])
 			}
 		}
 	})
@@ -240,12 +240,11 @@ func TestClaimLevelEmitsEachVertexOnce(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			parents := unvisited(g.NumVertices())
-			parents[0] = encode(0)
+			parents[0] = 0
 			frontier := []uint64{1}
-			for len(frontier) > 0 {
-				frontier = claimOnce(t, g, parents, frontier)
+			for d := 1; len(frontier) > 0; d++ {
+				frontier = claimOnce(t, g, parents, frontier, d)
 				slices.SortFunc(frontier, func(a, b uint64) int { return cmp.Compare(b, a) })
-				settle(parents, frontier, 1)
 			}
 			decodeAll(parents)
 			if !slices.Equal(parents, Serial(g, 0)) {
@@ -253,6 +252,47 @@ func TestClaimLevelEmitsEachVertexOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeepGraphMatchesSerial runs a cycle of 200 000 vertices, whose
+// 100 001 levels carry claim depths past 2^16, and whose farthest vertex
+// is claimed from both sides at the last level: Table and Array must
+// still build Serial's tree at every worker count.
+func TestDeepGraphMatchesSerial(t *testing.T) {
+	const n = 200_000
+	edges := make([]graph.Edge, n)
+	for i := range edges {
+		edges[i] = graph.Edge{U: uint32(i), V: uint32((i + 1) % n)}
+	}
+	g := graph.FromEdges(n, edges)
+	want := Serial(g, 0)
+	if want[n/2] != n/2-1 {
+		t.Fatalf("serial parent of %d is %d, want %d", n/2, want[n/2], n/2-1)
+	}
+	for _, p := range []int{1, 2, 4} {
+		withProcs(p, func() {
+			if !slices.Equal(Table(g, 0, tables.LinearD), want) {
+				t.Errorf("%d workers: Table parents differ from Serial", p)
+			}
+			if !slices.Equal(Array(g, 0), want) {
+				t.Errorf("%d workers: Array parents differ from Serial", p)
+			}
+		})
+	}
+}
+
+// TestDepthTagBound checks the encoding's bound: the deepest claim of
+// the largest parent stays below Unvisited, and one level more panics.
+func TestDepthTagBound(t *testing.T) {
+	if deepest := depthTag(1<<31-2) | (1<<32 - 1); deepest >= Unvisited {
+		t.Fatalf("deepest claim %#x is not below Unvisited", deepest)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("depthTag(2^31-1) did not panic")
+		}
+	}()
+	depthTag(1<<31 - 1)
 }
 
 // TestTableFrontiersReproducible checks what examples/bfs claims: with a

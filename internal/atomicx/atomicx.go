@@ -23,19 +23,6 @@ func WriteMin(addr *uint64, val uint64) bool {
 	}
 }
 
-// WriteMinInt64 is WriteMin for int64 values.
-func WriteMinInt64(addr *int64, val int64) bool {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if val >= cur {
-			return false
-		}
-		if atomic.CompareAndSwapInt64(addr, cur, val) {
-			return true
-		}
-	}
-}
-
 // WriteMax atomically stores val at addr iff val > current value,
 // returning true iff it stored.
 func WriteMax(addr *uint64, val uint64) bool {

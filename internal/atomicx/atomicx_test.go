@@ -67,16 +67,6 @@ func TestWriteMinConcurrentCommutes(t *testing.T) {
 	}
 }
 
-func TestWriteMinInt64(t *testing.T) {
-	x := int64(10)
-	if !WriteMinInt64(&x, -5) || x != -5 {
-		t.Fatal("WriteMinInt64 failed with negatives")
-	}
-	if WriteMinInt64(&x, 0) {
-		t.Fatal("WriteMinInt64 raised")
-	}
-}
-
 func TestQuickWriteMinIsMin(t *testing.T) {
 	f := func(vals []uint64) bool {
 		if len(vals) == 0 {

@@ -31,15 +31,23 @@ func (l *spinLock) TryLock() bool { return l.v.CompareAndSwap(0, 1) }
 
 func (l *spinLock) Unlock() { l.v.Store(0) }
 
-// maxEvictions bounds a cuckoo displacement chain before the table is
-// declared too full (the reproduction does not resize, matching the
-// benchmarked configuration).
+// maxEvictions bounds a cuckoo displacement chain before its carried
+// element goes to the stash (the reproduction does not resize, matching
+// the benchmarked configuration).
 const maxEvictions = 500
+
+// stashSize is how many elements the stash holds. A one-slot two-choice
+// table cannot hold a set whose cuckoo graph (cells as vertices, each
+// key an edge between its two cells) has a component with more keys
+// than cells; a stash of s takes s such excess keys (Kirsch, Mitzenmacher
+// and Wieder), so only a set with more than s of them fails.
+const stashSize = 4
 
 // CuckooTable is cuckooHash: the paper's phase-concurrent two-choice
 // cuckoo table. An insert locks its element's two candidate cells in
 // increasing address order (deadlock-free), places the element in an
 // empty one or evicts a resident, and recursively reinserts the victim.
+// A victim whose chain overruns maxEvictions goes to a small stash.
 // Collisions resolve by arrival order, so the layout is
 // non-deterministic.
 type CuckooTable[O core.Ops] struct {
@@ -47,7 +55,13 @@ type CuckooTable[O core.Ops] struct {
 	cells []uint64
 	locks []spinLock
 	mask  int
-	count atomic.Int64
+	count atomic.Int64 // stored elements, stashed ones included
+
+	// stash[:stashN] holds the stashed elements; writers hold stashLock.
+	// Every other operation skips the stash while stashN is 0.
+	stashLock spinLock
+	stashN    atomic.Int32
+	stash     [stashSize]uint64
 }
 
 // NewCuckoo returns a cuckooHash table with at least size cells.
@@ -78,15 +92,20 @@ func (t *CuckooTable[O]) slots(e uint64) (int, int) {
 // Insert implements Table. An insert that displaces residents carries the
 // victim forward iteratively: place v, release the locks, and repeat with
 // the evicted element (each round locks only the current element's two
-// cells, always in address order, so no deadlock is possible).
+// cells, always in address order, so no deadlock is possible). A chain
+// longer than maxEvictions stashes the element it carries.
 func (t *CuckooTable[O]) Insert(v uint64) bool {
 	if v == core.Empty {
 		panic("tables: cannot insert the reserved empty element")
 	}
+	if t.stashN.Load() > 0 && t.mergeStashed(v) {
+		return false
+	}
 	from := -1 // cell the carried element was just evicted from
 	for depth := 0; ; depth++ {
 		if depth > maxEvictions {
-			panic(fmt.Sprintf("tables: cuckooHash eviction chain exceeded %d (table too full, size %d)", maxEvictions, len(t.cells)))
+			t.stashCarried(v)
+			return true
 		}
 		h1, h2 := t.slots(v)
 		lo, hi := h1, h2
@@ -138,8 +157,45 @@ func (t *CuckooTable[O]) Insert(v uint64) bool {
 	}
 }
 
+// mergeStashed merges v into the stashed element with its key, if there
+// is one, and reports whether there was.
+func (t *CuckooTable[O]) mergeStashed(v uint64) bool {
+	t.stashLock.Lock()
+	defer t.stashLock.Unlock()
+	i := t.stashIndex(v)
+	if i >= 0 {
+		t.stash[i] = t.ops.Merge(t.stash[i], v)
+	}
+	return i >= 0
+}
+
+// stashCarried stashes an element whose eviction chain overran
+// maxEvictions. Only a full stash makes the table too full.
+func (t *CuckooTable[O]) stashCarried(v uint64) {
+	t.stashLock.Lock()
+	defer t.stashLock.Unlock()
+	n := t.stashN.Load()
+	if n == stashSize {
+		panic(fmt.Sprintf("tables: cuckooHash eviction chain exceeded %d with the stash of %d full (table too full, size %d)", maxEvictions, stashSize, len(t.cells)))
+	}
+	t.stash[n] = v
+	t.stashN.Store(n + 1)
+	t.count.Add(1)
+}
+
+// stashIndex returns the stash slot holding v's key, or -1. The caller
+// holds stashLock, or runs in the find phase, which excludes writers.
+func (t *CuckooTable[O]) stashIndex(v uint64) int {
+	for i := range int(t.stashN.Load()) {
+		if t.ops.Cmp(v, t.stash[i]) == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
 // Find implements Table: two probes, no locks (find phase excludes
-// writers).
+// writers), and the stash when it holds anything.
 func (t *CuckooTable[O]) Find(v uint64) (uint64, bool) {
 	h1, h2 := t.slots(v)
 	for _, s := range [2]int{h1, h2} {
@@ -148,10 +204,16 @@ func (t *CuckooTable[O]) Find(v uint64) (uint64, bool) {
 			return c, true
 		}
 	}
+	if t.stashN.Load() > 0 {
+		if i := t.stashIndex(v); i >= 0 {
+			return t.stash[i], true
+		}
+	}
 	return core.Empty, false
 }
 
-// Delete implements Table: lock the slot holding the key and clear it.
+// Delete implements Table: lock the slot holding the key and clear it,
+// or remove the key from the stash.
 func (t *CuckooTable[O]) Delete(v uint64) bool {
 	h1, h2 := t.slots(v)
 	for _, s := range [2]int{h1, h2} {
@@ -165,7 +227,25 @@ func (t *CuckooTable[O]) Delete(v uint64) bool {
 		}
 		t.locks[s].Unlock()
 	}
+	if t.stashN.Load() > 0 {
+		return t.unstash(v)
+	}
 	return false
+}
+
+// unstash deletes v's key from the stash, reporting success.
+func (t *CuckooTable[O]) unstash(v uint64) bool {
+	t.stashLock.Lock()
+	defer t.stashLock.Unlock()
+	i := t.stashIndex(v)
+	if i < 0 {
+		return false
+	}
+	n := t.stashN.Load() - 1
+	t.stash[i], t.stash[n] = t.stash[n], core.Empty
+	t.stashN.Store(n)
+	t.count.Add(-1)
+	return true
 }
 
 // Elements implements Table (order is non-deterministic across runs with
@@ -173,8 +253,12 @@ func (t *CuckooTable[O]) Delete(v uint64) bool {
 //
 //phasehash:serial find/elements phase: the phase discipline keeps writers out while the cells are packed
 func (t *CuckooTable[O]) Elements() []uint64 {
-	return parallel.Pack(t.cells, func(i int) bool { return t.cells[i] != core.Empty })
+	elems := parallel.Pack(t.cells, func(i int) bool { return t.cells[i] != core.Empty })
+	if n := t.stashN.Load(); n > 0 {
+		elems = append(elems, t.stash[:n]...)
+	}
+	return elems
 }
 
-// Count implements Table.
+// Count implements Table; the count includes the stash.
 func (t *CuckooTable[O]) Count() int { return int(t.count.Load()) }

@@ -48,8 +48,8 @@ type Table interface {
 	Elements() []uint64
 	// Count returns the number of stored elements.
 	Count() int
-	// Size returns the capacity in cells (0 for chained tables, which
-	// have no fixed capacity).
+	// Size returns the capacity in cells (the bucket count for chained
+	// tables, which have no fixed capacity).
 	Size() int
 }
 

@@ -1,6 +1,7 @@
 package tables
 
 import (
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -389,6 +390,49 @@ func TestCuckooEvictionChains(t *testing.T) {
 			t.Fatalf("key %d lost after eviction", k)
 		}
 	}
+}
+
+// TestCuckooStash overfills a two-cell cuckoo table, whose every key
+// has the same two cells, so exactly stashSize keys must go to the
+// stash, inserted concurrently; every operation then has to find them
+// there, and one key more than the stash takes panics.
+func TestCuckooStash(t *testing.T) {
+	tab := NewCuckoo[core.SetOps](2)
+	keys := make([]uint64, 2+stashSize)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
+	parallel.ForGrain(len(keys), 1, func(i int) { tab.Insert(keys[i]) })
+	if tab.Count() != len(keys) || int(tab.stashN.Load()) != stashSize {
+		t.Fatalf("Count = %d with %d stashed, want %d with %d", tab.Count(), tab.stashN.Load(), len(keys), stashSize)
+	}
+	for _, k := range keys {
+		if tab.Insert(k) || !Contains(tab, k) {
+			t.Fatalf("key %d: re-inserted as new, or lost", k)
+		}
+	}
+	got := tab.Elements()
+	sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+	if !slices.Equal(got, keys) {
+		t.Fatalf("Elements = %v, want %v", got, keys)
+	}
+	parallel.ForGrain(len(keys), 1, func(i int) {
+		if !tab.Delete(keys[i]) {
+			t.Errorf("Delete(%d) failed", keys[i])
+		}
+	})
+	if tab.Count() != 0 || tab.stashN.Load() != 0 || len(tab.Elements()) != 0 {
+		t.Fatalf("after deleting every key: Count %d, stashed %d", tab.Count(), tab.stashN.Load())
+	}
+	for _, k := range keys {
+		tab.Insert(k)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("inserting past the stash did not panic")
+		}
+	}()
+	tab.Insert(uint64(len(keys)) + 1)
 }
 
 // TestChainedElementsOrderStableForFixedLayout: Elements on a quiescent
