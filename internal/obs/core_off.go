@@ -28,6 +28,9 @@ func CoreShardBulk(offsets []int) {}
 // CoreDispatch is a no-op under -tags nostats.
 func CoreDispatch(nblocks, items int) {}
 
+// CoreHelperRun is a no-op under -tags nostats.
+func CoreHelperRun(stripe, blocks int, spinHit bool) {}
+
 // CoreMaxShardImbalancePm returns 0 under -tags nostats.
 func CoreMaxShardImbalancePm() uint64 { return 0 }
 

@@ -22,7 +22,7 @@ const (
 	coreStripes    = 64
 	coreStripeMask = coreStripes - 1
 
-	coreNumCounters = 15 // additive CoreStats fields (gauge excluded)
+	coreNumCounters = 18 // additive CoreStats fields (gauge excluded)
 )
 
 // Indices into coreSink.c. Kept as plain consts (not a type): they never
@@ -44,11 +44,14 @@ const (
 	cParDispatches
 	cParBlocks
 	cParItems
+	cParHelperBlocks
+	cParSpinHits
+	cParParks
 )
 
 // coreSink is one stripe of always-on counters, padded to a cache-line
-// multiple so adjacent stripes never share a line (64-byte lines; 15
-// words round to 2 lines with 1 word of pad).
+// multiple so adjacent stripes never share a line (64-byte lines; 18
+// words round to 3 lines with 6 words of pad).
 type coreSink struct {
 	c [coreNumCounters]atomic.Uint64
 	_ [(64 - (coreNumCounters*8)%64) % 64]byte
@@ -136,6 +139,22 @@ func CoreDispatch(nblocks, items int) {
 	s.c[cParItems].Add(uint64(items))
 }
 
+// CoreHelperRun counts one pool worker's participation in a job: the
+// blocks it ran, and whether it found the job while spinning or was
+// woken from a park. stripe is the worker's index, so concurrent
+// workers publish to different lines.
+func CoreHelperRun(stripe, blocks int, spinHit bool) {
+	s := &coreSinks[stripe&coreStripeMask]
+	if blocks != 0 {
+		s.c[cParHelperBlocks].Add(uint64(blocks))
+	}
+	if spinHit {
+		s.c[cParSpinHits].Add(1)
+	} else {
+		s.c[cParParks].Add(1)
+	}
+}
+
 // CoreMaxShardImbalancePm returns the current imbalance gauge without
 // merging the stripes. It is a reported number only (operator
 // summaries, the benchmark's per-layer metric); no table construction
@@ -165,6 +184,9 @@ func CoreSnapshot() CoreStats {
 		s.ParDispatches += c[cParDispatches].Load()
 		s.ParBlocks += c[cParBlocks].Load()
 		s.ParItems += c[cParItems].Load()
+		s.ParHelperBlocks += c[cParHelperBlocks].Load()
+		s.ParSpinHits += c[cParSpinHits].Load()
+		s.ParParks += c[cParParks].Load()
 	}
 	s.MaxShardImbalancePm = atomicx.Load(&coreImbalancePm)
 	return s

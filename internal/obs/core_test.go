@@ -25,6 +25,7 @@ func TestCoreSnapshotMerge(t *testing.T) {
 				CoreInsert(stripe, 1, 2)
 				CoreFind(stripe, 1, 3, uint64(i%2))
 				CoreDelete(stripe, 1, 1)
+				CoreHelperRun(g, 2, i%2 == 0)
 			}
 		}(g)
 	}
@@ -40,6 +41,10 @@ func TestCoreSnapshotMerge(t *testing.T) {
 	}
 	if s.DeleteOps != total || s.DeleteProbeSteps != total {
 		t.Fatalf("delete ops=%d steps=%d, want %d/%d", s.DeleteOps, s.DeleteProbeSteps, total, total)
+	}
+	if s.ParHelperBlocks != 2*total || s.ParSpinHits != total/2 || s.ParParks != total/2 {
+		t.Fatalf("helper blocks=%d spin hits=%d parks=%d, want %d/%d/%d",
+			s.ParHelperBlocks, s.ParSpinHits, s.ParParks, 2*total, total/2, total/2)
 	}
 	if s.OpsTotal() != 3*total {
 		t.Fatalf("OpsTotal = %d, want %d", s.OpsTotal(), 3*total)

@@ -11,9 +11,9 @@ import (
 // operator summaries have schedule-independent numbers in every
 // binary: striped operation/probe-step counters, the growing
 // table's resize counters, the sharded bulk-kernel imbalance gauge, and
-// the pool dispatch counters. Nothing else moved — histograms,
-// CAS/displacement accounting, phase spans and the debug endpoint stay
-// behind -tags obs.
+// the pool dispatch and worker-participation counters. Nothing else
+// moved — histograms, CAS/displacement accounting, phase spans and the
+// debug endpoint stay behind -tags obs.
 //
 // The core has its own off switch, inverted relative to obs: it is ON
 // in default builds and compiled out with -tags nostats (the overhead
@@ -26,15 +26,17 @@ import (
 // field is a sum or a max over per-completed-operation contributions, so
 // for a fixed multiset of completed operations the merged totals are
 // independent of schedule, worker count and stripe assignment — sums and
-// maxes are commutative. Probe-step counters are the one exception:
+// maxes are commutative. Probe-step counters are one exception:
 // concurrent CAS traffic can lengthen individual probes, so step totals
 // are schedule-dependent wherever workers share cells (they are
 // schedule-independent for sharded bulk calls run alone, where each
-// shard's run is probed by one worker in a fixed order). The step
-// counters exist for operators (phload soak summaries) and for the
-// obs-free mean-probe gauge. No counter or gauge feeds back into table
-// construction: layouts depend only on the element set, the capacity
-// and explicit options.
+// shard's run is probed by one worker in a fixed order). The pool
+// worker-participation counters are the other: which participant ran a
+// block is the schedule itself. The step counters exist for operators
+// (phload soak summaries) and for the obs-free mean-probe gauge, the
+// participation counters for the pool's helper share. No counter or
+// gauge feeds back into table construction: layouts depend only on the
+// element set, the capacity and explicit options.
 type CoreStats struct {
 	// Probe-path operation and step totals (WordTable probe loops;
 	// bulk kernels publish once per block or shard run).
@@ -70,6 +72,15 @@ type CoreStats struct {
 	ParDispatches uint64
 	ParBlocks     uint64
 	ParItems      uint64
+
+	// Pool worker participations, recorded once per participation:
+	// blocks run by pool workers rather than the dispatching goroutine
+	// (ParHelperBlocks/ParBlocks is the helpers' share of the work),
+	// participations that found their job while spinning, and those
+	// that began from a park on the token channel (counted at the wake).
+	ParHelperBlocks uint64
+	ParSpinHits     uint64
+	ParParks        uint64
 }
 
 // OpsTotal returns the total probe-path operations recorded.
@@ -142,6 +153,9 @@ func (s CoreStats) Sub(prev CoreStats) CoreStats {
 		ParDispatches:       s.ParDispatches - prev.ParDispatches,
 		ParBlocks:           s.ParBlocks - prev.ParBlocks,
 		ParItems:            s.ParItems - prev.ParItems,
+		ParHelperBlocks:     s.ParHelperBlocks - prev.ParHelperBlocks,
+		ParSpinHits:         s.ParSpinHits - prev.ParSpinHits,
+		ParParks:            s.ParParks - prev.ParParks,
 	}
 }
 
@@ -162,8 +176,8 @@ func (s CoreStats) String() string {
 			s.MaxShardImbalancePm/1000, s.MaxShardImbalancePm%1000)
 	}
 	if s.ParDispatches > 0 {
-		fmt.Fprintf(&b, "; pool dispatches=%d blocks=%d items/dispatch=%d",
-			s.ParDispatches, s.ParBlocks, s.ItemsPerDispatch())
+		fmt.Fprintf(&b, "; pool dispatches=%d blocks=%d items/dispatch=%d helper-blocks=%d spin-hits=%d parks=%d",
+			s.ParDispatches, s.ParBlocks, s.ItemsPerDispatch(), s.ParHelperBlocks, s.ParSpinHits, s.ParParks)
 	}
 	return b.String()
 }

@@ -27,8 +27,7 @@
 //     struct.
 //
 // Sink design: counter increments must not contend, but Go offers no
-// cheap goroutine-local storage (parallel.WorkerID costs ~1µs, far more
-// than a table operation). Where a worker identity is free — the pool
+// cheap goroutine-local storage. Where a worker identity is free — the pool
 // loops in internal/parallel, which know their worker index — sinks are
 // indexed per worker. On the per-element table paths the operation's own
 // probe origin picks the stripe instead: different elements hash to

@@ -407,39 +407,6 @@ func TestRepeatedDispatchCoverage(t *testing.T) {
 	}
 }
 
-func TestWorkerID(t *testing.T) {
-	old := SetNumWorkers(8)
-	defer SetNumWorkers(old)
-	if id := WorkerID(); id != 0 {
-		t.Fatalf("non-pool goroutine has WorkerID %d, want 0", id)
-	}
-	// Every ID observed inside a loop body must be within
-	// [0, MaxWorkerID()] and per-worker scratch indexed by it must not
-	// lose updates (IDs are stable and distinct per participant).
-	seen := make([]atomic.Int64, 64)
-	ForBlocked(1<<16, 512, func(lo, hi int) {
-		id := WorkerID()
-		if id < 0 || id >= len(seen) {
-			t.Errorf("WorkerID %d out of range", id)
-			return
-		}
-		seen[id].Add(int64(hi - lo))
-	})
-	max := MaxWorkerID()
-	var covered int64
-	for i := range seen {
-		if v := seen[i].Load(); v != 0 {
-			if i > max {
-				t.Fatalf("WorkerID %d exceeds MaxWorkerID %d", i, max)
-			}
-			covered += v
-		}
-	}
-	if covered != 1<<16 {
-		t.Fatalf("scratch indexed by WorkerID covered %d of %d iterations", covered, 1<<16)
-	}
-}
-
 // Determinism: results independent of worker count.
 func TestScanDeterministicAcrossWorkers(t *testing.T) {
 	n := 123457
