@@ -66,30 +66,32 @@ soak-server:
 		-maxbatch 64 -queue 128 -flushdelay 2ms
 
 # obs = the phasestats telemetry gate CI blocks on: the whole test
-# suite with instrumentation live (counter/histogram/span assertions,
-# the detres op-count determinism grid) plus the zero-cost-off proofs
-# below.
+# suite with the histograms and spans live (histogram/span assertions;
+# the detres op-count oracle runs in every build) plus the zero-cost-off
+# proof below.
 obs: obs-sizecheck
 	go test -tags obs ./...
 
-# obs-sizecheck = prove the untagged build carries no telemetry: the
-# obs.Record* hooks must be dead-code-eliminated from a binary built
-# without the tag (and present with it, so the check cannot pass
-# vacuously).
+# obs-sizecheck = prove the untagged build carries no obs telemetry: no
+# obs.Record* hook and no histogram sink (obs.sinks) may survive linking
+# a binary built without the tag. The positive control keys on the sink
+# array, present with the tag, so the check cannot pass vacuously; the
+# hooks themselves inline, so their function symbols cannot serve as
+# the control.
 obs-sizecheck:
 	@go build -o /tmp/phbench-noobs ./cmd/phbench
-	@if go tool nm /tmp/phbench-noobs | grep 'internal/obs\.Record' >/dev/null; then \
-		echo "obs-sizecheck: untagged phbench still contains obs.Record* symbols"; exit 1; fi
+	@if go tool nm /tmp/phbench-noobs | grep 'internal/obs\.\(Record\|sinks\)' >/dev/null; then \
+		echo "obs-sizecheck: untagged phbench still contains obs.Record* hooks or the obs.sinks histograms"; exit 1; fi
 	@go build -tags obs -o /tmp/phbench-obs ./cmd/phbench
-	@if ! go tool nm /tmp/phbench-obs | grep 'internal/obs\.Record' >/dev/null; then \
-		echo "obs-sizecheck: -tags obs phbench has no obs.Record* symbols (positive control failed)"; exit 1; fi
-	@echo "obs-sizecheck: ok (no Record* symbols without the tag, present with it)"
+	@if ! go tool nm /tmp/phbench-obs | grep 'internal/obs\.sinks' >/dev/null; then \
+		echo "obs-sizecheck: -tags obs phbench has no obs.sinks symbol (positive control failed)"; exit 1; fi
+	@echo "obs-sizecheck: ok (no Record* hooks or histogram sinks without the tag, sinks present with it)"
 
-# obs-overhead = the hot-loop overhead gate, now pointed at the
-# always-on counter core (the obs-tag hooks const-fold away untagged;
-# the core's striped counters do not, so the core is what the 1% bound
-# must hold for). Kept as an alias so existing docs and muscle memory
-# keep working.
+# obs-overhead = the hot-loop overhead gate, pointed at the always-on
+# counter core (the obs-tag hooks const-fold away untagged; the core's
+# striped counters do not, so the core is what the 1% bound must hold
+# for). Kept as an alias so existing docs and muscle memory keep
+# working.
 obs-overhead: tune-overhead
 
 # tune = the counter-core size check below plus the default-shard test
@@ -117,7 +119,9 @@ tune-sizecheck:
 	@echo "tune-sizecheck: ok (counter core absent under -tags nostats, present by default)"
 
 # tune-overhead = the 1% bound on the always-on counter core: the same
-# 2^20-key uniform insert benchmark, built twice from the same tree —
+# 2^20-key insert benchmarks (flat, compact and sharded InsertAll; each
+# allocates its table once and clears it outside the timed region, so
+# page faults stay out of the timing), built twice from the same tree —
 # once with -tags nostats (hooks compiled out: the A baseline) and once
 # untagged (striped core live: the B run) — and diffed. Self-contained
 # on purpose: an A/B inside one run cannot rot the way a committed

@@ -12,8 +12,8 @@
 // and (P) columns per distribution, where P is GOMAXPROCS.
 //
 // In binaries built with -tags obs, -stats prints a telemetry line
-// under each Table 1 row: mean probe length, the p99 probe-length
-// histogram bucket edge, and the CAS retry rate for that cell.
+// under each Table 1 row: the mean probe length (from the counter
+// core) and the p99 probe-length histogram bucket edge for that cell.
 package main
 
 import (
@@ -40,12 +40,12 @@ func main() {
 		table2  = flag.Bool("table2", false, "run Table 2 (random writes vs insertion) instead")
 		figure3 = flag.Bool("figure3", false, "print Figure 3's two panels (parallel times, bar-chart series)")
 		reps    = flag.Int("reps", 1, "repetitions (minimum time reported)")
-		stats   = flag.Bool("stats", false, "print mean/p99 probe length and CAS-retry rate under each cell (needs a -tags obs build)")
+		stats   = flag.Bool("stats", false, "print mean/p99 probe length under each cell (needs a -tags obs build)")
 		mem     = flag.Bool("mem", false, "print a backing-array bytes/elem column per selected table kind and exit")
 	)
 	flag.Parse()
 	if *stats && !obs.Enabled {
-		fmt.Fprintln(os.Stderr, "phbench: -stats needs a build with -tags obs (the counters are compiled out of this binary); ignoring")
+		fmt.Fprintln(os.Stderr, "phbench: -stats needs a build with -tags obs (the probe histograms are compiled out of this binary); ignoring")
 		*stats = false
 	}
 	if *size == 0 {
@@ -189,11 +189,11 @@ func parseKinds(s string) []tables.Kind {
 }
 
 // cellStats condenses one cell's telemetry to "m=<mean probe>
-// p99<=<histogram upper edge> r=<CAS retry %>". The op decides which
-// probe class to read; ops with no probe loop (elements) show "-", and
-// so do cells that recorded no operations at all — the standalone
-// serial baselines in internal/tables carry no obs hooks, and a row of
-// fabricated zeros under them would read as a measurement.
+// p99<=<histogram upper edge>". The op decides which probe class to
+// read; ops with no probe loop (elements) show "-", and so do cells
+// that recorded no operations at all — the standalone serial baselines
+// in internal/tables feed no telemetry, and a row of fabricated zeros
+// under them would read as a measurement.
 func cellStats(s *obs.Snapshot, op bench.Op) string {
 	var class string
 	var h *obs.Histogram
@@ -212,8 +212,7 @@ func cellStats(s *obs.Snapshot, op bench.Op) string {
 	if ops == 0 {
 		return "-"
 	}
-	return fmt.Sprintf("m=%.2f p99<=%d r=%.1f%%",
-		s.MeanProbe(class), h.Quantile(0.99), 100*s.CASRetryRate())
+	return fmt.Sprintf("m=%.2f p99<=%d", s.MeanProbe(class), h.Quantile(0.99))
 }
 
 func shortDist(d sequence.Distribution) string {

@@ -20,9 +20,10 @@
 // simulates a slower backend (EXPERIMENTS.md drives the degradation
 // table with it).
 //
-// With -obs addr (in a -tags obs build) live telemetry — including the
-// epoch counters, the admit-to-complete latency histogram and the
-// max-queue-depth gauge — is served on /debug/phasestats.
+// With -obs addr (in a -tags obs build) live telemetry — the counter
+// core, the probe histograms and the admit-to-complete latency
+// histogram — is served on /debug/phasestats; the epoch counters are
+// the server's own Stats, printed in the drain summary.
 //
 // On SIGINT/SIGTERM the listener closes, admission stops with
 // StatusClosed, and in-flight epochs drain (bounded by -draintimeout)

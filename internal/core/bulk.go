@@ -190,8 +190,9 @@ func (t *WordTable[O]) stage(keys []uint64, homes []int) {
 //
 // The always-on counter core is fed one batched call per kernel call,
 // a block or a shard run (ops and probe steps accumulate in locals),
-// which keeps the per-element cost inside the 1% overhead gate budget.
-// Only completed ops are counted. Inserts rejected on a full table are
+// which keeps the per-element cost inside the 1% overhead gate budget;
+// obs builds add each op to the insert histogram as it completes. Only
+// completed ops are counted. Inserts rejected on a full table are
 // returned in undo, for the caller to unwind.
 func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added int, undo []homeless[uint64], err error) {
 	var homes [stageChunk]int
@@ -219,6 +220,9 @@ func (t *WordTable[O]) insertRange(elems []uint64, lo, hi int) (added int, undo 
 			}
 			coreOps++
 			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordInsert(homes[i-base], s)
+			}
 			if a {
 				added++
 			}
@@ -257,6 +261,9 @@ func (t *WordTable[O]) findRange(keys, dst []uint64, lo, hi int) int {
 		for i := base; i < end; i++ {
 			e, ok, s := t.findFrom(keys[i], homes[i-base])
 			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordFind(homes[i-base], s)
+			}
 			if ok {
 				n++
 			}
@@ -299,6 +306,9 @@ func (t *WordTable[O]) deleteRange(keys []uint64, lo, hi int) int {
 		for i := base; i < end; i++ {
 			d, s := t.deleteFrom(keys[i], homes[i-base])
 			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordDelete(homes[i-base], s)
+			}
 			if d {
 				n++
 			}
@@ -352,9 +362,11 @@ func (t *PtrTable[T, O]) stage(elems []*T, homes []int) {
 }
 
 // insertRange is the insert block kernel over elems[lo:hi); see
-// WordTable.insertRange. Nil records are reported as ErrNilValue.
+// WordTable.insertRange, whose telemetry it repeats. Nil records are
+// reported as ErrNilValue.
 func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, undo []homeless[*T], err error) {
 	var homes [stageChunk]int
+	var coreOps, coreSteps uint64
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
 		t.stage(elems[base:end], homes[:end-base])
@@ -366,7 +378,7 @@ func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, undo []
 				}
 				continue
 			}
-			a, full, carried := t.insertLoopFrom(v, homes[i-base])
+			a, full, s, carried := t.insertLoopFrom(v, homes[i-base])
 			if full {
 				if err == nil {
 					err = t.fullErr()
@@ -376,10 +388,18 @@ func (t *PtrTable[T, O]) insertRange(elems []*T, lo, hi int) (added int, undo []
 				}
 				continue
 			}
+			coreOps++
+			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordInsert(homes[i-base], s)
+			}
 			if a {
 				added++
 			}
 		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreInsert(lo>>6, coreOps, coreSteps)
 	}
 	return added, undo, err
 }
@@ -400,12 +420,17 @@ func (t *PtrTable[T, O]) FindAll(probes []*T, dst []*T) int {
 // WordTable.findRange.
 func (t *PtrTable[T, O]) findRange(probes, dst []*T, lo, hi int) int {
 	var homes [stageChunk]int
+	var coreSteps uint64
 	n := 0
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
 		t.stage(probes[base:end], homes[:end-base])
 		for i := base; i < end; i++ {
-			e, ok := t.findFrom(probes[i], homes[i-base])
+			e, ok, s := t.findFrom(probes[i], homes[i-base])
+			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordFind(homes[i-base], s)
+			}
 			if ok {
 				n++
 			}
@@ -413,6 +438,9 @@ func (t *PtrTable[T, O]) findRange(probes, dst []*T, lo, hi int) int {
 				dst[i] = e
 			}
 		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreFind(lo>>6, uint64(hi-lo), coreSteps, uint64(n))
 	}
 	return n
 }
@@ -428,15 +456,24 @@ func (t *PtrTable[T, O]) DeleteAll(probes []*T) int {
 // deleteRange is the delete block kernel over probes[lo:hi).
 func (t *PtrTable[T, O]) deleteRange(probes []*T, lo, hi int) int {
 	var homes [stageChunk]int
+	var coreSteps uint64
 	n := 0
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
 		t.stage(probes[base:end], homes[:end-base])
 		for i := base; i < end; i++ {
-			if t.deleteFrom(probes[i], homes[i-base]) {
+			d, s := t.deleteFrom(probes[i], homes[i-base])
+			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordDelete(homes[i-base], s)
+			}
+			if d {
 				n++
 			}
 		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreDelete(lo>>6, uint64(hi-lo), coreSteps)
 	}
 	return n
 }

@@ -302,11 +302,15 @@ func (t *CompactTable[O]) TryInsert(v uint64) (bool, error) {
 }
 
 // insertLoop is the probe loop shared by Insert and TryInsert; a
-// rejected insert is unwound before it returns.
+// rejected insert is unwound before it returns. It publishes one
+// completed insert to the telemetry as WordTable.insertLoop does.
 func (t *CompactTable[O]) insertLoop(v uint64) (added, full bool) {
 	h := t.ops.Hash(v)
-	added, full, carried := t.insertLoopFrom(v, h, int(h)&t.mask)
-	if full && carried != v {
+	i := int(h) & t.mask
+	added, full, steps, carried := t.insertLoopFrom(v, h, i)
+	if !full {
+		obs.PublishInsert(i, steps)
+	} else if carried != v {
 		t.unwind([]homeless[uint64]{{v, carried}})
 	}
 	return added, full
@@ -316,7 +320,8 @@ func (t *CompactTable[O]) insertLoop(v uint64) (added, full bool) {
 func (t *CompactTable[O]) unwind(hs []homeless[uint64]) {
 	unwindAll(hs, func(e uint64) bool {
 		h := t.ops.Hash(e)
-		return t.deleteFrom(e, h, int(h)&t.mask)
+		deleted, _ := t.deleteFrom(e, h, int(h)&t.mask)
+		return deleted
 	}, func(e uint64) {
 		h := t.ops.Hash(e)
 		t.insertLoopFrom(e, h, int(h)&t.mask)
@@ -333,11 +338,10 @@ func (t *CompactTable[O]) unwind(hs []homeless[uint64]) {
 // equal hashes, so the fingerprint is unchanged and no sync is needed.
 // Inserts do not consult the ctrl array at all — see the type comment:
 // mid-phase ctrl bytes can lag their cells, and a probe decision taken
-// on a stale byte would make the layout schedule-dependent. The element
-// carried out of a full table is returned as by
+// on a stale byte would make the layout schedule-dependent. The steps
+// walked and the element carried out of a full table are returned as by
 // WordTable.insertLoopFrom.
-func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, full bool, carried uint64) {
-	var obsCAS, obsFail, obsDisp uint64
+func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, full bool, steps int, carried uint64) {
 	start := i
 	limit := i + len(t.cells)
 	for {
@@ -345,28 +349,16 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 			chaos.Yield(chaos.SiteCompactInsertProbe)
 		}
 		if i >= limit {
-			if obs.Enabled {
-				obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
-			}
-			return false, true, v
+			return false, true, i - start, v
 		}
 		c := t.load(i)
 		if c == Empty {
 			if chaos.Enabled && chaos.FailCAS(chaos.SiteCompactInsertClaim) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue // pretend the CAS lost; re-read the cell
 			}
 			if t.cas(i, Empty, v) {
 				t.syncCtrl(i, v, hashx.Fingerprint(hv))
-				if obs.Enabled {
-					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
-				}
-				return true, false, Empty
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
+				return true, false, i - start, Empty
 			}
 			continue // re-read the cell
 		}
@@ -383,41 +375,21 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 		case cmp == 0:
 			merged := t.ops.Merge(c, v)
 			if chaos.Enabled && merged != c && chaos.FailCAS(chaos.SiteCompactInsertMerge) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue
 			}
 			if merged == c || t.cas(i, c, merged) {
-				if obs.Enabled {
-					if merged != c {
-						obsCAS++
-					}
-					obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
-				}
-				return false, false, Empty
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
+				return false, false, i - start, Empty
 			}
 		case cmp > 0: // cell has higher priority; keep probing
 			i++
 		default: // v has higher priority; swap in and carry c forward
 			if chaos.Enabled && chaos.FailCAS(chaos.SiteCompactInsertDisplace) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue
 			}
 			if t.cas(i, c, v) {
 				t.syncCtrl(i, v, hashx.Fingerprint(hv))
-				if obs.Enabled {
-					obsCAS, obsDisp = obsCAS+1, obsDisp+1
-				}
 				v, hv = c, hc
 				i++
-			} else if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
 			}
 		}
 	}
@@ -434,7 +406,10 @@ func (t *CompactTable[O]) fullErr() error {
 // the SWAR priority scan of the control array.
 func (t *CompactTable[O]) Find(v uint64) (uint64, bool) {
 	h := t.ops.Hash(v)
-	return t.findFrom(v, h, int(h)&t.mask, hashx.Fingerprint(h))
+	i := int(h) & t.mask
+	e, ok, steps := t.findFrom(v, h, i, hashx.Fingerprint(h))
+	obs.PublishFind(i, steps, ok)
+	return e, ok
 }
 
 // findFrom is Find starting from a pre-computed hash hv, probe origin i
@@ -466,18 +441,14 @@ func (t *CompactTable[O]) Find(v uint64) (uint64, bool) {
 // The fingerprint's SWAR pattern (swarLSB*fp) is hoisted out of the
 // word loop; the below-origin lane mask is a shift by zero for every
 // word after the first, which costs less than guarding it with a
-// branch.
-func (t *CompactTable[O]) findFrom(v uint64, hv uint64, i int, fp byte) (uint64, bool) {
-	var obsWords, obsFalse uint64
-	start := i
+// branch. steps is the slot distance from i to the lane that gave the
+// verdict (the table size after a full sweep).
+func (t *CompactTable[O]) findFrom(v uint64, hv uint64, i int, fp byte) (e uint64, ok bool, steps int) {
 	patd := swarLSB * uint64(fp)
 	limit := i + len(t.cells)
 	for p := i; p < limit; p = p&^7 + 8 {
 		base := p &^ 7
 		w := t.loadCtrlWord(base)
-		if obs.Enabled {
-			obsWords++
-		}
 		stop := swarStop(w, patd)
 		// Mask off lanes before the probe origin in the first word (flag
 		// bits sit at lane*8+7, so clearing everything below lane*8 is
@@ -489,46 +460,28 @@ func (t *CompactTable[O]) findFrom(v uint64, hv uint64, i int, fp byte) (uint64,
 			if b != fp {
 				// Empty slot or a strictly lower hash prefix: miss, no cell
 				// load.
-				if obs.Enabled {
-					obs.RecordCompactFind(start, uint64(base+l-start), obsWords, obsFalse, false)
-				}
-				return Empty, false
+				return Empty, false, base + l - i
 			}
 			c := t.load(base + l)
 			hc := t.ops.Hash(c)
 			if hc == hv {
 				cmp := t.ops.Cmp(v, c)
 				if cmp == 0 {
-					if obs.Enabled {
-						obs.RecordCompactFind(start, uint64(base+l-start), obsWords, obsFalse, true)
-					}
-					return c, true
+					return c, true, base + l - i
 				}
 				if cmp > 0 {
-					if obs.Enabled {
-						obs.RecordCompactFind(start, uint64(base+l-start), obsWords, obsFalse+1, false)
-					}
-					return Empty, false
+					return Empty, false, base + l - i
 				}
 			} else if hc < hv {
-				if obs.Enabled {
-					obs.RecordCompactFind(start, uint64(base+l-start), obsWords, obsFalse+1, false)
-				}
-				return Empty, false
+				return Empty, false, base + l - i
 			}
 			// hc > hv (or a tie with c of higher key priority): still in
 			// the higher-priority prefix under a colliding fingerprint;
 			// keep scanning.
-			if obs.Enabled {
-				obsFalse++
-			}
 		}
 	}
 	// Full sweep without a verdict: the table is saturated and v absent.
-	if obs.Enabled {
-		obs.RecordCompactFind(start, uint64(len(t.cells)), obsWords, obsFalse, false)
-	}
-	return Empty, false
+	return Empty, false, len(t.cells)
 }
 
 // Contains is Find without returning the element.
@@ -546,7 +499,10 @@ func (t *CompactTable[O]) Contains(v uint64) bool {
 // cluster ends).
 func (t *CompactTable[O]) Delete(v uint64) bool {
 	h := t.ops.Hash(v)
-	return t.deleteFrom(v, h, int(h)&t.mask)
+	i := int(h) & t.mask
+	deleted, steps := t.deleteFrom(v, h, i)
+	obs.PublishDelete(i, steps)
+	return deleted
 }
 
 // deleteFrom is WordTable.deleteFrom over the compact cells with cmpPri
@@ -556,9 +512,8 @@ func (t *CompactTable[O]) Delete(v uint64) bool {
 // which is both its ctrl byte (syncCtrl after the replacement CAS, or
 // ctrlEmpty when the hole ends the cluster) and the probe hash of the
 // next round, which deletes the copy it left behind — no cell is hashed
-// twice.
-func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
-	var obsScan, obsRepl, obsFail uint64
+// twice. steps is the victim-scan length, as in WordTable.deleteFrom.
+func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) (deleted bool, steps int) {
 	home := i
 	k := i
 	for k < home+len(t.cells) {
@@ -572,10 +527,7 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
 		}
 		k++
 	}
-	if obs.Enabled {
-		obsScan = uint64(k - home)
-	}
-	deleted := false
+	steps = k - home
 	for k >= i {
 		if chaos.Enabled {
 			// Yield only: a forced CAS failure here would be read as "a
@@ -596,13 +548,7 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
 			t.syncCtrl(k, w, b)
 			deleted = true
 			if w == Empty {
-				if obs.Enabled {
-					obs.RecordDelete(home, obsScan, obsRepl, obsFail)
-				}
-				return true
-			}
-			if obs.Enabled {
-				obsRepl++
+				return true, steps
 			}
 			// There are now two copies of w; we own deleting one.
 			v, hv = w, hw
@@ -610,16 +556,10 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) bool {
 			i = t.lift(hv&uint64(t.mask), j)
 		} else {
 			// v was deleted or moved down by a concurrent delete.
-			if obs.Enabled {
-				obsFail++
-			}
 			k--
 		}
 	}
-	if obs.Enabled {
-		obs.RecordDelete(home, obsScan, obsRepl, obsFail)
-	}
-	return deleted
+	return deleted, steps
 }
 
 // findReplacement is WordTable.findReplacement verbatim: the upward

@@ -130,16 +130,18 @@ func missLab() *missFixtures {
 
 func BenchmarkCompactInsertAll(b *testing.B) {
 	keys := compactBenchKeys()
-	var bytes int
+	t := NewCompactTable[SetOps](compactBenchCells) // cleared per op, as in BenchmarkInsertAll
 	withBenchWorkers(b, func() {
 		b.ResetTimer()
 		benchObsReset()
 		for i := 0; i < b.N; i++ {
-			t := NewCompactTable[SetOps](compactBenchCells)
+			b.StopTimer()
+			t.Clear()
+			b.StartTimer()
 			t.InsertAll(keys)
-			bytes = t.Bytes()
 		}
 	})
+	bytes := t.Bytes()
 	b.ReportMetric(float64(compactBenchN), "elems/op")
 	reportBytesPerElem(b, bytes, compactBenchN)
 	benchObsReport(b, "insert")

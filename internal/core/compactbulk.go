@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"phasehash/internal/hashx"
+	"phasehash/internal/obs"
 )
 
 // Bulk phase kernels for CompactTable: one staged block kernel per
@@ -60,9 +61,11 @@ func (t *CompactTable[O]) TryInsertAll(elems []uint64) (int, error) {
 }
 
 // insertRange is the insert block kernel over elems[lo:hi); see
-// WordTable.insertRange.
+// WordTable.insertRange, whose telemetry it repeats: one core publish
+// per call, never per key.
 func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, undo []homeless[uint64], err error) {
 	var hs [stageChunk]uint64
+	var coreOps, coreSteps uint64
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
 		t.stage(elems[base:end], hs[:end-base], true)
@@ -75,7 +78,7 @@ func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, un
 				continue
 			}
 			h := hs[i-base]
-			a, full, carried := t.insertLoopFrom(v, h, int(h)&t.mask)
+			a, full, s, carried := t.insertLoopFrom(v, h, int(h)&t.mask)
 			if full {
 				if err == nil {
 					err = t.fullErr()
@@ -85,10 +88,18 @@ func (t *CompactTable[O]) insertRange(elems []uint64, lo, hi int) (added int, un
 				}
 				continue
 			}
+			coreOps++
+			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordInsert(int(h)&t.mask, s)
+			}
 			if a {
 				added++
 			}
 		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreInsert(lo>>6, coreOps, coreSteps)
 	}
 	return added, undo, err
 }
@@ -107,13 +118,18 @@ func (t *CompactTable[O]) FindAll(keys []uint64, dst []uint64) int {
 // comment).
 func (t *CompactTable[O]) findRange(keys, dst []uint64, lo, hi int) int {
 	var hs [stageChunk]uint64
+	var coreSteps uint64
 	n := 0
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
 		t.stage(keys[base:end], hs[:end-base], false)
 		for i := base; i < end; i++ {
 			h := hs[i-base]
-			e, ok := t.findFrom(keys[i], h, int(h)&t.mask, hashx.Fingerprint(h))
+			e, ok, s := t.findFrom(keys[i], h, int(h)&t.mask, hashx.Fingerprint(h))
+			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordFind(int(h)&t.mask, s)
+			}
 			if ok {
 				n++
 			}
@@ -121,6 +137,9 @@ func (t *CompactTable[O]) findRange(keys, dst []uint64, lo, hi int) int {
 				dst[i] = e
 			}
 		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreFind(lo>>6, uint64(hi-lo), coreSteps, uint64(n))
 	}
 	return n
 }
@@ -143,16 +162,25 @@ func (t *CompactTable[O]) DeleteAll(keys []uint64) int {
 // deleteRange is the delete block kernel over keys[lo:hi).
 func (t *CompactTable[O]) deleteRange(keys []uint64, lo, hi int) int {
 	var hs [stageChunk]uint64
+	var coreSteps uint64
 	n := 0
 	for base := lo; base < hi; base += stageChunk {
 		end := min(base+stageChunk, hi)
 		t.stage(keys[base:end], hs[:end-base], true)
 		for i := base; i < end; i++ {
 			h := hs[i-base]
-			if t.deleteFrom(keys[i], h, int(h)&t.mask) {
+			d, s := t.deleteFrom(keys[i], h, int(h)&t.mask)
+			coreSteps += uint64(s)
+			if obs.Enabled {
+				obs.RecordDelete(int(h)&t.mask, s)
+			}
+			if d {
 				n++
 			}
 		}
+	}
+	if obs.CoreEnabled {
+		obs.CoreDelete(lo>>6, uint64(hi-lo), coreSteps)
 	}
 	return n
 }

@@ -1,7 +1,5 @@
 package core
 
-import "phasehash/internal/obs"
-
 // This file holds CompactTable's sequential reference insert: the same
 // algorithm as the phase-concurrent insert with plain loads and stores,
 // for tables no other goroutine can reach. Tests rebuild a key set with
@@ -26,17 +24,12 @@ func (t *CompactTable[O]) setCtrlSerial(p int, b byte) {
 //
 //phasehash:serial sequential reference: the table is reachable from one goroutine only, and history independence makes the serial replay land in the same quiescent layout
 func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
-	var obsDisp uint64
 	orig := v
 	hv := t.ops.Hash(v)
 	i := int(hv) & t.mask
-	start := i
 	limit := i + len(t.cells)
 	for {
 		if i >= limit {
-			if obs.Enabled {
-				obs.RecordInsert(start, uint64(i-start), 0, 0, obsDisp)
-			}
 			if v != orig {
 				t.unwind([]homeless[uint64]{{orig, v}})
 			}
@@ -47,9 +40,6 @@ func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 		case c == Empty:
 			t.cells[i&t.mask] = v
 			t.setCtrlSerial(i, t.ctrlByteFor(v))
-			if obs.Enabled {
-				obs.RecordInsert(start, uint64(i-start), 0, 0, obsDisp)
-			}
 			return true, false
 		default:
 			hc := t.ops.Hash(c)
@@ -59,9 +49,6 @@ func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 				if merged := t.ops.Merge(c, v); merged != c {
 					t.cells[i&t.mask] = merged
 				}
-				if obs.Enabled {
-					obs.RecordInsert(start, uint64(i-start), 0, 0, obsDisp)
-				}
 				return false, false
 			case cmp > 0: // cell has higher priority; keep probing
 				i++
@@ -70,9 +57,6 @@ func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 				t.setCtrlSerial(i, t.ctrlByteFor(v))
 				v, hv = c, hc
 				i++
-				if obs.Enabled {
-					obsDisp++
-				}
 			}
 		}
 	}

@@ -114,9 +114,6 @@ func (g *GrowTable[O]) grow() {
 	next := NewWordTable[O](size)
 	moved := next.rehash(old)
 	g.table.Store(next)
-	if obs.Enabled {
-		obs.RecordGrow(moved)
-	}
 	if obs.CoreEnabled {
 		obs.CoreGrow(moved)
 	}
@@ -125,10 +122,11 @@ func (g *GrowTable[O]) grow() {
 // rehash inserts every element of old into t, which must be empty and
 // visible only to the grower, and returns how many it moved. Blocks of
 // old's cells run on the worker pool; the keys are distinct and t has
-// free cells, so each block runs Figure 1's concurrent insert without
-// the merge and saturation cases, and history independence gives the
-// layout a serial loop would. Grow traffic is not insert traffic:
-// nothing here feeds the insert counters.
+// free cells, so each block runs Figure 1's concurrent insert loop
+// (insertLoopFrom, which never merges or fills up here), and history
+// independence gives the layout a serial loop would. Grow traffic is
+// not insert traffic: insertLoopFrom publishes nothing, so nothing here
+// feeds the insert counters.
 func (t *WordTable[O]) rehash(old *WordTable[O]) (moved uint64) {
 	return uint64(sumBlocks(len(old.cells), func(lo, hi int) (n int) {
 		for j := lo; j < hi; j++ {
@@ -139,19 +137,7 @@ func (t *WordTable[O]) rehash(old *WordTable[O]) (moved uint64) {
 			if chaos.Enabled {
 				chaos.Yield(chaos.SiteGrowRehash)
 			}
-			for i := t.home(v); ; {
-				c := t.load(i)
-				if c == Empty {
-					if t.cas(i, Empty, v) {
-						break
-					}
-				} else if t.ops.Cmp(c, v) > 0 {
-					i++
-				} else if t.cas(i, c, v) {
-					v = c // carry the displaced element on
-					i++
-				}
-			}
+			t.insertLoopFrom(v, t.home(v))
 			n++
 		}
 		return n

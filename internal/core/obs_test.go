@@ -10,117 +10,63 @@ import (
 	"phasehash/internal/obs"
 )
 
-// TestObsCountersFromTableOps drives real WordTable phases and checks
-// the recorded counters are consistent: one op per call, histogram
-// totals match op counts, probe-step sums bound the work, CAS attempts
-// cover at least the successful claims.
-func TestObsCountersFromTableOps(t *testing.T) {
-	obs.Reset()
-	defer obs.Reset()
+// TestObsHistogramsMatchCoreCounts drives real phases on every layout,
+// per element and in bulk, and checks each probe-length histogram holds
+// exactly one entry per op the counter core counted: the histograms are
+// recorded at the same points that publish to the core.
+func TestObsHistogramsMatchCoreCounts(t *testing.T) {
 	const n = 1 << 12
-	tb := NewWordTable[SetOps](4 * n)
-	for i := uint64(1); i <= n; i++ {
-		tb.Insert(i * 2654435761)
-	}
-	s := obs.TakeSnapshot()
-	if got := s.Get(obs.CtrInsertOps); got != n {
-		t.Fatalf("insert ops %d, want %d", got, n)
-	}
-	if s.InsertProbes.Total() != n {
-		t.Fatalf("insert histogram total %d, want %d", s.InsertProbes.Total(), n)
-	}
-	if got := s.Get(obs.CtrInsertCASAttempts); got < n {
-		t.Fatalf("CAS attempts %d < %d inserts (every claim is a CAS)", got, n)
-	}
-
-	obs.Reset()
-	hits := 0
-	for i := uint64(1); i <= n; i++ {
-		if tb.Contains(i * 2654435761) {
-			hits++
+	ins, finds, dels := telemetryScript(n)
+	check := func(name string, run func()) {
+		obs.Reset()
+		run()
+		s := obs.TakeSnapshot()
+		if s.InsertOps != uint64(len(ins)) || s.FindOps != uint64(len(finds)) || s.DeleteOps != uint64(len(dels)) {
+			t.Fatalf("%s: core ops %+v, want %d/%d/%d", name, s.Ops(), len(ins), len(finds), len(dels))
 		}
-		tb.Contains(i) // mostly misses
+		if s.InsertProbes.Total() != s.InsertOps || s.FindProbes.Total() != s.FindOps || s.DeleteProbes.Total() != s.DeleteOps {
+			t.Fatalf("%s: histogram totals %d/%d/%d, core ops %+v", name,
+				s.InsertProbes.Total(), s.FindProbes.Total(), s.DeleteProbes.Total(), s.Ops())
+		}
 	}
-	s = obs.TakeSnapshot()
-	if got := s.Get(obs.CtrFindOps); got != 2*n {
-		t.Fatalf("find ops %d, want %d", got, 2*n)
-	}
-	if got := s.Get(obs.CtrFindHits); got != uint64(hits) {
-		t.Fatalf("find hits %d, want %d", got, hits)
-	}
-	if s.FindProbes.Total() != 2*n {
-		t.Fatalf("find histogram total %d, want %d", s.FindProbes.Total(), 2*n)
-	}
-
-	obs.Reset()
-	for i := uint64(1); i <= n; i++ {
-		tb.Delete(i * 2654435761)
-	}
-	s = obs.TakeSnapshot()
-	if got := s.Get(obs.CtrDeleteOps); got != n {
-		t.Fatalf("delete ops %d, want %d", got, n)
-	}
-	if tb.Count() != 0 {
-		t.Fatalf("table not empty after deletes")
-	}
-}
-
-// TestObsShardedBulkFeedsSameCounters checks sharded bulk calls hit the
-// same counters as the flat kernels they run, so sharded and flat runs
-// are comparable, and that one owner per shard run means no insert CAS
-// ever fails.
-func TestObsShardedBulkFeedsSameCounters(t *testing.T) {
-	obs.Reset()
 	defer obs.Reset()
-	const n = 1 << 10
-	tb := NewShardedTable[SetOps](4*n, 8)
-	keys := make([]uint64, n)
-	for i := range keys {
-		keys[i] = uint64(i+1) * 2654435761
+	for name, mk := range map[string]func() wordLayout{
+		"word":    func() wordLayout { return NewWordTable[SetOps](4 * n) },
+		"compact": func() wordLayout { return NewCompactTable[SetOps](4 * n) },
+		"sharded": func() wordLayout { return NewShardedTable[SetOps](4*n, 8) },
+	} {
+		check(name+"/per-element", func() {
+			tb := mk()
+			for _, k := range ins {
+				tb.Insert(k)
+			}
+			for _, k := range finds {
+				tb.Find(k)
+			}
+			for _, k := range dels {
+				tb.Delete(k)
+			}
+		})
+		check(name+"/bulk", func() {
+			tb := mk()
+			tb.InsertAll(ins)
+			tb.FindAll(finds, nil)
+			tb.DeleteAll(dels)
+		})
 	}
-	tb.InsertAll(keys)
-	s := obs.TakeSnapshot()
-	if got := s.Get(obs.CtrInsertOps); got != n {
-		t.Fatalf("insert ops %d, want %d", got, n)
+	recs := func(keys []uint64) []*rec {
+		out := make([]*rec, len(keys))
+		for i, k := range keys {
+			out[i] = &rec{key: k}
+		}
+		return out
 	}
-	if got := s.Get(obs.CtrInsertCASFailures); got != 0 {
-		t.Fatalf("sharded bulk insert recorded %d CAS failures, want 0", got)
-	}
-	if got := s.Get(obs.CtrShardBulkCalls); got != 1 {
-		t.Fatalf("shard bulk calls %d, want 1", got)
-	}
-	if got := s.Get(obs.CtrShardBulkElems); got != n {
-		t.Fatalf("shard bulk elems %d, want %d", got, n)
-	}
-	if s.MaxShardImbalancePm < 1000 {
-		t.Fatalf("imbalance gauge %d pm < 1000 (max run is never below mean)", s.MaxShardImbalancePm)
-	}
-}
-
-// TestObsGrowCounters checks resize telemetry: growing a table from
-// minimum size records grow events and rehashed cells, and the rehash
-// re-inserts never count as insert ops.
-func TestObsGrowCounters(t *testing.T) {
-	obs.Reset()
-	defer obs.Reset()
-	const n = 1 << 12
-	g := NewGrowTable[SetOps](64)
-	for i := uint64(1); i <= n; i++ {
-		g.Insert(i * 2654435761)
-	}
-	s := obs.TakeSnapshot()
-	if got := s.Get(obs.CtrGrowEvents); got == 0 {
-		t.Fatal("no grow events recorded")
-	}
-	if got := s.Get(obs.CtrGrowCellsMoved); got == 0 {
-		t.Fatal("no rehashed cells recorded")
-	}
-	if got := s.Get(obs.CtrInsertOps); got != n {
-		t.Fatalf("insert ops %d, want %d (rehash traffic leaked into the insert counters)", got, n)
-	}
-	if g.Count() != n {
-		t.Fatalf("count %d, want %d", g.Count(), n)
-	}
+	check("ptr/bulk", func() {
+		tb := NewPtrTable[rec, recOps](4 * n)
+		tb.InsertAll(recs(ins))
+		tb.FindAll(recs(finds), nil)
+		tb.DeleteAll(recs(dels))
+	})
 }
 
 // TestPhaseGuardEmitsSpans checks the guard's idle→phase claim and

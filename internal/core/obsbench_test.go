@@ -6,12 +6,13 @@ import (
 	"phasehash/internal/obs"
 )
 
-// Benchmark telemetry hooks: benchObsReset clears the sinks before the
-// timed section and benchObsReport attaches probe/CAS metrics to the
-// benchmark output afterwards, where benchjson picks them up as
-// probes/op, p99probes/op and casretry/op columns. Both compile to
-// nothing without -tags obs (obs.Enabled is const false), so the
-// untagged baseline numbers are untouched.
+// Benchmark telemetry hooks: benchObsReset clears the counter core and
+// the histograms before the timed section and benchObsReport attaches
+// probe metrics to the benchmark output afterwards, where benchjson
+// picks them up as probes/op (the core's mean) and p99probes/op (the
+// histogram's) columns. Both compile to nothing without -tags obs
+// (obs.Enabled is const false), so the untagged baseline numbers are
+// untouched.
 
 func benchObsReset() {
 	if obs.Enabled {
@@ -37,7 +38,4 @@ func benchObsReport(b *testing.B, class string) {
 	}
 	b.ReportMetric(s.MeanProbe(class), "probes/op")
 	b.ReportMetric(float64(h.Quantile(0.99)), "p99probes/op")
-	if class == "insert" {
-		b.ReportMetric(s.CASRetryRate(), "casretry/op")
-	}
 }

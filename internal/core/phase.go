@@ -55,7 +55,7 @@ func (p Phase) String() string {
 // sees every phase transition, so the idle→phase claim opens an
 // obs.ActiveSpan (also a runtime/trace task named "phase:<name>") and
 // the last Exit closes it, yielding {phase, start, end, opCount} spans
-// in obs.Snapshot(). Without the tag the span field is dead weight of
+// in obs.TakeSnapshot(). Without the tag the span field is dead weight of
 // one pointer and every hook folds away.
 type PhaseGuard struct {
 	// state packs (phase << 32) | active-count into one word so that

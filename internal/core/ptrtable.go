@@ -105,10 +105,14 @@ func (t *PtrTable[T, O]) TryInsert(v *T) (bool, error) {
 
 // insertLoop is the probe loop shared by Insert and TryInsert, kept free
 // of error construction so both stay thin inlinable wrappers. full
-// reports a whole-array sweep (saturation).
+// reports a whole-array sweep (saturation). It publishes one completed
+// insert to the telemetry as WordTable.insertLoop does.
 func (t *PtrTable[T, O]) insertLoop(v *T) (added, full bool) {
-	added, full, carried := t.insertLoopFrom(v, t.home(v))
-	if full && carried != v {
+	h := t.home(v)
+	added, full, steps, carried := t.insertLoopFrom(v, h)
+	if !full {
+		obs.PublishInsert(h, steps)
+	} else if carried != v {
 		t.unwind([]homeless[*T]{{v, carried}})
 	}
 	return added, full
@@ -116,16 +120,17 @@ func (t *PtrTable[T, O]) insertLoop(v *T) (added, full bool) {
 
 // unwind undoes inserts rejected on a full table; see unwindAll.
 func (t *PtrTable[T, O]) unwind(hs []homeless[*T]) {
-	unwindAll(hs, func(e *T) bool { return t.deleteFrom(e, t.home(e)) },
-		func(e *T) { t.insertLoopFrom(e, t.home(e)) })
+	unwindAll(hs, func(e *T) bool {
+		deleted, _ := t.deleteFrom(e, t.home(e))
+		return deleted
+	}, func(e *T) { t.insertLoopFrom(e, t.home(e)) })
 }
 
 // insertLoopFrom is insertLoop starting from a caller-supplied probe
 // origin (i must be t.home(v)); the bulk kernels pre-hash and
-// cache-stage homes ahead of the probe. Telemetry and the element
-// carried out of a full table mirror WordTable.insertLoopFrom.
-func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool, carried *T) {
-	var obsCAS, obsFail, obsDisp uint64
+// cache-stage homes ahead of the probe. The steps it returns and the
+// element carried out of a full table mirror WordTable.insertLoopFrom.
+func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool, steps int, carried *T) {
 	start := i
 	limit := i + len(t.cells)
 	for {
@@ -133,27 +138,15 @@ func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool, carried 
 			chaos.Yield(chaos.SitePtrInsertProbe)
 		}
 		if i >= limit {
-			if obs.Enabled {
-				obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
-			}
-			return false, true, v
+			return false, true, i - start, v
 		}
 		c := t.load(i)
 		if c == nil {
 			if chaos.Enabled && chaos.FailCAS(chaos.SitePtrInsertClaim) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue // pretend the CAS lost; re-read the cell
 			}
 			if t.cas(i, nil, v) {
-				if obs.Enabled {
-					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
-				}
-				return true, false, nil
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
+				return true, false, i - start, nil
 			}
 			continue
 		}
@@ -162,40 +155,20 @@ func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool, carried 
 		case cmp == 0:
 			merged := t.ops.Merge(c, v)
 			if chaos.Enabled && merged != c && chaos.FailCAS(chaos.SitePtrInsertMerge) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue
 			}
 			if merged == c || t.cas(i, c, merged) {
-				if obs.Enabled {
-					if merged != c {
-						obsCAS++
-					}
-					obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
-				}
-				return false, false, nil
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
+				return false, false, i - start, nil
 			}
 		case cmp > 0:
 			i++
 		default:
 			if chaos.Enabled && chaos.FailCAS(chaos.SitePtrInsertDisplace) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue
 			}
 			if t.cas(i, c, v) {
-				if obs.Enabled {
-					obsCAS, obsDisp = obsCAS+1, obsDisp+1
-				}
 				v = c
 				i++
-			} else if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
 			}
 		}
 	}
@@ -216,55 +189,49 @@ func (t *PtrTable[T, O]) fullErr() error {
 // Find returns the stored element with v's key (find/elements phase
 // only). Only v's key fields need to be populated.
 func (t *PtrTable[T, O]) Find(v *T) (*T, bool) {
-	return t.findFrom(v, t.home(v))
+	h := t.home(v)
+	e, ok, steps := t.findFrom(v, h)
+	obs.PublishFind(h, steps, ok)
+	return e, ok
 }
 
 // findFrom is Find starting from a caller-supplied probe origin. The
 // whole-array sweep bound is WordTable.findFrom's: on a saturated table
 // an absent key outranked by its whole probe path would otherwise wrap
 // forever.
-func (t *PtrTable[T, O]) findFrom(v *T, i int) (*T, bool) {
+func (t *PtrTable[T, O]) findFrom(v *T, i int) (*T, bool, int) {
 	start := i
 	limit := i + len(t.cells)
 	for i < limit {
 		c := t.load(i)
 		if c == nil {
-			if obs.Enabled {
-				obs.RecordFind(start, uint64(i-start), false)
-			}
-			return nil, false
+			return nil, false, i - start
 		}
 		cmp := t.ops.Cmp(v, c)
 		if cmp > 0 {
-			if obs.Enabled {
-				obs.RecordFind(start, uint64(i-start), false)
-			}
-			return nil, false
+			return nil, false, i - start
 		}
 		if cmp == 0 {
-			if obs.Enabled {
-				obs.RecordFind(start, uint64(i-start), true)
-			}
-			return c, true
+			return c, true, i - start
 		}
 		i++
 	}
 	// Full sweep without a verdict: the table is saturated and v absent.
-	if obs.Enabled {
-		obs.RecordFind(start, uint64(i-start), false)
-	}
-	return nil, false
+	return nil, false, i - start
 }
 
 // Delete removes the element with v's key (delete phase only).
 func (t *PtrTable[T, O]) Delete(v *T) bool {
-	return t.deleteFrom(v, t.home(v))
+	h := t.home(v)
+	deleted, steps := t.deleteFrom(v, h)
+	obs.PublishDelete(h, steps)
+	return deleted
 }
 
 // deleteFrom is Delete starting from a caller-supplied probe origin;
-// the victim scan has WordTable.deleteFrom's sweep bound.
-func (t *PtrTable[T, O]) deleteFrom(v *T, i int) bool {
-	var obsScan, obsRepl, obsFail uint64
+// the victim scan has WordTable.deleteFrom's sweep bound, and steps is
+// its length.
+func (t *PtrTable[T, O]) deleteFrom(v *T, i int) (deleted bool, steps int) {
 	home := i
 	k := i
 	for k < home+len(t.cells) {
@@ -274,10 +241,7 @@ func (t *PtrTable[T, O]) deleteFrom(v *T, i int) bool {
 		}
 		k++
 	}
-	if obs.Enabled {
-		obsScan = uint64(k - home)
-	}
-	deleted := false
+	steps = k - home
 	for k >= i {
 		if chaos.Enabled {
 			chaos.Yield(chaos.SitePtrDeleteProbe)
@@ -291,28 +255,16 @@ func (t *PtrTable[T, O]) deleteFrom(v *T, i int) bool {
 		if t.cas(k, c, w) {
 			deleted = true
 			if w == nil {
-				if obs.Enabled {
-					obs.RecordDelete(home, obsScan, obsRepl, obsFail)
-				}
-				return true
-			}
-			if obs.Enabled {
-				obsRepl++
+				return true, steps
 			}
 			v = w
 			k = j
 			i = t.lift(hw&uint64(t.mask), j)
 		} else {
-			if obs.Enabled {
-				obsFail++
-			}
 			k--
 		}
 	}
-	if obs.Enabled {
-		obs.RecordDelete(home, obsScan, obsRepl, obsFail)
-	}
-	return deleted
+	return deleted, steps
 }
 
 // findReplacement is WordTable.findReplacement verbatim over record

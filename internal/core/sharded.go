@@ -173,18 +173,10 @@ func (t *ShardedTable[O]) partitionByShard(elems []uint64) ([]uint64, []int) {
 	offsets := parallel.Partition(scratch, elems, len(t.shards), func(i int) int {
 		return t.shardOf(elems[i])
 	})
-	recordShardBulk(offsets)
-	return scratch, offsets
-}
-
-// recordShardBulk feeds a bulk call's shard run lengths to telemetry.
-func recordShardBulk(offsets []int) {
-	if obs.Enabled {
-		obs.RecordShardBulk(offsets)
-	}
 	if obs.CoreEnabled {
 		obs.CoreShardBulk(offsets)
 	}
+	return scratch, offsets
 }
 
 // sumShards runs kernel(s, lo, hi) on every non-empty shard run
@@ -272,7 +264,9 @@ func (t *ShardedTable[O]) FindAll(keys []uint64, dst []uint64) int {
 	perm, offsets := parallel.PartitionIndex(len(keys), len(t.shards), func(i int) int {
 		return t.shardOf(keys[i])
 	})
-	recordShardBulk(offsets)
+	if obs.CoreEnabled {
+		obs.CoreShardBulk(offsets)
+	}
 	scratch := make([]uint64, len(keys))
 	return t.sumShards(offsets, func(s, lo, hi int) int {
 		for j := lo; j < hi; j++ {

@@ -32,11 +32,14 @@ func dupBenchKeys() []uint64 {
 
 func BenchmarkShardedInsertAll(b *testing.B) {
 	keys := bulkBenchKeys()
+	t := NewShardedTable[SetOps](4*bulkBenchN, shardedBenchShards) // cleared per op, as in BenchmarkInsertAll
 	withBenchWorkers(b, func() {
 		b.ResetTimer()
 		benchObsReset()
 		for i := 0; i < b.N; i++ {
-			t := NewShardedTable[SetOps](4*bulkBenchN, shardedBenchShards)
+			b.StopTimer()
+			t.Clear()
+			b.StartTimer()
 			t.InsertAll(keys)
 		}
 	})

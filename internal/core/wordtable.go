@@ -113,16 +113,17 @@ func (t *WordTable[O]) TryInsert(v uint64) (bool, error) {
 // insertLoop is the probe loop shared by Insert and TryInsert, kept free
 // of error construction so both stay thin inlinable wrappers. full
 // reports a whole-array sweep (saturation). The per-element API is the
-// always-on core's per-op publish point; the bulk kernels batch whole
-// blocks instead (bulk.go).
+// telemetry publish point for one op: the counter core and, in obs
+// builds, the insert histogram; the bulk kernels batch whole blocks
+// into the core instead (bulk.go). Like the kernels it counts only
+// inserts that completed, not ones rejected on a full table.
 func (t *WordTable[O]) insertLoop(v uint64) (added, full bool) {
 	h := t.home(v)
 	added, full, steps, carried := t.insertLoopFrom(v, h)
-	if full && carried != v {
+	if !full {
+		obs.PublishInsert(h, steps)
+	} else if carried != v {
 		t.unwind([]homeless[uint64]{{v, carried}})
-	}
-	if obs.CoreEnabled {
-		obs.CoreInsert(h, 1, uint64(steps))
 	}
 	return added, full
 }
@@ -135,18 +136,15 @@ func (t *WordTable[O]) insertLoop(v uint64) (added, full bool) {
 // elements, step forward; on a lower-priority element, CAS ourselves in
 // and carry the displaced element forward; on an equal key, merge.
 //
-// Telemetry (obs builds only; const-folded away otherwise) accumulates
-// in locals and publishes once per operation at the return points. The
-// probe-step count is i-start: i grows monotonically, so the final
-// offset is exactly the cells walked — also returned as steps so the
-// caller can feed the always-on counter core (per op from the
-// per-element API, batched per block from the bulk kernels).
+// The loop carries no telemetry. It returns the cells it walked as
+// steps (i grows monotonically, so i-start is exactly that count), and
+// its callers publish them: per op from the per-element API, batched
+// per block from the bulk kernels.
 //
 // A sweep that finds the table full returns the element it carries
 // when it gives up: v itself, or the element its displacement chain
 // pushed off the array, in which case the caller must unwind.
 func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps int, carried uint64) {
-	var obsCAS, obsFail, obsDisp uint64
 	start := i
 	limit := i + len(t.cells)
 	for {
@@ -154,27 +152,15 @@ func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps 
 			chaos.Yield(chaos.SiteWordInsertProbe)
 		}
 		if i >= limit {
-			if obs.Enabled {
-				obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
-			}
 			return false, true, i - start, v
 		}
 		c := t.load(i)
 		if c == Empty {
 			if chaos.Enabled && chaos.FailCAS(chaos.SiteWordInsertClaim) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue // pretend the CAS lost; re-read the cell
 			}
 			if t.cas(i, Empty, v) {
-				if obs.Enabled {
-					obs.RecordInsert(start, uint64(i-start), obsCAS+1, obsFail, obsDisp)
-				}
 				return true, false, i - start, Empty
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
 			}
 			continue // re-read the cell
 		}
@@ -186,43 +172,23 @@ func (t *WordTable[O]) insertLoopFrom(v uint64, i int) (added, full bool, steps 
 			// fall through to re-read and re-compare.
 			merged := t.ops.Merge(c, v)
 			if chaos.Enabled && merged != c && chaos.FailCAS(chaos.SiteWordInsertMerge) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue
 			}
 			if merged == c || t.cas(i, c, merged) {
-				if obs.Enabled {
-					if merged != c {
-						obsCAS++
-					}
-					obs.RecordInsert(start, uint64(i-start), obsCAS, obsFail, obsDisp)
-				}
 				return false, false, i - start, Empty
-			}
-			if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
 			}
 		case cmp > 0: // cell has higher priority; keep probing
 			i++
 		default: // v has higher priority; swap in and carry c forward
 			if chaos.Enabled && chaos.FailCAS(chaos.SiteWordInsertDisplace) {
-				if obs.Enabled {
-					obsCAS, obsFail = obsCAS+1, obsFail+1
-				}
 				continue
 			}
 			if t.cas(i, c, v) {
-				if obs.Enabled {
-					obsCAS, obsDisp = obsCAS+1, obsDisp+1
-				}
 				v = c
 				i++
 				// The displaced element hashes at or before i-1, so its
 				// remaining probe distance is still bounded by the
 				// cluster length; keep the same safety limit.
-			} else if obs.Enabled {
-				obsCAS, obsFail = obsCAS+1, obsFail+1
 			}
 		}
 	}
@@ -251,13 +217,7 @@ func (t *WordTable[O]) fullErr() error {
 func (t *WordTable[O]) Find(v uint64) (uint64, bool) {
 	h := t.home(v)
 	e, ok, steps := t.findFrom(v, h)
-	if obs.CoreEnabled {
-		var hit uint64
-		if ok {
-			hit = 1
-		}
-		obs.CoreFind(h, 1, uint64(steps), hit)
-	}
+	obs.PublishFind(h, steps, ok)
 	return e, ok
 }
 
@@ -273,30 +233,18 @@ func (t *WordTable[O]) findFrom(v uint64, i int) (uint64, bool, int) {
 	for i < limit {
 		c := t.load(i)
 		if c == Empty {
-			if obs.Enabled {
-				obs.RecordFind(start, uint64(i-start), false)
-			}
 			return Empty, false, i - start
 		}
 		cmp := t.ops.Cmp(v, c)
 		if cmp > 0 {
-			if obs.Enabled {
-				obs.RecordFind(start, uint64(i-start), false)
-			}
 			return Empty, false, i - start
 		}
 		if cmp == 0 {
-			if obs.Enabled {
-				obs.RecordFind(start, uint64(i-start), true)
-			}
 			return c, true, i - start
 		}
 		i++
 	}
 	// Full sweep without a verdict: the table is saturated and v absent.
-	if obs.Enabled {
-		obs.RecordFind(start, uint64(i-start), false)
-	}
 	return Empty, false, i - start
 }
 
@@ -315,20 +263,17 @@ func (t *WordTable[O]) Contains(v uint64) bool {
 func (t *WordTable[O]) Delete(v uint64) bool {
 	h := t.home(v)
 	deleted, steps := t.deleteFrom(v, h)
-	if obs.CoreEnabled {
-		obs.CoreDelete(h, 1, uint64(steps))
-	}
+	obs.PublishDelete(h, steps)
 	return deleted
 }
 
 // deleteFrom is Delete starting from a caller-supplied probe origin (i
 // must be t.home(v)); see insertLoopFrom. steps is the victim-scan
 // length (cells walked to locate v's cluster position), the cheap
-// per-op cost proxy the always-on core records.
+// per-op cost proxy the telemetry records.
 func (t *WordTable[O]) deleteFrom(v uint64, i int) (deleted bool, steps int) {
 	// Find v or the first element past it in the probe sequence
 	// (concurrent deletes may have shifted v back, never forward).
-	var obsRepl, obsFail uint64
 	home := i
 	k := i
 	// The sweep bound keeps the victim scan finite on a saturated table
@@ -358,13 +303,7 @@ func (t *WordTable[O]) deleteFrom(v uint64, i int) (deleted bool, steps int) {
 		if t.cas(k, c, w) {
 			deleted = true
 			if w == Empty {
-				if obs.Enabled {
-					obs.RecordDelete(home, uint64(steps), obsRepl, obsFail)
-				}
 				return true, steps
-			}
-			if obs.Enabled {
-				obsRepl++
 			}
 			// There are now two copies of w; we own deleting one.
 			v = w
@@ -372,14 +311,8 @@ func (t *WordTable[O]) deleteFrom(v uint64, i int) (deleted bool, steps int) {
 			i = t.lift(hw&uint64(t.mask), j)
 		} else {
 			// v was deleted or moved down by a concurrent delete.
-			if obs.Enabled {
-				obsFail++
-			}
 			k--
 		}
-	}
-	if obs.Enabled {
-		obs.RecordDelete(home, uint64(steps), obsRepl, obsFail)
 	}
 	return deleted, steps
 }

@@ -470,13 +470,7 @@ func (s *Server) admit(b *batch) int {
 		admitted++
 	}
 	s.publish()
-	depth := s.queued
 	s.mu.Unlock()
-	if obs.Enabled {
-		for range admitted {
-			obs.RecordEpochAdmit(depth)
-		}
-	}
 	b.release()
 	return admitted
 }
@@ -506,9 +500,6 @@ func (s *Server) room(b *batch, i int) uint8 {
 			}
 		}
 		s.stats.ShedOverload++
-		if obs.Enabled {
-			obs.RecordEpochShed(true)
-		}
 		return st
 	}
 }
@@ -731,9 +722,6 @@ func (s *Server) flush(spans []span, split bool) {
 			if st != statusPending {
 				b.resolve(i, st)
 				shed++
-				if obs.Enabled {
-					obs.RecordEpochShed(false)
-				}
 				continue
 			}
 			switch b.op(i) {
@@ -768,9 +756,6 @@ func (s *Server) flush(spans []span, split bool) {
 	s.stats.Cancelled += uint64(s.cancelled)
 	s.mu.Unlock()
 	s.cancelled = 0
-	if obs.Enabled {
-		obs.RecordEpochFlush(executed, split, insertFull)
-	}
 }
 
 // insertPhase runs the epoch's insert phase through the sharded bulk
@@ -887,9 +872,6 @@ func (s *Server) deliver(b *batch, i int, st uint8) {
 	if chaos.Enabled && chaos.Fault(chaos.SiteEpochCancel) {
 		st = StatusCancelled
 		s.cancelled++
-		if obs.Enabled {
-			obs.RecordEpochCancel()
-		}
 	}
 	if obs.Enabled {
 		obs.RecordEpochLatency(uint64(time.Since(b.admitted) / time.Microsecond))

@@ -1,13 +1,13 @@
-//go:build nostats
+//go:build nostats && !obs
 
 package obs
 
 // CoreEnabled reports whether this binary carries the always-on counter
-// core. Under -tags nostats it is constant false, so every
-// `if obs.CoreEnabled { obs.Core...() }` call site is dead-code
+// core. Under -tags nostats (without obs) it is constant false, so
+// every `if obs.CoreEnabled { obs.Core...() }` call site is dead-code
 // eliminated — this build exists only as the A/B baseline for the
 // core-overhead gate (`make tune-overhead`) and its `go tool nm` size
-// check, which asserts no Core* symbol survives linking it.
+// check, which asserts the core's sinks are absent from it.
 const CoreEnabled = false
 
 // CoreInsert is a no-op under -tags nostats.

@@ -1,4 +1,4 @@
-//go:build !nostats
+//go:build !nostats || obs
 
 package obs
 
@@ -9,16 +9,17 @@ import (
 )
 
 // CoreEnabled reports whether this binary carries the always-on counter
-// core. It is true in default builds and false under -tags nostats; like
-// Enabled it is a constant, so `if obs.CoreEnabled { ... }` call sites
-// vanish from the nostats A/B build the overhead gate measures against.
+// core. It is true in default builds and in every obs build, and false
+// under -tags nostats alone; like Enabled it is a constant, so
+// `if obs.CoreEnabled { ... }` call sites vanish from the nostats A/B
+// build the overhead gate measures against.
 const CoreEnabled = true
 
 const (
-	// coreStripes is the number of padded core sinks. Stripe selection
-	// follows the obs sinks: table hooks pass the operation's home-cell
-	// index (an identity already in a register), pool hooks a fixed
-	// stripe. Must be a power of two.
+	// coreStripes is the number of padded core sinks. Table hooks pass
+	// the operation's home-cell index (an identity already in a
+	// register), pool hooks the worker index or a fixed stripe. Must be
+	// a power of two.
 	coreStripes    = 64
 	coreStripeMask = coreStripes - 1
 
@@ -193,8 +194,8 @@ func CoreSnapshot() CoreStats {
 }
 
 // CoreReset zeroes every core sink and the imbalance gauge. Benchmark
-// drivers reset between cells so one distribution's skew cannot leak
-// into the next cell's tuning inputs.
+// drivers reset between cells so one distribution's numbers cannot leak
+// into the next cell's.
 func CoreReset() {
 	for i := range coreSinks {
 		for j := range coreSinks[i].c {

@@ -46,17 +46,14 @@ func TestCoreSnapshotMerge(t *testing.T) {
 		t.Fatalf("helper blocks=%d spin hits=%d parks=%d, want %d/%d/%d",
 			s.ParHelperBlocks, s.ParSpinHits, s.ParParks, 2*total, total/2, total/2)
 	}
-	if s.OpsTotal() != 3*total {
-		t.Fatalf("OpsTotal = %d, want %d", s.OpsTotal(), 3*total)
+	if got := s.MeanProbe("find"); got != 3 {
+		t.Fatalf("MeanProbe(find) = %v, want 3", got)
 	}
-	if got := s.FindSharePm(); got != 333 {
-		t.Fatalf("FindSharePm = %d, want 333", got)
-	}
-	if got := s.MeanProbePm("find"); got != 3000 {
-		t.Fatalf("MeanProbePm(find) = %d, want 3000", got)
+	if got := s.Ops(); got != (OpCounts{InsertOps: total, FindOps: total, FindHits: total / 2, DeleteOps: total}) {
+		t.Fatalf("Ops() = %+v", got)
 	}
 	CoreReset()
-	if s := CoreSnapshot(); s.OpsTotal() != 0 || s.MaxShardImbalancePm != 0 {
+	if s := CoreSnapshot(); s != (CoreStats{}) {
 		t.Fatalf("CoreReset left %+v", s)
 	}
 }
@@ -105,7 +102,7 @@ func TestCoreStatsSub(t *testing.T) {
 	if d.MaxShardImbalancePm != 1800 {
 		t.Fatalf("Sub gauge = %d, want 1800 (keeps the later max)", d.MaxShardImbalancePm)
 	}
-	if got := d.ItemsPerDispatch(); got != 0 {
-		t.Fatalf("ItemsPerDispatch with zero dispatches = %d, want 0", got)
+	if got := d.MeanProbe("insert"); got != 0 {
+		t.Fatalf("MeanProbe with zero steps = %v, want 0", got)
 	}
 }

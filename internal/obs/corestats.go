@@ -5,41 +5,36 @@ import (
 	"strings"
 )
 
-// This file is the build-tag-free half of the always-on counter core:
-// the merged snapshot type and its derived gauges. The core is the
-// minimal telemetry subset promoted out of the obs build tag so the
-// operator summaries have schedule-independent numbers in every
-// binary: striped operation/probe-step counters, the growing
-// table's resize counters, the sharded bulk-kernel imbalance gauge, and
-// the pool dispatch and worker-participation counters. Nothing else
-// moved — histograms, CAS/displacement accounting, phase spans and the
-// debug endpoint stay behind -tags obs.
+// This file is the build-tag-free half of the counter core, the one
+// counter store: the merged CoreStats type and its derived numbers.
+// Every table layout feeds it (WordTable, CompactTable and PtrTable
+// directly, ShardedTable and GrowTable through their WordTables), as do
+// GrowTable resizes, the sharded bulk partition and the worker pool.
 //
-// The core has its own off switch, inverted relative to obs: it is ON
-// in default builds and compiled out with -tags nostats (the overhead
-// gate's A/B build). Hooks are named Core* — never Record* — so `make
-// obs-sizecheck`'s assertion that untagged binaries carry no Record*
-// symbol keeps holding verbatim, and a parallel check asserts the Core*
-// symbols vanish under -tags nostats.
+// The core is ON in default builds and compiled out with -tags nostats
+// (the overhead gate's A/B build) unless -tags obs is also set: an obs
+// Snapshot reads its counts from the core. Hooks are named Core* —
+// never Record* — so `make obs-sizecheck`'s assertion that untagged
+// binaries carry no Record* symbol holds verbatim, and `make
+// tune-sizecheck` asserts the core's sinks vanish under -tags nostats.
 //
-// Determinism contract: every CoreStats
-// field is a sum or a max over per-completed-operation contributions, so
-// for a fixed multiset of completed operations the merged totals are
-// independent of schedule, worker count and stripe assignment — sums and
-// maxes are commutative. Probe-step counters are one exception:
-// concurrent CAS traffic can lengthen individual probes, so step totals
-// are schedule-dependent wherever workers share cells (they are
-// schedule-independent for sharded bulk calls run alone, where each
-// shard's run is probed by one worker in a fixed order). The pool
-// worker-participation counters are the other: which participant ran a
-// block is the schedule itself. The step counters exist for operators
-// (phload soak summaries) and for the obs-free mean-probe gauge, the
-// participation counters for the pool's helper share. No counter or
+// Determinism contract: every CoreStats field is a sum or a max over
+// per-completed-operation contributions, so for a fixed multiset of
+// completed operations the merged totals are independent of schedule,
+// worker count and stripe assignment — sums and maxes are commutative.
+// Probe-step counters are one exception: concurrent CAS traffic can
+// lengthen individual probes, so step totals are schedule-dependent
+// wherever workers share cells (they are schedule-independent for
+// sharded bulk calls run alone, where each shard's run is probed by one
+// worker in a fixed order; TestShardedBulkProbeStepsScheduleIndependent
+// checks this). The pool worker-participation counters are the other:
+// which participant ran a block is the schedule itself. No counter or
 // gauge feeds back into table construction: layouts depend only on the
 // element set, the capacity and explicit options.
 type CoreStats struct {
-	// Probe-path operation and step totals (WordTable probe loops;
-	// bulk kernels publish once per block or shard run).
+	// Probe-path operation and step totals, from every layout: the
+	// per-element API publishes once per op, the bulk kernels once per
+	// block or shard run.
 	InsertOps        uint64
 	InsertProbeSteps uint64
 	FindOps          uint64
@@ -83,31 +78,25 @@ type CoreStats struct {
 	ParParks        uint64
 }
 
-// OpsTotal returns the total probe-path operations recorded.
-func (s CoreStats) OpsTotal() uint64 { return s.InsertOps + s.FindOps + s.DeleteOps }
-
-// FindSharePm returns finds per mille of all probe-path operations
-// (0 when none were recorded) — the op-mix input of the flat-vs-compact
-// and shard policies, integer per-mille like every policy input.
-func (s CoreStats) FindSharePm() uint64 {
-	total := s.OpsTotal()
-	if total == 0 {
-		return 0
-	}
-	return s.FindOps * 1000 / total
+// OpCounts is the schedule-independent subset of the core: for a fixed
+// workload these totals are identical across seeds, worker counts and
+// fault profiles (the detres op-count oracle asserts this). Probe steps
+// are deliberately excluded — they measure the schedule.
+type OpCounts struct {
+	InsertOps uint64
+	FindOps   uint64
+	FindHits  uint64
+	DeleteOps uint64
 }
 
-// HitSharePm returns find hits per mille of find operations.
-func (s CoreStats) HitSharePm() uint64 {
-	if s.FindOps == 0 {
-		return 0
-	}
-	return s.FindHits * 1000 / s.FindOps
+// Ops returns the schedule-independent operation counts.
+func (s CoreStats) Ops() OpCounts {
+	return OpCounts{InsertOps: s.InsertOps, FindOps: s.FindOps, FindHits: s.FindHits, DeleteOps: s.DeleteOps}
 }
 
-// MeanProbePm returns the mean probe distance of the class ("insert",
-// "find", "delete") in per-mille (1500 = 1.5 cells), integer arithmetic.
-func (s CoreStats) MeanProbePm(class string) uint64 {
+// MeanProbe returns the mean probe distance of the class ("insert",
+// "find", "delete"): the exact step total over the op count.
+func (s CoreStats) MeanProbe(class string) float64 {
 	var steps, ops uint64
 	switch class {
 	case "insert":
@@ -120,16 +109,7 @@ func (s CoreStats) MeanProbePm(class string) uint64 {
 	if ops == 0 {
 		return 0
 	}
-	return steps * 1000 / ops
-}
-
-// ItemsPerDispatch returns the mean parallel-loop length per pooled
-// dispatch (0 when none were recorded) — the grain policy's input.
-func (s CoreStats) ItemsPerDispatch() uint64 {
-	if s.ParDispatches == 0 {
-		return 0
-	}
-	return s.ParItems / s.ParDispatches
+	return float64(steps) / float64(ops)
 }
 
 // Sub returns the window s minus prev for the additive counters; the
@@ -163,10 +143,9 @@ func (s CoreStats) Sub(prev CoreStats) CoreStats {
 // phserver drain reports).
 func (s CoreStats) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "core: insert ops=%d mean-probe=%d.%03d; find ops=%d hits=%d mean-probe=%d.%03d; delete ops=%d",
-		s.InsertOps, s.MeanProbePm("insert")/1000, s.MeanProbePm("insert")%1000,
-		s.FindOps, s.FindHits, s.MeanProbePm("find")/1000, s.MeanProbePm("find")%1000,
-		s.DeleteOps)
+	fmt.Fprintf(&b, "core: insert ops=%d mean-probe=%.3f; find ops=%d hits=%d mean-probe=%.3f; delete ops=%d mean-probe=%.3f",
+		s.InsertOps, s.MeanProbe("insert"), s.FindOps, s.FindHits, s.MeanProbe("find"),
+		s.DeleteOps, s.MeanProbe("delete"))
 	if s.GrowEvents > 0 {
 		fmt.Fprintf(&b, "; grow events=%d moved=%d", s.GrowEvents, s.GrowCellsMoved)
 	}
@@ -176,8 +155,8 @@ func (s CoreStats) String() string {
 			s.MaxShardImbalancePm/1000, s.MaxShardImbalancePm%1000)
 	}
 	if s.ParDispatches > 0 {
-		fmt.Fprintf(&b, "; pool dispatches=%d blocks=%d items/dispatch=%d helper-blocks=%d spin-hits=%d parks=%d",
-			s.ParDispatches, s.ParBlocks, s.ItemsPerDispatch(), s.ParHelperBlocks, s.ParSpinHits, s.ParParks)
+		fmt.Fprintf(&b, "; pool dispatches=%d blocks=%d items=%d helper-blocks=%d spin-hits=%d parks=%d",
+			s.ParDispatches, s.ParBlocks, s.ParItems, s.ParHelperBlocks, s.ParSpinHits, s.ParParks)
 	}
 	return b.String()
 }

@@ -1,180 +1,57 @@
-// Package obs is the runtime telemetry substrate (phasestats): counters,
-// probe-length histograms, phase timelines and a live debug endpoint for
-// the phase-concurrent tables and the parallel runtime.
+// Package obs is the runtime telemetry substrate (phasestats) for the
+// phase-concurrent tables and the parallel runtime. It has one counter
+// store and one optional layer on top of it.
 //
-// The paper's performance claims (Section 6) are explained by microscopic
-// quantities — probe-sequence lengths under priority-ordered probing, CAS
-// retry rates under contention, displacement-chain lengths on insert,
-// per-phase wall time — that timings alone cannot show ("Concurrent Hash
-// Tables: Fast and General?(!)", Maier et al., makes the same point for
-// open addressing generally). This package makes those quantities
-// observable in our own runs without costing the benchmarked paths
-// anything when it is off.
+// The counter store is the always-on counter core (corestats.go,
+// core_on.go): striped operation, hit and probe-step totals fed by
+// every table layout, GrowTable resize counts, the sharded bulk
+// partition totals and imbalance gauge, and the pool's dispatch and
+// worker-participation counters. Default builds carry it, so every
+// binary has schedule-independent op counts to report; -tags nostats
+// compiles it out for the A/B overhead gate (`make tune-overhead`),
+// and `make tune-sizecheck` asserts with `go tool nm` that no core sink
+// survives that build. The Core* hooks batch per block on the bulk
+// paths and publish once per op on the per-element API. Epoch
+// scheduler counts live in epoch.Stats, not here.
 //
-// Like internal/chaos, the package has two build-tag implementations:
+// `-tags obs` adds what counting cannot show: power-of-two probe-length
+// histograms per operation class, the epoch admit-to-complete latency
+// histogram, the phase timeline (spans that double as runtime/trace
+// tasks) and the live debug endpoint (Serve). Without the tag every
+// Record* hook is a no-op behind the constant Enabled == false; call
+// sites are written `if obs.Enabled { obs.RecordInsert(...) }`, so the
+// compiler deletes them, and `make obs-sizecheck` asserts that no
+// Record* symbol survives linking an untagged binary. An obs build
+// always carries the core (its Snapshot reads its counts from it), even
+// under -tags nostats.
 //
-//   - default (no tag): every hook is a no-op behind the constant
-//     Enabled == false. Call sites are written
-//     `if obs.Enabled { obs.RecordInsert(...) }`, so the compiler deletes
-//     them entirely; `make obs-sizecheck` asserts with `go tool nm` that
-//     no Record* symbol survives linking an untagged binary. The CI
-//     overhead gate (`make tune-overhead`) is a self-contained A/B: the
-//     2^20 uniform insert benchmark built with -tags nostats against the
-//     same benchmark built untagged, from one tree in one run.
-//   - `-tags obs`: the hooks are live. Hot paths accumulate locally (in
-//     registers) and publish once per operation into cache-line-padded
-//     striped sinks; Snapshot() merges the sinks into one deterministic
-//     struct.
+// The probe loops themselves carry no telemetry: each returns the cells
+// it walked, and its caller publishes — the per-element API once per op
+// through PublishInsert/PublishFind/PublishDelete, the bulk kernels once
+// per block into the core and per element into the histograms.
 //
-// Sink design: counter increments must not contend, but Go offers no
-// cheap goroutine-local storage. Where a worker identity is free — the pool
-// loops in internal/parallel, which know their worker index — sinks are
-// indexed per worker. On the per-element table paths the operation's own
-// probe origin picks the stripe instead: different elements hash to
-// different stripes, so increments spread across padded cache lines
-// without any identity lookup, and merging is oblivious to which stripe
-// got what. Schedule-independent quantities (operation counts) therefore
-// merge to schedule-independent totals, which the detres grid asserts.
-//
-// What is deterministic: operation counts (inserts, finds, deletes,
-// find hits) for a given workload. What is not: probe steps, CAS
-// failures, displacement and replacement-chain work — those measure the *schedule*, which is exactly why they
-// are worth recording. Timings and spans are wall-clock and never
-// deterministic.
-//
-// A minimal subset — the always-on counter core — lives OUTSIDE the obs tag: striped
-// op/probe-step counters, the shard-imbalance gauge and the pool
-// dispatch counters (corestats.go, core_on.go). Production binaries
-// carry it by default so policy decisions have inputs; -tags nostats
-// compiles it out for the A/B overhead gate, exactly as untagged builds
-// compile out the Record* hooks. The Core* hooks batch per block on the
-// bulk paths, so the measured overhead of the core stays within the 1%
-// gate. obs builds record both layers into separate stores; Snapshot
-// and CoreSnapshot never mix.
+// Sink design: increments must not contend, but Go offers no cheap
+// goroutine-local storage. The table hooks pick a stripe from the
+// operation's own probe origin (different elements hash to different
+// stripes), the pool hooks from the worker index; merging is pure
+// addition, so it is oblivious to which stripe got what, and
+// schedule-independent quantities (operation and hit counts) merge to
+// schedule-independent totals, which the detres op-count oracle
+// asserts. Probe steps measure the schedule wherever workers share
+// cells; timings and spans are wall-clock and never deterministic.
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
 	"strings"
-
-	"phasehash/internal/chaos"
 )
 
 // ErrDisabled is returned by Serve when the binary was built without
 // the obs tag.
 var ErrDisabled = errors.New("obs: built without -tags obs")
-
-// Counter identifies one merged telemetry counter. The set covers the
-// probe loops (word, compact and pointer tables), the
-// growing table's rehashes, the parallel pool and the
-// sharded bulk kernels.
-type Counter uint8
-
-// Counters.
-const (
-	// Insert path (WordTable/PtrTable insertLoopFrom, per-element and
-	// bulk, flat and sharded).
-	CtrInsertOps           Counter = iota // insert operations completed
-	CtrInsertProbeSteps                   // cells stepped past across all inserts
-	CtrInsertCASAttempts                  // claim/merge/displace CASes issued
-	CtrInsertCASFailures                  // CASes that lost (incl. chaos-forced)
-	CtrInsertDisplacements                // lower-priority elements displaced and carried
-
-	// Find path (findFrom).
-	CtrFindOps        // find operations completed
-	CtrFindProbeSteps // cells stepped past across all finds
-	CtrFindHits       // finds that located their key
-
-	// Delete path (deleteFrom).
-	CtrDeleteOps          // delete operations completed
-	CtrDeleteProbeSteps   // cells stepped in the victim scan
-	CtrDeleteReplacements // replacement CASes won: recursive hole-fill depth
-	CtrDeleteCASFailures  // replacement CASes lost to concurrent deletes
-
-	// GrowTable resizes: grow traffic, never counted as insert ops.
-	CtrGrowEvents     // resized tables published
-	CtrGrowCellsMoved // elements rehashed old -> new
-
-	// Parallel pool (internal/parallel).
-	CtrParDispatches // pooled ForBlocked dispatches
-	CtrParBlocks     // blocks dispatched (sum of nblocks per dispatch)
-	CtrParWakes      // pool-worker wake tokens consumed
-	CtrParStaleWakes // wakes that found the job already drained
-	CtrParCursorMiss // cursor draws past the last block (claim overshoot)
-
-	// Sharded bulk kernels (radix partition, one worker per shard run).
-	CtrShardBulkCalls // bulk kernel invocations
-	CtrShardBulkRuns  // shard runs handed to owners
-	CtrShardBulkElems // elements across all runs
-
-	// Epoch scheduler (internal/epoch).
-	CtrEpochAdmitted     // ops admitted past the admission gate
-	CtrEpochShedOverload // ops refused at admission (queue at limit, fail-fast)
-	CtrEpochShedDeadline // ops shed at flush time (deadline expired before the epoch)
-	CtrEpochCancelled    // result deliveries cancelled (client ctx / chaos injection)
-	CtrEpochFlushes      // epochs flushed through the table
-	CtrEpochFlushOps     // ops executed across all flushed epochs
-	CtrEpochSplits       // oversized pending batches split into extra epochs
-	CtrEpochInsertFull   // insert futures resolved with ErrFull
-
-	// Compact fingerprint-probed finds (CompactTable findFrom; op
-	// counts flow into the shared find counters above).
-	CtrFindCtrlWords // ctrl words loaded across all compact finds
-	CtrFindFPFalse   // fingerprint matches whose cell held a different key
-
-	NumCounters = int(iota)
-)
-
-// counterNames are the stable JSON/expvar keys. Names that describe the
-// same code sites as chaos injection points reuse the chaos site-name
-// constants (internal/chaos/sitenames.go) so the two vocabularies
-// cannot drift.
-var counterNames = [NumCounters]string{
-	CtrInsertOps:           "insert-ops",
-	CtrInsertProbeSteps:    "insert-probe-steps",
-	CtrInsertCASAttempts:   "insert-cas-attempts",
-	CtrInsertCASFailures:   "insert-cas-failures",
-	CtrInsertDisplacements: "insert-displacements",
-	CtrFindOps:             "find-ops",
-	CtrFindProbeSteps:      "find-probe-steps",
-	CtrFindHits:            "find-hits",
-	CtrDeleteOps:           "delete-ops",
-	CtrDeleteProbeSteps:    "delete-probe-steps",
-	CtrDeleteReplacements:  "delete-replacements",
-	CtrDeleteCASFailures:   "delete-cas-failures",
-	CtrGrowEvents:          "grow-events",
-	CtrGrowCellsMoved:      chaos.SiteNameGrowRehash + "-cells",
-	CtrParDispatches:       "parallel-dispatches",
-	CtrParBlocks:           "parallel-blocks",
-	CtrParWakes:            chaos.SiteNameParallelWorker + "-wakes",
-	CtrParStaleWakes:       chaos.SiteNameParallelWorker + "-stale-wakes",
-	CtrParCursorMiss:       "parallel-cursor-miss",
-	CtrShardBulkCalls:      "shard-bulk-calls",
-	CtrShardBulkRuns:       "shard-bulk-runs",
-	CtrShardBulkElems:      "shard-bulk-elems",
-	CtrEpochAdmitted:       chaos.SiteNameEpochAdmit + "-ops",
-	CtrEpochShedOverload:   chaos.SiteNameEpochAdmit + "-shed-overload",
-	CtrEpochShedDeadline:   chaos.SiteNameEpochFlush + "-shed-deadline",
-	CtrEpochCancelled:      chaos.SiteNameEpochCancel + "-ops",
-	CtrEpochFlushes:        chaos.SiteNameEpochFlush + "-epochs",
-	CtrEpochFlushOps:       chaos.SiteNameEpochFlush + "-ops",
-	CtrEpochSplits:         chaos.SiteNameEpochFlush + "-splits",
-	CtrEpochInsertFull:     chaos.SiteNameEpochFlush + "-insert-full",
-	CtrFindCtrlWords:       "find-ctrl-words",
-	CtrFindFPFalse:         "find-fp-false-positives",
-}
-
-// String returns the counter's stable name.
-func (c Counter) String() string {
-	if int(c) < NumCounters {
-		return counterNames[c]
-	}
-	return "unknown-counter"
-}
 
 // NumProbeBuckets is the histogram width: power-of-two buckets covering
 // probe distances 0, 1, [2,4), [4,8), ... with the last bucket open.
@@ -270,217 +147,103 @@ type PhaseSpan struct {
 	Ops     uint64 `json:"ops"`
 }
 
-// Snapshot is the deterministic merged view of every sink. Field order
-// and JSON encoding are stable; see the package comment for which
-// fields are schedule-independent.
+// Snapshot is the counter core plus the obs-tag histograms and
+// timeline, merged at one point in time. Ops and MeanProbe are the
+// core's; without the tag every field but the core is zero.
 type Snapshot struct {
-	// Enabled records whether the binary carries live instrumentation
-	// (built with -tags obs); every other field is zero when false.
-	Enabled bool
+	// Enabled records whether the binary carries the histograms and the
+	// timeline (built with -tags obs).
+	Enabled bool `json:"enabled"`
 
-	// Counters holds the merged counter values, indexed by Counter.
-	Counters [NumCounters]uint64
+	CoreStats `json:"core"`
 
-	// Probe-length histograms per operation class.
-	InsertProbes Histogram
-	FindProbes   Histogram
-	DeleteProbes Histogram
-
-	// MaxShardImbalancePm is the worst per-mille shard imbalance seen by
-	// any sharded bulk kernel call: max-run-length * shards * 1000 /
-	// total elements (1000 = perfectly balanced).
-	MaxShardImbalancePm uint64
+	// Probe-length histograms per operation class, one entry per op.
+	InsertProbes Histogram `json:"insert_probe_hist"`
+	FindProbes   Histogram `json:"find_probe_hist"`
+	DeleteProbes Histogram `json:"delete_probe_hist"`
 
 	// EpochLatency is the admit-to-complete latency histogram of epoch
 	// scheduler ops, in microseconds (power-of-two buckets, like the
 	// probe histograms). Wall-clock: never schedule-independent.
-	EpochLatency Histogram
-
-	// MaxEpochQueueDepth is the deepest admission queue observed by the
-	// epoch scheduler; it must never exceed the configured queue limit
-	// (the overload tests assert this against Server.Stats too).
-	MaxEpochQueueDepth uint64
-
-	// WorkerBlocks[i] is the number of loop blocks executed by pool
-	// worker i (index 0 is the dispatching goroutine). Trailing zero
-	// workers are trimmed.
-	WorkerBlocks []uint64
+	EpochLatency Histogram `json:"epoch_latency_us_hist"`
 
 	// Spans is the recorded phase timeline, oldest first; bounded (see
 	// TimelineCap) with SpansDropped counting overflow.
-	Spans        []PhaseSpan
-	SpansDropped uint64
+	Spans        []PhaseSpan `json:"spans,omitempty"`
+	SpansDropped uint64      `json:"spans_dropped,omitempty"`
 }
 
-// Get returns the merged value of counter c.
-func (s *Snapshot) Get(c Counter) uint64 { return s.Counters[c] }
-
-// OpCounts is the schedule-independent subset of a Snapshot: for a
-// fixed workload these totals are identical across seeds, worker counts
-// and fault profiles (the detres obs oracle asserts this). Probe steps,
-// CAS failures and chain depths are deliberately excluded — they
-// measure the schedule.
-type OpCounts struct {
-	InsertOps uint64
-	FindOps   uint64
-	FindHits  uint64
-	DeleteOps uint64
+// TakeSnapshot merges the counter core and the obs-tag sinks. Merging
+// is pure addition, so the result does not depend on which stripe (or
+// worker) recorded what. Take snapshots at quiescence; a snapshot raced
+// with live operations is still safe, just torn across fields.
+func TakeSnapshot() Snapshot {
+	s := Snapshot{Enabled: Enabled, CoreStats: CoreSnapshot()}
+	takeHistograms(&s)
+	return s
 }
 
-// Ops returns the schedule-independent operation counts.
-func (s *Snapshot) Ops() OpCounts {
-	return OpCounts{
-		InsertOps: s.Counters[CtrInsertOps],
-		FindOps:   s.Counters[CtrFindOps],
-		FindHits:  s.Counters[CtrFindHits],
-		DeleteOps: s.Counters[CtrDeleteOps],
-	}
+// Reset zeroes the counter core, the histograms and the timeline. Call
+// it between measured sections (phbench resets before each cell so one
+// distribution's numbers don't bleed into the next).
+func Reset() {
+	CoreReset()
+	resetHistograms()
 }
 
-// MeanProbe returns the mean probe distance for the given op histogram
-// class ("insert", "find", "delete"), computed from the exact step sums
-// (not the histogram buckets).
-func (s *Snapshot) MeanProbe(class string) float64 {
-	var steps, ops uint64
-	switch class {
-	case "insert":
-		steps, ops = s.Counters[CtrInsertProbeSteps], s.Counters[CtrInsertOps]
-	case "find":
-		steps, ops = s.Counters[CtrFindProbeSteps], s.Counters[CtrFindOps]
-	case "delete":
-		steps, ops = s.Counters[CtrDeleteProbeSteps], s.Counters[CtrDeleteOps]
-	}
-	if ops == 0 {
-		return 0
-	}
-	return float64(steps) / float64(ops)
-}
-
-// CASRetryRate returns insert CAS failures per insert operation — the
-// contention gauge Maier et al. use to explain throughput cliffs.
-func (s *Snapshot) CASRetryRate() float64 {
-	ops := s.Counters[CtrInsertOps]
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.Counters[CtrInsertCASFailures]) / float64(ops)
-}
-
-// DisplacementRate returns insert displacements per insert operation.
-func (s *Snapshot) DisplacementRate() float64 {
-	ops := s.Counters[CtrInsertOps]
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.Counters[CtrInsertDisplacements]) / float64(ops)
-}
-
-// ReplacementDepth returns the mean recursive hole-fill depth per
-// delete operation.
-func (s *Snapshot) ReplacementDepth() float64 {
-	ops := s.Counters[CtrDeleteOps]
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.Counters[CtrDeleteReplacements]) / float64(ops)
-}
-
-// CtrlWordsPerFind returns the mean ctrl words loaded per find
-// operation on the compact table's SWAR probe path. Meaningful only
-// when the measured section ran compact finds exclusively (find ops
-// from other table kinds share the denominator).
-func (s *Snapshot) CtrlWordsPerFind() float64 {
-	ops := s.Counters[CtrFindOps]
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.Counters[CtrFindCtrlWords]) / float64(ops)
-}
-
-// FPFalsePositiveRate returns fingerprint false positives per find
-// operation: candidates whose 7-bit fingerprint matched but whose cell
-// held a different key, costing one wasted cell load each.
-func (s *Snapshot) FPFalsePositiveRate() float64 {
-	ops := s.Counters[CtrFindOps]
-	if ops == 0 {
-		return 0
-	}
-	return float64(s.Counters[CtrFindFPFalse]) / float64(ops)
-}
-
-// MarshalJSON encodes the snapshot with named counters (stable keys,
-// stable order via encoding/json's sorted map keys).
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	counters := make(map[string]uint64, NumCounters)
-	for c := 0; c < NumCounters; c++ {
-		counters[counterNames[c]] = s.Counters[c]
-	}
-	return json.Marshal(struct {
-		Enabled             bool              `json:"enabled"`
-		Counters            map[string]uint64 `json:"counters"`
-		InsertProbes        Histogram         `json:"insert_probe_hist"`
-		FindProbes          Histogram         `json:"find_probe_hist"`
-		DeleteProbes        Histogram         `json:"delete_probe_hist"`
-		MeanInsertProbe     float64           `json:"mean_insert_probe"`
-		P99InsertProbe      int               `json:"p99_insert_probe"`
-		CASRetryRate        float64           `json:"cas_retry_rate"`
-		MaxShardImbalancePm uint64            `json:"max_shard_imbalance_pm"`
-		EpochLatency        Histogram         `json:"epoch_latency_us_hist"`
-		P99EpochLatencyUs   int               `json:"p99_epoch_latency_us"`
-		MaxEpochQueueDepth  uint64            `json:"max_epoch_queue_depth"`
-		WorkerBlocks        []uint64          `json:"worker_blocks,omitempty"`
-		Spans               []PhaseSpan       `json:"spans,omitempty"`
-		SpansDropped        uint64            `json:"spans_dropped,omitempty"`
-	}{
-		Enabled:             s.Enabled,
-		Counters:            counters,
-		InsertProbes:        s.InsertProbes,
-		FindProbes:          s.FindProbes,
-		DeleteProbes:        s.DeleteProbes,
-		MeanInsertProbe:     s.MeanProbe("insert"),
-		P99InsertProbe:      s.InsertProbes.Quantile(0.99),
-		CASRetryRate:        s.CASRetryRate(),
-		MaxShardImbalancePm: s.MaxShardImbalancePm,
-		EpochLatency:        s.EpochLatency,
-		P99EpochLatencyUs:   s.EpochLatency.Quantile(0.99),
-		MaxEpochQueueDepth:  s.MaxEpochQueueDepth,
-		WorkerBlocks:        s.WorkerBlocks,
-		Spans:               s.Spans,
-		SpansDropped:        s.SpansDropped,
-	})
-}
-
-// String renders a compact human-readable summary (the phload soak and
-// phbench -stats output).
-func (s *Snapshot) String() string {
-	if !s.Enabled {
-		return "obs: off (build with -tags obs)"
-	}
+// String renders a compact human-readable summary: the core's line,
+// then the probe-length p99s and the epoch latency p99 when the
+// histograms are live.
+func (s Snapshot) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "obs: insert ops=%d probes mean=%.2f p99=%d cas-retry=%.4f/op displaced=%.3f/op",
-		s.Counters[CtrInsertOps], s.MeanProbe("insert"), s.InsertProbes.Quantile(0.99),
-		s.CASRetryRate(), s.DisplacementRate())
-	fmt.Fprintf(&b, "; find ops=%d probes mean=%.2f p99=%d hits=%d",
-		s.Counters[CtrFindOps], s.MeanProbe("find"), s.FindProbes.Quantile(0.99), s.Counters[CtrFindHits])
-	fmt.Fprintf(&b, "; delete ops=%d repl-depth=%.3f/op",
-		s.Counters[CtrDeleteOps], s.ReplacementDepth())
-	if w := s.Counters[CtrFindCtrlWords]; w > 0 {
-		fmt.Fprintf(&b, "; compact ctrl-words=%.2f/find fp-false=%.4f/find",
-			s.CtrlWordsPerFind(), s.FPFalsePositiveRate())
+	b.WriteString(s.CoreStats.String())
+	if !s.Enabled {
+		return b.String()
 	}
-	if g := s.Counters[CtrGrowEvents]; g > 0 {
-		fmt.Fprintf(&b, "; grow events=%d moved=%d", g, s.Counters[CtrGrowCellsMoved])
-	}
-	if r := s.Counters[CtrShardBulkRuns]; r > 0 {
-		fmt.Fprintf(&b, "; shard runs=%d elems=%d imbalance=%.2fx",
-			r, s.Counters[CtrShardBulkElems], float64(s.MaxShardImbalancePm)/1000)
-	}
-	if e := s.Counters[CtrEpochFlushes]; e > 0 {
-		fmt.Fprintf(&b, "; epochs=%d ops=%d splits=%d shed(ovl=%d ddl=%d) cancelled=%d full=%d p99lat=%dus maxq=%d",
-			e, s.Counters[CtrEpochFlushOps], s.Counters[CtrEpochSplits],
-			s.Counters[CtrEpochShedOverload], s.Counters[CtrEpochShedDeadline],
-			s.Counters[CtrEpochCancelled], s.Counters[CtrEpochInsertFull],
-			s.EpochLatency.Quantile(0.99), s.MaxEpochQueueDepth)
+	fmt.Fprintf(&b, "; p99 probes insert=%d find=%d delete=%d",
+		s.InsertProbes.Quantile(0.99), s.FindProbes.Quantile(0.99), s.DeleteProbes.Quantile(0.99))
+	if s.EpochLatency.Total() > 0 {
+		fmt.Fprintf(&b, "; epoch p99 latency=%dus", s.EpochLatency.Quantile(0.99))
 	}
 	return b.String()
+}
+
+// PublishInsert publishes one completed insert of the given probe
+// length: to the counter core and, in obs builds, to the insert
+// histogram. The per-element table APIs call it once per op, with the
+// op's home cell as the stripe; the bulk kernels batch into the core
+// per block instead.
+func PublishInsert(stripe, steps int) {
+	if CoreEnabled {
+		CoreInsert(stripe, 1, uint64(steps))
+	}
+	if Enabled {
+		RecordInsert(stripe, steps)
+	}
+}
+
+// PublishFind is PublishInsert for one completed find; hit reports
+// whether it located its key.
+func PublishFind(stripe, steps int, hit bool) {
+	if CoreEnabled {
+		var hits uint64
+		if hit {
+			hits = 1
+		}
+		CoreFind(stripe, 1, uint64(steps), hits)
+	}
+	if Enabled {
+		RecordFind(stripe, steps)
+	}
+}
+
+// PublishDelete is PublishInsert for one completed delete; steps is its
+// victim-scan length.
+func PublishDelete(stripe, steps int) {
+	if CoreEnabled {
+		CoreDelete(stripe, 1, uint64(steps))
+	}
+	if Enabled {
+		RecordDelete(stripe, steps)
+	}
 }

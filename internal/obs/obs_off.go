@@ -10,46 +10,13 @@ package obs
 const Enabled = false
 
 // RecordInsert is a no-op without the obs tag.
-func RecordInsert(stripe int, steps, casAttempts, casFailures, displacements uint64) {}
+func RecordInsert(stripe, steps int) {}
 
 // RecordFind is a no-op without the obs tag.
-func RecordFind(stripe int, steps uint64, hit bool) {}
-
-// RecordCompactFind is a no-op without the obs tag.
-func RecordCompactFind(stripe int, steps, ctrlWords, falsePos uint64, hit bool) {}
+func RecordFind(stripe, steps int) {}
 
 // RecordDelete is a no-op without the obs tag.
-func RecordDelete(stripe int, steps, replacements, casFailures uint64) {}
-
-// RecordGrow is a no-op without the obs tag.
-func RecordGrow(moved uint64) {}
-
-// RecordDispatch is a no-op without the obs tag.
-func RecordDispatch(nblocks int) {}
-
-// RecordWorkerBlocks is a no-op without the obs tag.
-func RecordWorkerBlocks(worker int, blocks uint64) {}
-
-// RecordWake is a no-op without the obs tag.
-func RecordWake(stale bool) {}
-
-// RecordCursorMiss is a no-op without the obs tag.
-func RecordCursorMiss(n uint64) {}
-
-// RecordShardBulk is a no-op without the obs tag.
-func RecordShardBulk(offsets []int) {}
-
-// RecordEpochAdmit is a no-op without the obs tag.
-func RecordEpochAdmit(depth int) {}
-
-// RecordEpochShed is a no-op without the obs tag.
-func RecordEpochShed(overload bool) {}
-
-// RecordEpochCancel is a no-op without the obs tag.
-func RecordEpochCancel() {}
-
-// RecordEpochFlush is a no-op without the obs tag.
-func RecordEpochFlush(ops int, split bool, insertFull int) {}
+func RecordDelete(stripe, steps int) {}
 
 // RecordEpochLatency is a no-op without the obs tag.
 func RecordEpochLatency(us uint64) {}
@@ -68,8 +35,6 @@ func PhaseStart(name string) *ActiveSpan { return nil }
 // PhaseEnd is a no-op without the obs tag.
 func PhaseEnd(*ActiveSpan) {}
 
-// TakeSnapshot returns an empty snapshot with Enabled == false.
-func TakeSnapshot() Snapshot { return Snapshot{} }
+func takeHistograms(*Snapshot) {}
 
-// Reset is a no-op without the obs tag.
-func Reset() {}
+func resetHistograms() {}

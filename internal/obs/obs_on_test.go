@@ -10,25 +10,20 @@ import (
 	"testing"
 )
 
-// TestStripedSinksMergeLikeSerial drives the *real* sinks with one op
-// stream, split across goroutines and stripes, and asserts TakeSnapshot
-// merges to exactly the serial totals — the sink-level version of the
-// histogram merge property (stripe assignment must be invisible after
-// merging).
+// TestStripedSinksMergeLikeSerial drives the *real* histogram sinks
+// with one op stream, split across goroutines and stripes, and asserts
+// TakeSnapshot merges to exactly the serial histograms — the sink-level
+// version of the histogram merge property (stripe assignment must be
+// invisible after merging).
 func TestStripedSinksMergeLikeSerial(t *testing.T) {
-	type op struct {
-		stripe int
-		steps  uint64
-	}
+	type op struct{ stripe, steps int }
 	stream := make([]op, 5000)
 	for i := range stream {
-		stream[i] = op{stripe: i * 2654435761 % 977, steps: uint64(i % 37)}
+		stream[i] = op{stripe: i * 2654435761 % 977, steps: i % 37}
 	}
-	var wantSteps uint64
 	var wantHist Histogram
 	for _, o := range stream {
-		wantSteps += o.steps
-		wantHist.Add(int(o.steps))
+		wantHist.Add(o.steps)
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		Reset()
@@ -38,53 +33,20 @@ func TestStripedSinksMergeLikeSerial(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i := w; i < len(stream); i += workers {
-					RecordInsert(stream[i].stripe, stream[i].steps, 1, 0, 0)
-					RecordFind(stream[i].stripe, stream[i].steps, i%2 == 0)
+					RecordInsert(stream[i].stripe, stream[i].steps)
+					RecordFind(stream[i].stripe, stream[i].steps)
+					RecordDelete(stream[i].stripe, stream[i].steps)
 				}
 			}(w)
 		}
 		wg.Wait()
 		s := TakeSnapshot()
-		if got := s.Get(CtrInsertOps); got != uint64(len(stream)) {
-			t.Fatalf("workers=%d: insert ops %d, want %d", workers, got, len(stream))
-		}
-		if got := s.Get(CtrInsertProbeSteps); got != wantSteps {
-			t.Fatalf("workers=%d: probe steps %d, want %d", workers, got, wantSteps)
-		}
-		if got := s.Get(CtrFindHits); got != uint64(len(stream)/2) {
-			t.Fatalf("workers=%d: find hits %d, want %d", workers, got, len(stream)/2)
-		}
-		if s.InsertProbes != wantHist {
-			t.Fatalf("workers=%d: insert histogram %v, want %v", workers, s.InsertProbes, wantHist)
-		}
-		if s.FindProbes != wantHist {
-			t.Fatalf("workers=%d: find histogram %v, want %v", workers, s.FindProbes, wantHist)
+		if s.InsertProbes != wantHist || s.FindProbes != wantHist || s.DeleteProbes != wantHist {
+			t.Fatalf("workers=%d: histograms insert %v find %v delete %v, want %v",
+				workers, s.InsertProbes, s.FindProbes, s.DeleteProbes, wantHist)
 		}
 	}
-}
-
-func TestShardBulkGauge(t *testing.T) {
 	Reset()
-	// 4 shards, runs of 10/30/0/20: imbalance = 30*4/60 = 2.0x.
-	RecordShardBulk([]int{0, 10, 40, 40, 60})
-	s := TakeSnapshot()
-	if got := s.Get(CtrShardBulkCalls); got != 1 {
-		t.Fatalf("calls = %d", got)
-	}
-	if got := s.Get(CtrShardBulkRuns); got != 3 {
-		t.Fatalf("nonempty runs = %d, want 3", got)
-	}
-	if got := s.Get(CtrShardBulkElems); got != 60 {
-		t.Fatalf("elems = %d, want 60", got)
-	}
-	if s.MaxShardImbalancePm != 2000 {
-		t.Fatalf("imbalance = %d pm, want 2000", s.MaxShardImbalancePm)
-	}
-	// A more balanced later call must not lower the max gauge.
-	RecordShardBulk([]int{0, 15, 30, 45, 60})
-	if s = TakeSnapshot(); s.MaxShardImbalancePm != 2000 {
-		t.Fatalf("gauge dropped to %d pm", s.MaxShardImbalancePm)
-	}
 }
 
 func TestPhaseSpansAndReset(t *testing.T) {
@@ -119,8 +81,9 @@ func TestPhaseSpansAndReset(t *testing.T) {
 	var nilSpan *ActiveSpan
 	nilSpan.AddOp()
 	PhaseEnd(nil)
+	CoreInsert(0, 1, 1)
 	Reset()
-	if s = TakeSnapshot(); len(s.Spans) != 0 || s.Get(CtrInsertOps) != 0 {
+	if s = TakeSnapshot(); len(s.Spans) != 0 || s.InsertOps != 0 {
 		t.Fatalf("Reset left state behind: %+v", s)
 	}
 }
@@ -142,7 +105,8 @@ func TestTimelineCap(t *testing.T) {
 
 func TestServeEndpoint(t *testing.T) {
 	Reset()
-	RecordInsert(0, 3, 1, 0, 0)
+	CoreInsert(0, 1, 3)
+	RecordInsert(0, 3)
 	addr, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Skipf("cannot listen on loopback here: %v", err)
@@ -158,14 +122,11 @@ func TestServeEndpoint(t *testing.T) {
 			t.Fatalf("GET %s: status %d err %v", path, resp.StatusCode, err)
 		}
 		if path == "/debug/phasestats" {
-			var decoded struct {
-				Enabled  bool              `json:"enabled"`
-				Counters map[string]uint64 `json:"counters"`
-			}
+			var decoded Snapshot
 			if err := json.Unmarshal(body, &decoded); err != nil {
 				t.Fatalf("bad JSON from %s: %v\n%s", path, err, body)
 			}
-			if !decoded.Enabled || decoded.Counters["insert-ops"] != 1 {
+			if !decoded.Enabled || decoded.InsertOps != 1 || decoded.InsertProbes.Total() != 1 {
 				t.Fatalf("unexpected snapshot: %s", body)
 			}
 		}

@@ -96,31 +96,17 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestCounterNames(t *testing.T) {
-	seen := map[string]bool{}
-	for c := 0; c < NumCounters; c++ {
-		name := Counter(c).String()
-		if name == "" || name == "unknown-counter" {
-			t.Fatalf("counter %d has no name", c)
-		}
-		if seen[name] {
-			t.Fatalf("duplicate counter name %q", name)
-		}
-		seen[name] = true
-	}
-}
-
 func TestSnapshotJSONAndString(t *testing.T) {
 	var s Snapshot
 	s.Enabled = Enabled
-	s.Counters[CtrInsertOps] = 10
-	s.Counters[CtrInsertProbeSteps] = 25
-	s.Counters[CtrInsertCASFailures] = 2
+	s.InsertOps = 10
+	s.InsertProbeSteps = 25
+	s.InsertProbes.Add(5)
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"insert-ops":10`, `"cas_retry_rate":0.2`, `"grow-rehash-cells":0`} {
+	for _, key := range []string{`"core":{"InsertOps":10,"InsertProbeSteps":25`, `"insert_probe_hist":[0,0,0,1,`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("snapshot JSON missing %s: %s", key, data)
 		}
@@ -129,33 +115,43 @@ func TestSnapshotJSONAndString(t *testing.T) {
 		t.Errorf("MeanProbe = %v, want 2.5", mean)
 	}
 	str := s.String()
-	if Enabled && !strings.Contains(str, "insert ops=10") {
+	if !strings.Contains(str, "insert ops=10 mean-probe=2.500") {
 		t.Errorf("String() = %q", str)
 	}
-	if !Enabled && !strings.Contains(str, "off") {
-		t.Errorf("String() without tag = %q, want the off notice", str)
+	if Enabled != strings.Contains(str, "p99 probes insert=7") {
+		t.Errorf("String() = %q: the p99 part must appear exactly in obs builds", str)
 	}
 }
 
-// TestDisabledSnapshotIsZero pins the untagged contract: TakeSnapshot
-// reports Enabled == false and all-zero counters, and the no-op hooks
-// stay no-ops.
+// TestDisabledSnapshotIsZero pins the untagged contract: the obs part of
+// TakeSnapshot (histograms, timeline) stays zero and Enabled false, the
+// no-op hooks stay no-ops, and the snapshot still carries the counter
+// core.
 func TestDisabledSnapshotIsZero(t *testing.T) {
 	if Enabled {
 		t.Skip("obs build: live sinks tested in obs_on_test.go")
 	}
-	RecordInsert(1, 2, 3, 4, 5)
-	RecordFind(1, 2, true)
-	RecordDelete(1, 2, 3, 4)
+	Reset()
+	defer Reset()
+	RecordInsert(1, 2)
+	RecordFind(1, 2)
+	RecordDelete(1, 2)
+	RecordEpochLatency(3)
 	sp := PhaseStart("insert")
 	sp.AddOp()
 	PhaseEnd(sp)
+	CoreInsert(1, 1, 2)
 	s := TakeSnapshot()
 	if s.Enabled {
 		t.Fatal("untagged snapshot claims Enabled")
 	}
-	if got := s.Ops(); got != (OpCounts{}) {
-		t.Fatalf("untagged op counts %+v, want zero", got)
+	var zero Histogram
+	if s.InsertProbes != zero || s.FindProbes != zero || s.DeleteProbes != zero ||
+		s.EpochLatency != zero || len(s.Spans) != 0 || s.SpansDropped != 0 {
+		t.Fatalf("untagged snapshot has obs data: %+v", s)
+	}
+	if want := uint64(1); CoreEnabled && s.InsertOps != want {
+		t.Fatalf("untagged snapshot insert ops %d, want the core's %d", s.InsertOps, want)
 	}
 	if _, err := Serve("127.0.0.1:0"); err != ErrDisabled {
 		t.Fatalf("Serve error = %v, want ErrDisabled", err)

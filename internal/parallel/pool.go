@@ -121,8 +121,8 @@ func (p *pool) ensure(k int) {
 
 // run participates in j until the block cursor is exhausted, returning
 // the number of blocks this participant executed (every participation
-// ends with exactly one cursor draw past the last block, which the obs
-// build counts as the cursor-miss gauge). It never blocks. The
+// ends with exactly one cursor draw past the last block). It never
+// blocks. The
 // participant that completes the last block clears the latest-job slot
 // (if it still holds j) before closing done, so the pool keeps nothing
 // of a finished job but a wake token still in flight.
@@ -190,11 +190,8 @@ func (p *pool) poll(spin *int) *job {
 // cursor is exhausted, repeat. Only workers 1..GOMAXPROCS-1 spin, one
 // per P besides the dispatcher's: more spinners would only take Ps from
 // goroutines with work, and at GOMAXPROCS 1 nothing spins. Each token
-// wake doubles the bound. The worker index is known here for free, so
-// the obs build attributes blocks per worker without any identity
-// lookup; a token wake that claims zero blocks is recorded as stale
-// (the job drained before this worker got there). The counter core
-// records each participation once: its blocks, and whether it began
+// wake doubles the bound. The counter core records each participation
+// once, on the worker's own stripe: its blocks, and whether it began
 // from a spin or from a park.
 func (p *pool) work(id int) {
 	spin := spinMin
@@ -209,15 +206,6 @@ func (p *pool) work(id int) {
 			spin = min(2*spin, spinMax)
 		}
 		claimed := p.run(j)
-		if obs.Enabled {
-			if !hit {
-				obs.RecordWake(claimed == 0)
-			}
-			obs.RecordCursorMiss(1)
-			if claimed > 0 {
-				obs.RecordWorkerBlocks(id, uint64(claimed))
-			}
-		}
 		if obs.CoreEnabled {
 			obs.CoreHelperRun(id, claimed, hit)
 		}
@@ -227,12 +215,8 @@ func (p *pool) work(id int) {
 // dispatch publishes j to the spinning workers, wakes parked ones for
 // whatever of helpers they do not cover, participates until the cursor
 // is exhausted, and waits for the helpers' blocks. Token sends are
-// best-effort (see tokenBuffer). The dispatching goroutine's blocks are
-// credited to worker index 0.
+// best-effort (see tokenBuffer).
 func (p *pool) dispatch(j *job, helpers int) {
-	if obs.Enabled {
-		obs.RecordDispatch(j.nblocks)
-	}
 	if obs.CoreEnabled {
 		obs.CoreDispatch(j.nblocks, j.n)
 	}
@@ -247,13 +231,7 @@ func (p *pool) dispatch(j *job, helpers int) {
 			i = helpers
 		}
 	}
-	claimed := p.run(j)
-	if obs.Enabled {
-		obs.RecordCursorMiss(1)
-		if claimed > 0 {
-			obs.RecordWorkerBlocks(0, uint64(claimed))
-		}
-	}
+	p.run(j)
 	j.wait()
 }
 

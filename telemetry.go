@@ -6,35 +6,27 @@ import (
 	"phasehash/internal/obs"
 )
 
-// This file is the public face of the phasestats telemetry substrate
-// (internal/obs). The full instrumentation is a build-tag pair, like
-// the chaos fault-injection layer: build with `-tags obs` (`make obs`)
-// to turn every probe loop, CAS site, table resize, pool dispatch and
-// shard partition into a recorded event. Without the tag those hooks
-// are const-folded away and Stats() returns a zero snapshot with
-// Enabled == false.
-//
-// Untagged binaries are not counter-free: the default build carries the
-// small always-on counter core (op and probe totals, dispatch shape,
-// the shard-imbalance gauge; obs.CoreSnapshot), which Stats() does not
-// report. Only `-tags nostats` removes it, and the 1% overhead gate
-// (`make tune-overhead`) compares the default build against that
-// nostats build.
+// This file is the public face of the telemetry substrate
+// (internal/obs). Every binary carries the always-on counter core: op,
+// hit and probe-step totals from every table layout, resize counts, the
+// sharded partition's imbalance gauge and the worker pool's counters.
+// Building with `-tags obs` (`make obs`) adds probe-length histograms,
+// the epoch latency histogram, the phase timeline and the debug
+// endpoint. Only `-tags nostats` (without obs) removes the core, and
+// the 1% overhead gate (`make tune-overhead`) compares the default
+// build against that nostats build.
 
-// Stats merges the `-tags obs` telemetry sinks into one snapshot:
-// per-operation counters, probe-length histograms (power-of-two
-// buckets), shard balance, per-worker block attribution and the phase
-// timeline. In binaries built without the tag it returns a zero
-// snapshot; the always-on counter core is read separately
-// (obs.CoreSnapshot). Safe to
-// call at any time, but counters raced with live operations may be torn
+// Stats merges the telemetry into one snapshot: the counter core's
+// totals plus, in obs builds, the probe-length histograms (power-of-two
+// buckets) and the phase timeline (Enabled reports which). Safe to call
+// at any time, but counters raced with live operations may be torn
 // across fields; take snapshots at phase barriers for exact numbers.
 //
 // Stats is phase-neutral: it reads the telemetry sinks, never the
 // tables, so it is legal during any phase (phasevet knows this).
 func Stats() obs.Snapshot { return obs.TakeSnapshot() }
 
-// ResetStats zeroes every telemetry counter, histogram and the phase
+// ResetStats zeroes the counter core, the histograms and the phase
 // timeline, so the next Stats() covers only what ran in between.
 // Callers should be at a phase barrier; resets raced with live
 // operations lose increments harmlessly.
@@ -45,6 +37,5 @@ func ResetStats() { obs.Reset() }
 // (expvar with a "phasestats" snapshot), /debug/phasestats (snapshot
 // JSON alone) and /debug/pprof/* for profiling a running soak. In
 // binaries built without `-tags obs` it returns an error
-// (obs.ErrDisabled) instead of serving an all-zero phasestats snapshot,
-// even though the always-on counter core is live in those builds.
+// (obs.ErrDisabled), and keeps net/http out of the binary.
 func ServeDebug(addr string) (net.Addr, error) { return obs.Serve(addr) }
