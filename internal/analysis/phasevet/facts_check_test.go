@@ -13,7 +13,11 @@ import (
 // real API: every (package, type, method) entry — phase facts and
 // phase-neutral allowlist alike — must name a method that actually
 // exists on the named type, so a rename in the tables or core layer
-// cannot silently turn the analyzer into a no-op for that method.
+// cannot silently turn the analyzer into a no-op for that method. The
+// method must be declared on that type (a selection index path of
+// length 1), not promoted from an embedded field: classify keys on the
+// declared receiver, so a call of a promoted method would silently
+// leave the phase check.
 func TestFactTableResolves(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads packages from source")
@@ -41,24 +45,19 @@ func TestFactTableResolves(t *testing.T) {
 			t.Errorf("fact table names type %s.%s, which does not exist", ref.Pkg, ref.Type)
 			continue
 		}
-		named, ok := tn.Type().(*types.Named)
-		if !ok {
+		if _, ok := tn.Type().(*types.Named); !ok {
 			t.Errorf("%s.%s is not a named type", ref.Pkg, ref.Type)
 			continue
 		}
-		found := false
-		for i := 0; i < named.NumMethods(); i++ {
-			if named.Method(i).Name() == ref.Method {
-				found = true
-				break
-			}
+		kind := "fact-table"
+		if ref.Neutral {
+			kind = "phase-neutral"
 		}
-		if !found {
-			kind := "fact-table"
-			if ref.Neutral {
-				kind = "phase-neutral"
-			}
-			t.Errorf("%s entry %s.%s.%s: the type declares no such method", kind, ref.Pkg, ref.Type, ref.Method)
+		obj, index, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, ref.Method)
+		if _, isFunc := obj.(*types.Func); !isFunc {
+			t.Errorf("%s entry %s.%s.%s: the type has no such method", kind, ref.Pkg, ref.Type, ref.Method)
+		} else if len(index) != 1 {
+			t.Errorf("%s entry %s.%s.%s: the method is promoted from an embedded field, so calls of it are classified by that field's type; declare it on %s", kind, ref.Pkg, ref.Type, ref.Method, ref.Type)
 		}
 	}
 }

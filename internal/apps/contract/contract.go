@@ -178,37 +178,3 @@ func Run(kind tables.Kind, edges []graph.Edge, labels []uint32, weights []uint16
 	tables.InsertAll(tab, parallel.Pack(packed, func(i int) bool { return packed[i] != 0 }))
 	return tab.Elements()
 }
-
-// RunND is the paper's linearHash-ND fast path: since inserted elements
-// never move, duplicate weights can be added with a direct fetch-and-add
-// on the value bits instead of a full-element CAS. It exists for the
-// ablation benchmark quantifying what the deterministic table pays.
-// (The xadd may momentarily saturate differently than Merge; weights are
-// capped well below overflow in the benchmarks.)
-func RunND(edges []graph.Edge, labels []uint32, weights []uint16) []uint64 {
-	size := ceilPow2(len(edges) * 4 / 3)
-	tab := tables.NewLinearND[EdgeOps](size)
-	parallel.ForBlocked(len(edges), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			nu, nv := labels[e.U], labels[e.V]
-			if nu == nv {
-				continue
-			}
-			w := uint16(1)
-			if weights != nil {
-				w = weights[i]
-			}
-			tab.Insert(PackEdge(nu, nv, w))
-		}
-	})
-	return tab.Elements()
-}
-
-func ceilPow2(x int) int {
-	m := 1
-	for m < x {
-		m <<= 1
-	}
-	return m
-}

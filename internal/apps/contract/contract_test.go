@@ -124,17 +124,6 @@ func TestRunAllKinds(t *testing.T) {
 			}
 		}
 	}
-	// The ND xadd fast path agrees too.
-	out := RunND(edges, labels, nil)
-	if len(out) != len(want) {
-		t.Fatalf("RunND: %d edges, want %d", len(out), len(want))
-	}
-	for _, e := range out {
-		u, v, w := UnpackEdge(e)
-		if uint64(w) != want[uint64(u)<<24|uint64(v)] {
-			t.Fatalf("RunND: edge (%d,%d) wrong weight %d", u, v, w)
-		}
-	}
 }
 
 func TestRunDeterministicOrder(t *testing.T) {

@@ -94,28 +94,3 @@ func (c *PaddedInt64) Load() int64 { return c.v.Load() }
 
 // Store sets the value.
 func (c *PaddedInt64) Store(v int64) { c.v.Store(v) }
-
-// CounterArray is a set of per-worker padded counters with a combined
-// total, used for low-contention statistics gathering in benchmarks.
-type CounterArray struct {
-	cs []PaddedCounter
-}
-
-// NewCounterArray returns a CounterArray with n independent counters.
-func NewCounterArray(n int) *CounterArray {
-	return &CounterArray{cs: make([]PaddedCounter, n)}
-}
-
-// Add adds delta to counter i (mod the array size).
-func (a *CounterArray) Add(i int, delta uint64) {
-	a.cs[i%len(a.cs)].Add(delta)
-}
-
-// Total sums all counters.
-func (a *CounterArray) Total() uint64 {
-	var t uint64
-	for i := range a.cs {
-		t += a.cs[i].Load()
-	}
-	return t
-}

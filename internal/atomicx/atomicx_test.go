@@ -116,21 +116,3 @@ func TestPaddedCounterSize(t *testing.T) {
 		t.Fatal("Store broken")
 	}
 }
-
-func TestCounterArray(t *testing.T) {
-	a := NewCounterArray(4)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				a.Add(g, 1)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if a.Total() != 8000 {
-		t.Fatalf("Total = %d, want 8000", a.Total())
-	}
-}

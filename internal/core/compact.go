@@ -79,10 +79,8 @@ import (
 // WordTable. The zero value is not usable; construct with
 // NewCompactTable.
 type CompactTable[O Ops] struct {
-	ops   O
-	cells []uint64
-	ctrl  []uint64 // len(cells)/8 packed ctrl bytes, little-endian lanes
-	mask  int      // len(cells)-1; len is a power of two >= 8
+	wordCells[O]          // len(cells) is a power of two >= 8
+	ctrl         []uint64 // len(cells)/8 packed ctrl bytes, little-endian lanes
 }
 
 // Ctrl byte encoding. A slot's byte is ctrlEmpty when its cell is
@@ -103,11 +101,7 @@ func NewCompactTable[O Ops](size int) *CompactTable[O] {
 	for m < size {
 		m <<= 1
 	}
-	return &CompactTable[O]{
-		cells: make([]uint64, m),
-		ctrl:  make([]uint64, m/8),
-		mask:  m - 1,
-	}
+	return &CompactTable[O]{newWordCells[O](m), make([]uint64, m/8)}
 }
 
 // Size returns the capacity (number of cells) of the table.
@@ -118,27 +112,6 @@ func (t *CompactTable[O]) Size() int { return len(t.cells) }
 // it by Count() for the bytes/element comparison against WordTable.
 func (t *CompactTable[O]) Bytes() int { return len(t.cells)*8 + len(t.ctrl)*8 }
 
-// load atomically reads the cell at unnormalized position p.
-func (t *CompactTable[O]) load(p int) uint64 {
-	return atomic.LoadUint64(&t.cells[p&t.mask])
-}
-
-// cas CASes the cell at unnormalized position p.
-func (t *CompactTable[O]) cas(p int, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&t.cells[p&t.mask], old, new)
-}
-
-// lift is WordTable.lift: map the hash of the element stored at
-// unnormalized position p into p's frame.
-func (t *CompactTable[O]) lift(h uint64, p int) int {
-	return p - ((p - int(h)) & t.mask)
-}
-
-// home returns the (normalized) probe origin of element e.
-func (t *CompactTable[O]) home(e uint64) int {
-	return int(t.ops.Hash(e)) & t.mask
-}
-
 // cmpPri is the compact table's displacement priority order: full
 // hashes first, numerically, with ops.Cmp breaking exact 64-bit ties.
 // It is total because ops.Cmp is total on keys and equal keys hash
@@ -147,7 +120,7 @@ func (t *CompactTable[O]) home(e uint64) int {
 // Hash(a), hb = Hash(b)). The insert loop and the delete victim scan
 // write the same comparison out inline, so the common case costs two
 // integer compares and no call. The fingerprint is the top-seven-bit
-// prefix of this key, which is what lets findFrom compare priorities in
+// prefix of this key, which is what lets findLoop compare priorities in
 // the ctrl word without loading cells.
 func (t *CompactTable[O]) cmpPri(a uint64, ha uint64, b uint64, hb uint64) int {
 	switch {
@@ -279,9 +252,9 @@ func (t *CompactTable[O]) Insert(v uint64) bool {
 	if v == Empty {
 		panic("core: CompactTable: cannot insert the reserved empty element")
 	}
-	added, full := t.insertLoop(v)
-	if full {
-		panic("core: CompactTable: " + t.fullErr().Error())
+	added, err := t.TryInsert(v)
+	if err != nil {
+		panic("core: CompactTable: " + err.Error())
 	}
 	return added
 }
@@ -294,41 +267,19 @@ func (t *CompactTable[O]) TryInsert(v uint64) (bool, error) {
 	if v == Empty {
 		return false, reservedErr()
 	}
-	added, full := t.insertLoop(v)
+	h := t.ops.Hash(v)
+	added, full, steps, carried := t.insertLoop(v, h)
 	if full {
+		if carried != v {
+			unwind(t, []homeless[uint64]{{v, carried}})
+		}
 		return false, t.fullErr()
 	}
+	obs.PublishInsert(int(h), steps)
 	return added, nil
 }
 
-// insertLoop is the probe loop shared by Insert and TryInsert; a
-// rejected insert is unwound before it returns. It publishes one
-// completed insert to the telemetry as WordTable.insertLoop does.
-func (t *CompactTable[O]) insertLoop(v uint64) (added, full bool) {
-	h := t.ops.Hash(v)
-	i := int(h) & t.mask
-	added, full, steps, carried := t.insertLoopFrom(v, h, i)
-	if !full {
-		obs.PublishInsert(i, steps)
-	} else if carried != v {
-		t.unwind([]homeless[uint64]{{v, carried}})
-	}
-	return added, full
-}
-
-// unwind undoes inserts rejected on a full table; see unwindAll.
-func (t *CompactTable[O]) unwind(hs []homeless[uint64]) {
-	unwindAll(hs, func(e uint64) bool {
-		h := t.ops.Hash(e)
-		deleted, _ := t.deleteFrom(e, h, int(h)&t.mask)
-		return deleted
-	}, func(e uint64) {
-		h := t.ops.Hash(e)
-		t.insertLoopFrom(e, h, int(h)&t.mask)
-	})
-}
-
-// insertLoopFrom is WordTable.insertLoopFrom — the same Figure 1 INSERT
+// insertLoop is WordTable.insertLoop — the same Figure 1 INSERT
 // probe/CAS discipline over the cells, with cmpPri as the priority
 // order (hv = Hash(v) rides along; each contested slot's hash is
 // computed once per examination, and cmpPri is inlined) — plus a
@@ -340,8 +291,9 @@ func (t *CompactTable[O]) unwind(hs []homeless[uint64]) {
 // mid-phase ctrl bytes can lag their cells, and a probe decision taken
 // on a stale byte would make the layout schedule-dependent. The steps
 // walked and the element carried out of a full table are returned as by
-// WordTable.insertLoopFrom.
-func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, full bool, steps int, carried uint64) {
+// WordTable.insertLoop.
+func (t *CompactTable[O]) insertLoop(v uint64, hv uint64) (added, full bool, steps int, carried uint64) {
+	i := int(hv) & t.mask
 	start := i
 	limit := i + len(t.cells)
 	for {
@@ -395,25 +347,18 @@ func (t *CompactTable[O]) insertLoopFrom(v uint64, hv uint64, i int) (added, ful
 	}
 }
 
-// fullErr builds the ErrFull report for a saturated table; see
-// WordTable.fullErr for the snapshot caveat.
-func (t *CompactTable[O]) fullErr() error {
-	return fullTableErr(len(t.cells), t.CountAtomic())
-}
-
 // Find reports the element stored under v's key (find/elements phase
 // only; also safe during quiescence); semantics as WordTable.Find, via
 // the SWAR priority scan of the control array.
 func (t *CompactTable[O]) Find(v uint64) (uint64, bool) {
 	h := t.ops.Hash(v)
-	i := int(h) & t.mask
-	e, ok, steps := t.findFrom(v, h, i, hashx.Fingerprint(h))
-	obs.PublishFind(i, steps, ok)
+	e, ok, steps := t.findLoop(v, h)
+	obs.PublishFind(int(h), steps, ok)
 	return e, ok
 }
 
-// findFrom is Find starting from a pre-computed hash hv, probe origin i
-// (= hv reduced) and fingerprint fp. The scan walks ctrl *words*: each
+// findLoop is Find's probe for v with hash hv, from its home i and with
+// its fingerprint fp. The scan walks ctrl *words*: each
 // 64-bit load covers eight slots, and swarStop flags exactly the lanes
 // whose byte is <= fp. Lanes above fp hold strictly-higher-priority
 // cells — legal prefix of v's probe cluster, skipped wholesale without
@@ -430,7 +375,7 @@ func (t *CompactTable[O]) Find(v uint64) (uint64, bool) {
 //     c), < 0 keeps scanning. Equal bytes are 1-in-128 per full lane
 //     scanned, so misses almost never load a cell and hits load ~one.
 //
-// This is WordTable.findFrom's verdict logic with the priority test
+// This is WordTable.findLoop's verdict logic with the priority test
 // lifted into the control bytes: the fingerprint IS the priority key's
 // top seven bits, so the byte comparison is the first seven bits of the
 // cmpPri comparison. The whole-array sweep bound matters on a saturated
@@ -443,7 +388,8 @@ func (t *CompactTable[O]) Find(v uint64) (uint64, bool) {
 // word after the first, which costs less than guarding it with a
 // branch. steps is the slot distance from i to the lane that gave the
 // verdict (the table size after a full sweep).
-func (t *CompactTable[O]) findFrom(v uint64, hv uint64, i int, fp byte) (e uint64, ok bool, steps int) {
+func (t *CompactTable[O]) findLoop(v uint64, hv uint64) (e uint64, ok bool, steps int) {
+	i, fp := int(hv)&t.mask, hashx.Fingerprint(hv)
 	patd := swarLSB * uint64(fp)
 	limit := i + len(t.cells)
 	for p := i; p < limit; p = p&^7 + 8 {
@@ -499,21 +445,22 @@ func (t *CompactTable[O]) Contains(v uint64) bool {
 // cluster ends).
 func (t *CompactTable[O]) Delete(v uint64) bool {
 	h := t.ops.Hash(v)
-	i := int(h) & t.mask
-	deleted, steps := t.deleteFrom(v, h, i)
-	obs.PublishDelete(i, steps)
+	deleted, steps := t.deleteLoop(v, h)
+	obs.PublishDelete(int(h), steps)
 	return deleted
 }
 
-// deleteFrom is WordTable.deleteFrom over the compact cells with cmpPri
+// deleteLoop is WordTable.deleteLoop over the compact cells with cmpPri
 // as the priority order (inlined in the victim scan), plus ctrl
 // publication; see findReplacement there for the two-pass scan's
-// correctness argument. findReplacement returns the replacement's hash,
+// correctness argument. findReplacement (shared with WordTable) returns
+// the replacement's hash,
 // which is both its ctrl byte (syncCtrl after the replacement CAS, or
 // ctrlEmpty when the hole ends the cluster) and the probe hash of the
 // next round, which deletes the copy it left behind — no cell is hashed
-// twice. steps is the victim-scan length, as in WordTable.deleteFrom.
-func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) (deleted bool, steps int) {
+// twice. steps is the victim-scan length, as in WordTable.deleteLoop.
+func (t *CompactTable[O]) deleteLoop(v uint64, hv uint64) (deleted bool, steps int) {
+	i := int(hv) & t.mask
 	home := i
 	k := i
 	for k < home+len(t.cells) {
@@ -539,7 +486,7 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) (deleted bool, 
 			k--
 			continue
 		}
-		j, w, hw := t.findReplacement(k)
+		j, w, hw := t.findReplacement(k, chaos.SiteCompactDeleteProbe)
 		if t.cas(k, c, w) {
 			b := ctrlEmpty
 			if w != Empty {
@@ -562,91 +509,26 @@ func (t *CompactTable[O]) deleteFrom(v uint64, hv uint64, i int) (deleted bool, 
 	return deleted, steps
 }
 
-// findReplacement is WordTable.findReplacement verbatim: the upward
-// stopping-point scan plus the downward re-read, both over cells, with
-// the memo that spares the re-read a second hash of the cells near the
-// hole, and the replacement's hash returned for deleteFrom's next round
-// and its ctrl byte.
-func (t *CompactTable[O]) findReplacement(i int) (j int, w, hw uint64) {
-	last := i + len(t.cells) - 1 // the sweep bound
-	if chaos.Enabled {
-		chaos.Yield(chaos.SiteCompactDeleteProbe)
-	}
-	j = i + 1
-	if j > last {
-		return j, Empty, 0
-	}
-	w = t.load(j)
-	if w == Empty {
-		return j, w, 0
-	}
-	hw = t.ops.Hash(w)
-	if t.lift(hw&uint64(t.mask), j) <= i {
-		return j, w, hw
-	}
-	seen := [replMemo]uint64{w}
-	for {
-		if chaos.Enabled {
-			chaos.Yield(chaos.SiteCompactDeleteProbe)
-		}
-		j++
-		if j > last {
-			w = Empty
-			break
-		}
-		w = t.load(j)
-		if w == Empty {
-			break
-		}
-		hw = t.ops.Hash(w)
-		if t.lift(hw&uint64(t.mask), j) <= i {
-			break
-		}
-		if d := j - i - 1; d < replMemo {
-			seen[d] = w
-		}
-	}
-	for k := j - 1; k > i; k-- {
-		w2 := t.load(k)
-		if d := k - i - 1; d < replMemo && w2 == seen[d] {
-			continue
-		}
-		if w2 == Empty {
-			w, j = Empty, k
-			continue
-		}
-		if h2 := t.ops.Hash(w2); t.lift(h2&uint64(t.mask), k) <= i {
-			w, hw, j = w2, h2, k
-		}
-	}
-	return j, w, hw
-}
-
 // Elements packs the non-empty cells into a fresh slice in table order
 // (find/elements phase only); deterministic as WordTable.Elements — a
 // pure function of the element set and capacity, though ordered by the
 // compact table's own hash-keyed layout, not WordTable's. The count
 // pass reads the control array, the copy pass the cells.
 func (t *CompactTable[O]) Elements() []uint64 {
-	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
-	out := make([]uint64, bs.Total())
-	parallel.EmitBlocks(bs, out, t.packRange)
-	return out
+	return elements[uint64](t, len(t.cells), 0)
 }
 
 // ElementsInto packs the non-empty cells into dst and returns the
 // number packed; the contract is on dst's *length* (>= Count()), as
 // WordTable.ElementsInto.
 func (t *CompactTable[O]) ElementsInto(dst []uint64) int {
-	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
-	parallel.EmitBlocks(bs, dst, t.packRange)
-	return bs.Total()
+	return elementsInto(t, len(t.cells), 0, dst)
 }
 
 // Count returns the number of elements currently stored (parallel
 // scan of the control array; find/elements phase only).
 func (t *CompactTable[O]) Count() int {
-	return parallel.CountBlocks(len(t.cells), 0, t.countRange).Total()
+	return countElements[uint64](t, len(t.cells), 0)
 }
 
 // countRange counts the full slots in [lo, hi): the count pass of
@@ -675,64 +557,20 @@ func (t *CompactTable[O]) countRange(lo, hi int) int {
 	return n
 }
 
-// packRange copies the non-empty cells of [lo, hi) into dst in table
-// order; len(dst) is exactly their number (countRange's result). The
-// loop is branch-free: every cell is stored at the next free slot and
-// the slot advances only past a kept one, so a half-full table costs no
-// mispredicted branches. Only the final slot needs a guarded store (an
-// unconditional one there would run past the block's region).
-//
-//phasehash:serial find/elements phase: no insert or delete is in flight, so the cells are quiescent under the plain reads
-func (t *CompactTable[O]) packRange(lo, hi int, dst []uint64) {
-	if len(dst) == 0 {
-		return
-	}
-	cells := t.cells[lo:hi]
-	i, j, last := 0, 0, len(dst)-1
-	for ; j < last; i++ {
-		c := cells[i]
-		dst[j] = c
-		if c != Empty {
-			j++
-		}
-	}
-	for cells[i] == Empty {
-		i++
-	}
-	dst[last] = cells[i]
-}
-
 // CountAtomic is Count with atomic cell reads: safe mid-phase (a racy
 // snapshot; used by fullErr's saturation report).
-func (t *CompactTable[O]) CountAtomic() int {
-	return parallel.Reduce(len(t.cells), 0,
-		func(a, b int) int { return a + b },
-		func(i int) int {
-			if atomic.LoadUint64(&t.cells[i]) != Empty {
-				return 1
-			}
-			return 0
-		})
-}
+func (t *CompactTable[O]) CountAtomic() int { return t.countAtomic() }
 
 // ForEach calls fn for every stored element in table order (sequential;
 // find/elements phase only).
-//
-//phasehash:serial find/elements phase: no writer is in flight during the sequential scan
-func (t *CompactTable[O]) ForEach(fn func(e uint64)) {
-	for _, c := range t.cells {
-		if c != Empty {
-			fn(c)
-		}
-	}
-}
+func (t *CompactTable[O]) ForEach(fn func(e uint64)) { t.forEach(fn) }
 
 // Clear resets every cell and ctrl byte (a phase barrier by itself:
 // callers must not run it concurrently with anything).
 //
 //phasehash:serial quiescent: Clear is itself a phase barrier; nothing runs concurrently with it by contract
 func (t *CompactTable[O]) Clear() {
-	parallel.ForBlocked(len(t.cells), 0, func(lo, hi int) { clear(t.cells[lo:hi]) })
+	t.clearCells()
 	parallel.ForBlocked(len(t.ctrl), 0, func(lo, hi int) { clear(t.ctrl[lo:hi]) })
 }
 
@@ -772,13 +610,7 @@ func (t *CompactTable[O]) CheckInvariant() error {
 
 // Snapshot copies the raw cell array (quiescent use only); CtrlSnapshot
 // exposes the control words. The detres oracle byte-compares both.
-//
-//phasehash:serial quiescent use only: layout snapshots are taken between phases
-func (t *CompactTable[O]) Snapshot() []uint64 {
-	out := make([]uint64, len(t.cells))
-	copy(out, t.cells)
-	return out
-}
+func (t *CompactTable[O]) Snapshot() []uint64 { return t.snapshot() }
 
 // CtrlSnapshot copies the raw control words (quiescent use only).
 //

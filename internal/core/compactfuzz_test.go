@@ -8,7 +8,7 @@ import (
 // FuzzCtrlScan pins swarStop's contract against a byte-at-a-time oracle
 // on arbitrary ctrl words and fingerprint patterns: the result must
 // flag *exactly* the lanes whose byte is <= the pattern, at lane MSB
-// positions, with no false positives in either direction — findFrom's
+// positions, with no false positives in either direction — findLoop's
 // miss exit fires on the first stop lane without re-verification
 // against anything but the pattern byte itself, so exactness (not the
 // usual "superset with re-check" SWAR contract) is what correctness

@@ -16,7 +16,7 @@ func (t *CompactTable[O]) setCtrlSerial(p int, b byte) {
 	t.ctrl[w] = t.ctrl[w]&^(uint64(0xFF)<<sh) | uint64(b)<<sh
 }
 
-// insertSerial is insertLoopFrom with plain memory operations, plus the
+// insertSerial is insertLoop with plain memory operations, plus the
 // ctrl byte write after every store that changes a slot's occupancy or
 // fingerprint (claims and displacements; merges keep the key and hence
 // the fingerprint). A rejected insert is unwound as the concurrent
@@ -31,7 +31,7 @@ func (t *CompactTable[O]) insertSerial(v uint64) (added, full bool) {
 	for {
 		if i >= limit {
 			if v != orig {
-				t.unwind([]homeless[uint64]{{orig, v}})
+				unwind(t, []homeless[uint64]{{orig, v}})
 			}
 			return false, true
 		}

@@ -123,9 +123,9 @@ func (g *GrowTable[O]) grow() {
 // visible only to the grower, and returns how many it moved. Blocks of
 // old's cells run on the worker pool; the keys are distinct and t has
 // free cells, so each block runs Figure 1's concurrent insert loop
-// (insertLoopFrom, which never merges or fills up here), and history
+// (insertLoop, which never merges or fills up here), and history
 // independence gives the layout a serial loop would. Grow traffic is
-// not insert traffic: insertLoopFrom publishes nothing, so nothing here
+// not insert traffic: insertLoop publishes nothing, so nothing here
 // feeds the insert counters.
 func (t *WordTable[O]) rehash(old *WordTable[O]) (moved uint64) {
 	return uint64(sumBlocks(len(old.cells), func(lo, hi int) (n int) {
@@ -137,7 +137,7 @@ func (t *WordTable[O]) rehash(old *WordTable[O]) (moved uint64) {
 			if chaos.Enabled {
 				chaos.Yield(chaos.SiteGrowRehash)
 			}
-			t.insertLoopFrom(v, t.home(v))
+			t.insertLoop(v, t.ops.Hash(v))
 			n++
 		}
 		return n
@@ -185,3 +185,55 @@ func (g *GrowTable[O]) Snapshot() []uint64 { return g.table.Load().Snapshot() }
 // CheckInvariant verifies the table's ordering invariant (quiescent use
 // only).
 func (g *GrowTable[O]) CheckInvariant() error { return g.table.Load().CheckInvariant() }
+
+// --- bulk phase calls ---
+//
+// The growing table has one live WordTable, so its bulk calls are
+// WordTable's. InsertAll counts its whole batch first and grows once,
+// before the phase starts, then runs the batch against a table that
+// cannot move under it.
+
+// InsertAll inserts every element (insert phase only), growing as
+// needed, and returns how many keys were absent. Panics on the reserved
+// empty element; use TryInsertAll for an error instead.
+func (g *GrowTable[O]) InsertAll(elems []uint64) int {
+	n, err := g.TryInsertAll(elems)
+	if err != nil {
+		panic("core: GrowTable: " + err.Error())
+	}
+	return n
+}
+
+// TryInsertAll is InsertAll returning ErrReservedKey (via errors.Is)
+// instead of panicking; every non-reserved element is inserted and
+// counted as one call, exactly as a per-element TryInsert loop would.
+func (g *GrowTable[O]) TryInsertAll(elems []uint64) (int, error) {
+	n := 0
+	for _, v := range elems {
+		if v != Empty {
+			n++
+		}
+	}
+	g.reserve(n)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.table.Load().TryInsertAll(elems)
+}
+
+// FindAll looks up every key (find/elements phase only), returning how
+// many are present; dst as in WordTable.FindAll.
+func (g *GrowTable[O]) FindAll(keys []uint64, dst []uint64) int {
+	return g.table.Load().FindAll(keys, dst)
+}
+
+// ContainsAll reports how many of the keys are present (find/elements
+// phase only).
+func (g *GrowTable[O]) ContainsAll(keys []uint64) int {
+	return g.table.Load().ContainsAll(keys)
+}
+
+// DeleteAll deletes every key (delete phase only), returning how many
+// were removed by this call's deletes.
+func (g *GrowTable[O]) DeleteAll(keys []uint64) int {
+	return g.table.Load().DeleteAll(keys)
+}

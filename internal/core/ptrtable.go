@@ -40,9 +40,6 @@ type PtrTable[T any, O PtrOps[T]] struct {
 // to m records, with a further insert into a completely full table
 // failing with ErrFull (Insert panics, TryInsert returns it).
 func NewPtrTable[T any, O PtrOps[T]](size int) *PtrTable[T, O] {
-	if size < 1 {
-		size = 1
-	}
 	m := 1
 	for m < size {
 		m <<= 1
@@ -61,14 +58,10 @@ func (t *PtrTable[T, O]) cas(p int, old, new *T) bool {
 	return t.cells[p&t.mask].CompareAndSwap(old, new)
 }
 
-// lift is WordTable.lift: map hash h of the element at unnormalized
+// lift is wordCells.lift: map hash h of the element at unnormalized
 // position p into p's frame.
 func (t *PtrTable[T, O]) lift(h uint64, p int) int {
 	return p - ((p - int(h)) & t.mask)
-}
-
-func (t *PtrTable[T, O]) home(e *T) int {
-	return int(t.ops.Hash(e)) & t.mask
 }
 
 // Insert adds element v (insert phase only); on an equal key the two
@@ -81,9 +74,9 @@ func (t *PtrTable[T, O]) Insert(v *T) bool {
 	if v == nil {
 		panic("core: PtrTable: cannot insert nil")
 	}
-	added, full := t.insertLoop(v)
-	if full {
-		panic("core: PtrTable: " + t.fullErr().Error())
+	added, err := t.TryInsert(v)
+	if err != nil {
+		panic("core: PtrTable: " + err.Error())
 	}
 	return added
 }
@@ -94,43 +87,43 @@ func (t *PtrTable[T, O]) Insert(v *T) bool {
 // errors.Is against the package sentinels.
 func (t *PtrTable[T, O]) TryInsert(v *T) (bool, error) {
 	if v == nil {
-		return false, fmt.Errorf("%w: nil encodes the empty cell", ErrNilValue)
+		return false, t.zeroErr()
 	}
-	added, full := t.insertLoop(v)
+	h := t.ops.Hash(v)
+	added, full, steps, carried := t.insertLoop(v, h)
 	if full {
+		if carried != v {
+			unwind(t, []homeless[*T]{{v, carried}})
+		}
 		return false, t.fullErr()
 	}
+	obs.PublishInsert(int(h), steps)
 	return added, nil
 }
 
-// insertLoop is the probe loop shared by Insert and TryInsert, kept free
-// of error construction so both stay thin inlinable wrappers. full
-// reports a whole-array sweep (saturation). It publishes one completed
-// insert to the telemetry as WordTable.insertLoop does.
-func (t *PtrTable[T, O]) insertLoop(v *T) (added, full bool) {
-	h := t.home(v)
-	added, full, steps, carried := t.insertLoopFrom(v, h)
-	if !full {
-		obs.PublishInsert(h, steps)
-	} else if carried != v {
-		t.unwind([]homeless[*T]{{v, carried}})
+// stage is WordTable.stage for records, whose hash dominates the
+// per-element cost for string keys, so the stage pass pays off twice:
+// hashes are computed in a tight loop over warm record memory and every
+// home cell is in flight before the probe pass. A nil record has
+// nothing to hash; its slot keeps a stale hash, which costs only a
+// wasted touch.
+func (t *PtrTable[T, O]) stage(elems []*T, hs []uint64, _ bool) {
+	hs = hs[:len(elems)]
+	for i, v := range elems {
+		if v != nil {
+			hs[i] = t.ops.Hash(v)
+		}
 	}
-	return added, full
+	for _, h := range hs {
+		t.cells[int(h)&t.mask].Load()
+	}
 }
 
-// unwind undoes inserts rejected on a full table; see unwindAll.
-func (t *PtrTable[T, O]) unwind(hs []homeless[*T]) {
-	unwindAll(hs, func(e *T) bool {
-		deleted, _ := t.deleteFrom(e, t.home(e))
-		return deleted
-	}, func(e *T) { t.insertLoopFrom(e, t.home(e)) })
-}
-
-// insertLoopFrom is insertLoop starting from a caller-supplied probe
-// origin (i must be t.home(v)); the bulk kernels pre-hash and
-// cache-stage homes ahead of the probe. The steps it returns and the
-// element carried out of a full table mirror WordTable.insertLoopFrom.
-func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool, steps int, carried *T) {
+// insertLoop is WordTable.insertLoop over record pointers: the same
+// probe/CAS discipline from the home of hash h, the same steps and the
+// same element carried out of a full table.
+func (t *PtrTable[T, O]) insertLoop(v *T, h uint64) (added, full bool, steps int, carried *T) {
+	i := int(h) & t.mask
 	start := i
 	limit := i + len(t.cells)
 	for {
@@ -174,32 +167,31 @@ func (t *PtrTable[T, O]) insertLoopFrom(v *T, i int) (added, full bool, steps in
 	}
 }
 
-// fullErr builds the ErrFull report for a saturated table; the count is
-// an atomic snapshot taken mid-phase.
+// zeroErr is the error for inserting a nil record.
+func (t *PtrTable[T, O]) zeroErr() error {
+	return fmt.Errorf("%w: nil encodes the empty cell", ErrNilValue)
+}
+
+// fullErr builds the ErrFull report for a saturated table; the count
+// pass reads the cells atomically, so mid-phase it is a racy snapshot.
 func (t *PtrTable[T, O]) fullErr() error {
-	n := 0
-	for i := range t.cells {
-		if t.cells[i].Load() != nil {
-			n++
-		}
-	}
-	return fullTableErr(len(t.cells), n)
+	return fullTableErr(len(t.cells), countElements[*T](t, len(t.cells), 0))
 }
 
 // Find returns the stored element with v's key (find/elements phase
 // only). Only v's key fields need to be populated.
 func (t *PtrTable[T, O]) Find(v *T) (*T, bool) {
-	h := t.home(v)
-	e, ok, steps := t.findFrom(v, h)
-	obs.PublishFind(h, steps, ok)
+	h := t.ops.Hash(v)
+	e, ok, steps := t.findLoop(v, h)
+	obs.PublishFind(int(h), steps, ok)
 	return e, ok
 }
 
-// findFrom is Find starting from a caller-supplied probe origin. The
-// whole-array sweep bound is WordTable.findFrom's: on a saturated table
-// an absent key outranked by its whole probe path would otherwise wrap
-// forever.
-func (t *PtrTable[T, O]) findFrom(v *T, i int) (*T, bool, int) {
+// findLoop is WordTable.findLoop over record pointers, with its
+// whole-array sweep bound: on a saturated table an absent key outranked
+// by its whole probe path would otherwise wrap forever.
+func (t *PtrTable[T, O]) findLoop(v *T, h uint64) (*T, bool, int) {
+	i := int(h) & t.mask
 	start := i
 	limit := i + len(t.cells)
 	for i < limit {
@@ -222,16 +214,16 @@ func (t *PtrTable[T, O]) findFrom(v *T, i int) (*T, bool, int) {
 
 // Delete removes the element with v's key (delete phase only).
 func (t *PtrTable[T, O]) Delete(v *T) bool {
-	h := t.home(v)
-	deleted, steps := t.deleteFrom(v, h)
-	obs.PublishDelete(h, steps)
+	h := t.ops.Hash(v)
+	deleted, steps := t.deleteLoop(v, h)
+	obs.PublishDelete(int(h), steps)
 	return deleted
 }
 
-// deleteFrom is Delete starting from a caller-supplied probe origin;
-// the victim scan has WordTable.deleteFrom's sweep bound, and steps is
-// its length.
-func (t *PtrTable[T, O]) deleteFrom(v *T, i int) (deleted bool, steps int) {
+// deleteLoop is WordTable.deleteLoop over record pointers; the victim
+// scan has its sweep bound, and steps is its length.
+func (t *PtrTable[T, O]) deleteLoop(v *T, h uint64) (deleted bool, steps int) {
+	i := int(h) & t.mask
 	home := i
 	k := i
 	for k < home+len(t.cells) {
@@ -267,10 +259,9 @@ func (t *PtrTable[T, O]) deleteFrom(v *T, i int) (deleted bool, steps int) {
 	return deleted, steps
 }
 
-// findReplacement is WordTable.findReplacement verbatim over record
-// pointers: the sweep bound, the memo (a record is never mutated once
-// stored, so an unchanged pointer is an unchanged value) and the
-// returned hash.
+// findReplacement is wordCells.findReplacement over record pointers:
+// the sweep bound, the memo (a record is never mutated once stored, so
+// an unchanged pointer is an unchanged value) and the returned hash.
 func (t *PtrTable[T, O]) findReplacement(i int) (j int, w *T, hw uint64) {
 	last := i + len(t.cells) - 1 // the sweep bound
 	if chaos.Enabled {
@@ -326,14 +317,40 @@ func (t *PtrTable[T, O]) findReplacement(i int) (j int, w *T, hw uint64) {
 	return j, w, hw
 }
 
+// InsertAll inserts every record (insert phase only), returning how
+// many grew the element count. Panics on nil records or a full table as
+// Insert does (after attempting every record).
+func (t *PtrTable[T, O]) InsertAll(elems []*T) int {
+	return insertAll(t, "PtrTable", elems)
+}
+
+// TryInsertAll is InsertAll returning errors instead of panicking; see
+// WordTable.TryInsertAll for the saturation semantics. Nil records are
+// reported as ErrNilValue.
+func (t *PtrTable[T, O]) TryInsertAll(elems []*T) (int, error) {
+	return tryInsertAll(t, elems)
+}
+
+// FindAll looks up every probe record (find/elements phase only; only
+// key fields need to be populated) and returns how many are present.
+// When dst is non-nil it must have len(dst) >= len(probes) — a shorter
+// dst panics before any lookup runs; dst[i] receives the stored record
+// or nil.
+func (t *PtrTable[T, O]) FindAll(probes []*T, dst []*T) int {
+	return findAll(t, "PtrTable", probes, dst)
+}
+
+// DeleteAll deletes every probe's key (delete phase only), returning
+// how many were removed by this call's deletes.
+func (t *PtrTable[T, O]) DeleteAll(probes []*T) int {
+	return deleteAll(t, probes)
+}
+
 // Elements packs the stored elements in table order; deterministic for a
-// given element set (find/elements phase only). It is WordTable's
-// blocked two-pass pack, with atomic loads in the kernels.
+// given element set (find/elements phase only). It is the shared
+// two-pass pack, with atomic loads in the count and copy passes.
 func (t *PtrTable[T, O]) Elements() []*T {
-	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
-	out := make([]*T, bs.Total())
-	parallel.EmitBlocks(bs, out, t.packRange)
-	return out
+	return elements[*T](t, len(t.cells), 0)
 }
 
 // ElementsInto packs the stored elements into dst and returns the
@@ -342,14 +359,12 @@ func (t *PtrTable[T, O]) Elements() []*T {
 // is required, and a shorter dst panics after the count pass, before
 // anything is written.
 func (t *PtrTable[T, O]) ElementsInto(dst []*T) int {
-	bs := parallel.CountBlocks(len(t.cells), 0, t.countRange)
-	parallel.EmitBlocks(bs, dst, t.packRange)
-	return bs.Total()
+	return elementsInto(t, len(t.cells), 0, dst)
 }
 
 // Count returns the number of stored elements (find/elements phase only).
 func (t *PtrTable[T, O]) Count() int {
-	return parallel.CountBlocks(len(t.cells), 0, t.countRange).Total()
+	return countElements[*T](t, len(t.cells), 0)
 }
 
 // countRange counts the occupied cells in [lo, hi).
@@ -389,7 +404,7 @@ func (t *PtrTable[T, O]) CheckInvariant() error {
 		if e == nil {
 			continue
 		}
-		h := t.home(e)
+		h := int(t.ops.Hash(e)) & t.mask
 		dist := (j - h) & t.mask
 		for d := 1; d <= dist; d++ {
 			k := (h + d - 1) & t.mask

@@ -181,7 +181,38 @@ type saturable interface {
 	Snapshot() []uint64
 }
 
-// TestSaturatedInsertKeepsSet fills each fixed word layout, then
+// ptrSaturable adapts PtrTable to saturable: each word is a record's
+// key, and Snapshot reads the key held in every cell (0 for an empty
+// one), so it compares layouts position by position.
+type ptrSaturable struct{ *PtrTable[rec, recOps] }
+
+func (p ptrSaturable) TryInsert(k uint64) (bool, error) { return p.PtrTable.TryInsert(&rec{key: k}) }
+func (p ptrSaturable) Insert(k uint64) bool             { return p.PtrTable.Insert(&rec{key: k}) }
+
+func (p ptrSaturable) TryInsertAll(keys []uint64) (int, error) {
+	recs := make([]*rec, len(keys))
+	for i, k := range keys {
+		recs[i] = &rec{key: k}
+	}
+	return p.PtrTable.TryInsertAll(recs)
+}
+
+func (p ptrSaturable) Contains(k uint64) bool {
+	_, ok := p.Find(&rec{key: k})
+	return ok
+}
+
+func (p ptrSaturable) Snapshot() []uint64 {
+	out := make([]uint64, p.Size())
+	for i := range p.cells {
+		if r := p.cells[i].Load(); r != nil {
+			out[i] = r.key
+		}
+	}
+	return out
+}
+
+// TestSaturatedInsertKeepsSet fills each fixed layout, then
 // attempts absent inserts one at a time: per-element TryInserts, a
 // bulk TryInsertAll of one block, and a panicking Insert. Every attempt
 // must fail with ErrFull and leave the stored set, and its layout,
@@ -192,6 +223,7 @@ func TestSaturatedInsertKeepsSet(t *testing.T) {
 		"Word":    func(m int) saturable { return NewWordTable[SetOps](m) },
 		"Compact": func(m int) saturable { return NewCompactTable[SetOps](m) },
 		"Sharded": func(m int) saturable { return NewShardedTable[SetOps](m, 4) },
+		"Ptr":     func(m int) saturable { return ptrSaturable{NewPtrTable[rec, recOps](m)} },
 	}
 	for name, newTable := range layouts {
 		for _, m := range []int{8, 64, 256} {
@@ -288,16 +320,24 @@ func TestSaturatedPtrInsertKeepsSet(t *testing.T) {
 	}
 }
 
-// TestSaturatedBulkInsertUnwinds overfills each fixed word layout with
-// one bulk call of many blocks, which run concurrently when there are
-// workers to run them. The rejected inserts are unwound once every
-// block is done, so the count equals the call's added total, and the
-// table holds exactly the canonical layout of the keys that landed.
+// TestSaturatedBulkInsertUnwinds overfills each fixed layout, already
+// holding a prior set, with one bulk call of many blocks, which run
+// concurrently when there are workers to run them. The rejected inserts
+// are unwound once every block is done, so the table holds every prior
+// key, the count grows by the call's added total, and the layout is the
+// canonical one of the prior keys plus the keys that landed. Without
+// the unwind, a rejected insert's chain pushes a prior key off the
+// table.
 func TestSaturatedBulkInsertUnwinds(t *testing.T) {
 	layouts := map[string]func(m int) saturable{
 		"Word":    func(m int) saturable { return NewWordTable[SetOps](m) },
 		"Compact": func(m int) saturable { return NewCompactTable[SetOps](m) },
 		"Sharded": func(m int) saturable { return NewShardedTable[SetOps](m, 4) },
+		"Ptr":     func(m int) saturable { return ptrSaturable{NewPtrTable[rec, recOps](m)} },
+	}
+	prior := make([]uint64, 300)
+	for i := range prior {
+		prior[i] = hashx.At(98, i) | 1
 	}
 	keys := make([]uint64, 8*parallel.MinGrain)
 	for i := range keys {
@@ -305,18 +345,26 @@ func TestSaturatedBulkInsertUnwinds(t *testing.T) {
 	}
 	for name, newTable := range layouts {
 		tab := newTable(1024)
+		for _, k := range prior {
+			tab.Insert(k)
+		}
 		n, err := tab.TryInsertAll(keys)
-		if !errors.Is(err, ErrFull) || n != tab.Count() || n != tab.Size() {
+		if !errors.Is(err, ErrFull) || n != tab.Count()-len(prior) || tab.Count() != tab.Size() {
 			t.Fatalf("%s: TryInsertAll = %d, %v; Count %d, Size %d", name, n, err, tab.Count(), tab.Size())
 		}
-		var landed []uint64
+		for _, k := range prior {
+			if !tab.Contains(k) {
+				t.Fatalf("%s: prior key %#x lost", name, k)
+			}
+		}
+		landed := slices.Clone(prior)
 		for _, k := range keys {
 			if tab.Contains(k) {
 				landed = append(landed, k)
 			}
 		}
-		if len(landed) != n {
-			t.Fatalf("%s: %d keys read present, TryInsertAll added %d", name, len(landed), n)
+		if len(landed) != len(prior)+n {
+			t.Fatalf("%s: %d keys read present, %d prior and %d added", name, len(landed), len(prior), n)
 		}
 		ref := newTable(1024)
 		for _, k := range landed {

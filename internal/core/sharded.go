@@ -48,12 +48,12 @@ func DefaultShards(size int) int {
 //   - The bulk kernels (InsertAll / TryInsertAll / FindAll /
 //     ContainsAll / DeleteAll) run a parallel.Partition pass that groups
 //     the operands by shard (a stable two-pass counting sort), then
-//     apply each shard's contiguous run with one worker calling that
-//     shard's staged block kernel (insertRange / findRange /
-//     deleteRange, bulk.go). One worker per shard keeps each shard's
-//     cells cache- and TLB-resident while its run streams, and keeps
-//     every hot home cell of a skewed distribution on one worker, so
-//     its CASes do not contend.
+//     apply each shard's contiguous run with one worker running the
+//     shared staged block kernel (insertRange / findRange /
+//     deleteRange, bulk.go) on that shard. One worker per shard keeps
+//     each shard's cells cache- and TLB-resident while its run
+//     streams, and keeps every hot home cell of a skewed distribution
+//     on one worker, so its CASes do not contend.
 //
 // Both carry exactly WordTable's phase discipline, chaos sites and
 // lock-freedom: any number of goroutines may call any mix of them
@@ -165,18 +165,33 @@ func (t *ShardedTable[O]) Delete(v uint64) bool {
 
 // --- bulk kernels: radix partition, then one worker per shard run ---
 
+// scratch allocates a bulk call's operand scratch for n keys together
+// with the hash buffer its shard runs stage into (see stageBufs): one
+// slot of min(stageChunk, n) words per shard, so runs on different
+// workers never share one.
+func (t *ShardedTable[O]) scratch(n int) (ops, hs []uint64) {
+	buf := make([]uint64, n+len(t.shards)*min(stageChunk, n))
+	return buf[:n], buf[n:]
+}
+
+// slot returns shard s's slot of the hash buffer hs.
+func (t *ShardedTable[O]) slot(hs []uint64, s int) []uint64 {
+	c := len(hs) / len(t.shards)
+	return hs[s*c : (s+1)*c]
+}
+
 // partitionByShard radix-partitions elems into a fresh scratch slice
-// grouped by owning shard, returning the scratch and the shard run
-// offsets.
-func (t *ShardedTable[O]) partitionByShard(elems []uint64) ([]uint64, []int) {
-	scratch := make([]uint64, len(elems))
-	offsets := parallel.Partition(scratch, elems, len(t.shards), func(i int) int {
+// grouped by owning shard, returning the scratch, the shard run offsets
+// and the runs' hash buffer.
+func (t *ShardedTable[O]) partitionByShard(elems []uint64) (scratch []uint64, offsets []int, hs []uint64) {
+	scratch, hs = t.scratch(len(elems))
+	offsets = parallel.Partition(scratch, elems, len(t.shards), func(i int) int {
 		return t.shardOf(elems[i])
 	})
 	if obs.CoreEnabled {
 		obs.CoreShardBulk(offsets)
 	}
-	return scratch, offsets
+	return scratch, offsets, hs
 }
 
 // sumShards runs kernel(s, lo, hi) on every non-empty shard run
@@ -222,13 +237,13 @@ func (t *ShardedTable[O]) TryInsertAll(elems []uint64) (int, error) {
 	if len(elems) == 0 {
 		return 0, nil
 	}
-	scratch, offsets := t.partitionByShard(elems)
+	scratch, offsets, hs := t.partitionByShard(elems)
 	errs := make([]error, len(t.shards))
 	added := t.sumShards(offsets, func(s, lo, hi int) int {
 		// A shard's run is one worker's, so its rejected inserts are
 		// unwound as soon as the run is done.
-		a, undo, err := t.shards[s].insertRange(scratch, lo, hi)
-		t.shards[s].unwind(undo)
+		a, undo, err := insertRange(t.shards[s], scratch, t.slot(hs, s), lo, hi)
+		unwind(t.shards[s], undo)
 		errs[s] = err
 		return a
 	})
@@ -252,9 +267,9 @@ func (t *ShardedTable[O]) FindAll(keys []uint64, dst []uint64) int {
 		return 0
 	}
 	if dst == nil {
-		scratch, offsets := t.partitionByShard(keys)
+		scratch, offsets, hs := t.partitionByShard(keys)
 		return t.sumShards(offsets, func(s, lo, hi int) int {
-			return t.shards[s].findRange(scratch, nil, lo, hi)
+			return findRange(t.shards[s], scratch, nil, t.slot(hs, s), lo, hi)
 		})
 	}
 	// Results must land in the caller's per-key slots, so partition the
@@ -267,12 +282,12 @@ func (t *ShardedTable[O]) FindAll(keys []uint64, dst []uint64) int {
 	if obs.CoreEnabled {
 		obs.CoreShardBulk(offsets)
 	}
-	scratch := make([]uint64, len(keys))
+	scratch, hs := t.scratch(len(keys))
 	return t.sumShards(offsets, func(s, lo, hi int) int {
 		for j := lo; j < hi; j++ {
 			scratch[j] = keys[perm[j]]
 		}
-		n := t.shards[s].findRange(scratch, scratch, lo, hi)
+		n := findRange(t.shards[s], scratch, scratch, t.slot(hs, s), lo, hi)
 		for j := lo; j < hi; j++ {
 			dst[perm[j]] = scratch[j]
 		}
@@ -293,24 +308,19 @@ func (t *ShardedTable[O]) DeleteAll(keys []uint64) int {
 	if len(keys) == 0 {
 		return 0
 	}
-	scratch, offsets := t.partitionByShard(keys)
+	scratch, offsets, hs := t.partitionByShard(keys)
 	return t.sumShards(offsets, func(s, lo, hi int) int {
-		return t.shards[s].deleteRange(scratch, lo, hi)
+		return deleteRange(t.shards[s], scratch, t.slot(hs, s), lo, hi)
 	})
 }
 
 // --- quiescent observations ---
 
-// The quiescent scans run the flat tables' blocked two-pass pack over
-// the concatenated shard cell arrays: one count pass and one copy pass
-// for the whole table, with blocks cut at shard boundaries (the shard
-// size is CountBlocks' segment), so every block is one shard's
+// The quiescent scans run the shared two-pass pack (bulk.go) over the
+// concatenated shard cell arrays: one count pass and one copy pass for
+// the whole table, with blocks cut at shard boundaries (the shard size
+// is the pack's segment), so every block is one shard's
 // countRange/packRange kernel.
-
-// countBlocks is the count pass over all shards.
-func (t *ShardedTable[O]) countBlocks() parallel.Blocks {
-	return parallel.CountBlocks(t.Size(), t.ShardSize(), t.countRange)
-}
 
 // countRange is WordTable.countRange on the shard holding the global
 // cell range [lo, hi), which never straddles a shard.
@@ -330,7 +340,7 @@ func (t *ShardedTable[O]) packRange(lo, hi int, dst []uint64) {
 // Count returns the number of stored elements (find/elements phase
 // only).
 func (t *ShardedTable[O]) Count() int {
-	return t.countBlocks().Total()
+	return countElements[uint64](t, t.Size(), t.ShardSize())
 }
 
 // ShardStats summarizes the element balance across shards at
@@ -358,7 +368,7 @@ func (s ShardStats) Imbalance() float64 {
 // (find/elements phase only; see ShardStats.Imbalance). Each shard's
 // count is read off the count pass at its boundary offsets.
 func (t *ShardedTable[O]) ShardStats() ShardStats {
-	bs := t.countBlocks()
+	bs := parallel.CountBlocks(t.Size(), t.ShardSize(), t.countRange)
 	per := t.ShardSize()
 	st := ShardStats{Shards: len(t.shards), Counts: make([]int, len(t.shards)), Total: bs.Total()}
 	for s := range t.shards {
@@ -379,19 +389,14 @@ func (t *ShardedTable[O]) ShardStats() ShardStats {
 // only). For a given element set, capacity and shard count the result
 // is identical across runs, schedules and worker counts.
 func (t *ShardedTable[O]) Elements() []uint64 {
-	bs := t.countBlocks()
-	out := make([]uint64, bs.Total())
-	parallel.EmitBlocks(bs, out, t.packRange)
-	return out
+	return elements[uint64](t, t.Size(), t.ShardSize())
 }
 
 // ElementsInto is Elements packing into dst, which must have len(dst)
 // >= Count(); it returns the number packed, and a shorter dst panics
 // after the count pass, before anything is written.
 func (t *ShardedTable[O]) ElementsInto(dst []uint64) int {
-	bs := t.countBlocks()
-	parallel.EmitBlocks(bs, dst, t.packRange)
-	return bs.Total()
+	return elementsInto(t, t.Size(), t.ShardSize(), dst)
 }
 
 // ForEach calls fn for every stored element in shard-then-table order

@@ -113,21 +113,6 @@ func TestScanInPlace(t *testing.T) {
 	}
 }
 
-func TestScanInclusive(t *testing.T) {
-	src := []int{1, 2, 3, 4}
-	dst := make([]int, 4)
-	total := ScanInclusive(dst, src)
-	want := []int{1, 3, 6, 10}
-	if total != 10 {
-		t.Fatalf("total = %d", total)
-	}
-	for i := range want {
-		if dst[i] != want[i] {
-			t.Fatalf("dst = %v, want %v", dst, want)
-		}
-	}
-}
-
 func TestPack(t *testing.T) {
 	n := 100000
 	xs := make([]int, n)
@@ -306,19 +291,6 @@ func TestSortIntsMatchesSort(t *testing.T) {
 	for i := 1; i < n; i++ {
 		if xs[i-1] > xs[i] {
 			t.Fatalf("radix sort out of order at %d", i)
-		}
-	}
-}
-
-func TestSortPairs(t *testing.T) {
-	keys := []uint64{3, 1, 3, 2}
-	vals := []uint64{9, 8, 7, 6}
-	SortPairs(keys, vals)
-	wantK := []uint64{1, 2, 3, 3}
-	wantV := []uint64{8, 6, 7, 9}
-	for i := range wantK {
-		if keys[i] != wantK[i] || vals[i] != wantV[i] {
-			t.Fatalf("SortPairs = %v/%v", keys, vals)
 		}
 	}
 }

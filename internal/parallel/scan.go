@@ -50,21 +50,6 @@ func scanSerial(dst, src []int) int {
 	return s
 }
 
-// ScanInclusive computes an inclusive prefix sum (dst[i] = src[0] + ... +
-// src[i]) and returns the total.
-func ScanInclusive(dst, src []int) int {
-	total := Scan(dst, src)
-	n := len(src)
-	For(n, func(i int) {
-		if i+1 < n {
-			dst[i] = dst[i+1]
-		} else {
-			dst[i] = total
-		}
-	})
-	return total
-}
-
 // Blocks is the result of the count pass of the blocked two-pass pack:
 // the block plan and every block's exclusive output offset. It is the
 // driver behind the tables' Elements and Count, which supply per-block

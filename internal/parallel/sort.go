@@ -129,19 +129,3 @@ func radixPass(dst, src []uint64, shift uint) bool {
 	})
 	return true
 }
-
-// SortPairs sorts (key, value) pairs by key (ties broken by value) using
-// the parallel merge sort.
-func SortPairs(keys, vals []uint64) {
-	type kv struct{ k, v uint64 }
-	n := len(keys)
-	pairs := make([]kv, n)
-	For(n, func(i int) { pairs[i] = kv{keys[i], vals[i]} })
-	Sort(pairs, func(a, b kv) bool {
-		if a.k != b.k {
-			return a.k < b.k
-		}
-		return a.v < b.v
-	})
-	For(n, func(i int) { keys[i], vals[i] = pairs[i].k, pairs[i].v })
-}

@@ -185,11 +185,13 @@ const (
 	LinearDSharded Kind = "linearHash-D-sharded"
 	// LinearDCompact is linearHash-D with a separate byte-per-slot
 	// control array (fingerprint + occupancy) scanned a word at a time
-	// (core.CompactTable). Same deterministic cell layout as LinearD —
-	// the cells are byte-identical at equal capacity — plus a
-	// deterministic ctrl array; 9 bytes/slot of table memory instead of
-	// 8, in exchange for finds that rarely touch the cell array, which
-	// keeps throughput at load factors up to 0.9.
+	// (core.CompactTable). It holds the same set as LinearD in its own
+	// layout — clusters ordered by hash, then key, rather than by key —
+	// which is deterministic (a function of the set and capacity) but
+	// not LinearD's cell for cell, plus a deterministic ctrl array;
+	// 9 bytes/slot of table memory instead of 8, in exchange for finds
+	// that rarely touch the cell array, which keeps throughput at load
+	// factors up to 0.9.
 	LinearDCompact Kind = "linearHash-D-compact"
 	LinearND       Kind = "linearHash-ND"
 	Cuckoo         Kind = "cuckooHash"
