@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"time"
 
-	"phasehash/internal/apps/connectivity"
 	"phasehash/internal/bench"
 	"phasehash/internal/sequence"
 	"phasehash/internal/tables"
@@ -27,7 +26,7 @@ import (
 
 func main() {
 	var (
-		app      = flag.String("app", "all", "application: dedup|refine|suffix|contract|bfs|spanning|connectivity|all")
+		app      = flag.String("app", "all", "application: dedup|refine|suffix|contract|bfs|spanning|all")
 		n        = flag.Int("n", 1_000_000, "remove-duplicates input length")
 		points   = flag.Int("points", 100_000, "Delaunay refinement input points")
 		text     = flag.Int("text", 1_000_000, "suffix-tree corpus bytes")
@@ -55,9 +54,6 @@ func main() {
 	}
 	if all || *app == "spanning" {
 		runSpanning(*verts, *reps)
-	}
-	if all || *app == "connectivity" {
-		runConnectivity(*verts, *reps)
 	}
 }
 
@@ -91,7 +87,7 @@ func runDedup(n, reps int) {
 }
 
 func runRefine(points, reps int) {
-	fmt.Printf("## Table 4: Delaunay Refinement hash-table portion (%d points, 1 iteration as in the paper)\n", points)
+	fmt.Printf("## Table 4: Delaunay Refinement hash-table portion (%d points, 1 generation as in the paper)\n", points)
 	inputs := bench.Table4Inputs(points)
 	fmt.Printf("%-18s", "table")
 	for _, in := range inputs {
@@ -156,29 +152,6 @@ func runSpanning(verts, reps int) {
 	fmt.Printf("## Table 8: Spanning Forest (~%d vertices)\n", verts)
 	inputs := bench.GraphInputs(verts)
 	printGraphTable(inputs, reps, bench.Table8, bench.Table8Baseline)
-}
-
-func runConnectivity(verts, reps int) {
-	fmt.Printf("## Connectivity by recursive contraction (beyond the paper's tables; its ref [31])\n")
-	inputs := bench.GraphInputs(verts)
-	fmt.Printf("%-18s", "table")
-	for _, in := range inputs {
-		fmt.Printf(" %14s", in.Name)
-	}
-	fmt.Println()
-	for _, kind := range bench.AppKinds {
-		fmt.Printf("%-18s", kind)
-		for _, in := range inputs {
-			t := minRep(reps, func() time.Duration {
-				start := time.Now()
-				connectivity.Components(in.G.NumVertices(), in.Edges, kind)
-				return time.Since(start)
-			})
-			fmt.Printf(" %14.4f", t.Seconds())
-		}
-		fmt.Println()
-	}
-	fmt.Println()
 }
 
 func printGraphTable(inputs []bench.GraphInput, reps int,

@@ -35,10 +35,11 @@ func main() {
 	st := refine.Run(mesh, refine.Config{MinAngleDeg: *angle, Kind: tables.LinearD})
 	elapsed := time.Since(start)
 
-	fmt.Printf("refined in %v: %d rounds, %d points added\n",
+	fmt.Printf("refined in %v: %d generations, %d points added\n",
 		elapsed.Round(time.Millisecond), st.Rounds, st.PointsAdded)
 	fmt.Printf("bad triangles: %d -> %d (angle bound %.0f°)\n", before, st.BadFinal, *angle)
-	fmt.Printf("hash-table portion (Elements + inserts): %v\n", st.TableTime.Round(time.Millisecond))
+	fmt.Printf("hash-table portion (InsertAll + Elements): %v; reservations %v; apply %v\n",
+		st.TableTime.Round(time.Millisecond), st.ReserveTime.Round(time.Millisecond), st.ApplyTime.Round(time.Millisecond))
 
 	if err := mesh.Check(); err != nil {
 		panic(err)

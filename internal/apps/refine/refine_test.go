@@ -1,10 +1,12 @@
 package refine
 
 import (
+	"reflect"
 	"testing"
 
 	"phasehash/internal/delaunay"
 	"phasehash/internal/geom"
+	"phasehash/internal/parallel"
 	"phasehash/internal/tables"
 )
 
@@ -92,5 +94,47 @@ func TestMaxRoundsHonored(t *testing.T) {
 	st := Run(m, Config{MinAngleDeg: 28, MaxRounds: 2, Kind: tables.LinearD})
 	if st.Rounds > 2 {
 		t.Fatalf("Rounds = %d, cap was 2", st.Rounds)
+	}
+}
+
+// TestRefinedMeshDeterministic refines to completion with linearHash-D
+// twice and at 1, 2 and 4 workers, and with serialHash-HI, whose layout
+// and so whose Elements() order equal linearHash-D's: every run must
+// leave the same points and triangles. Under -race it also checks that
+// the sequential kind's inserts stay on one goroutine.
+func TestRefinedMeshDeterministic(t *testing.T) {
+	for _, in := range []struct {
+		name string
+		pts  []geom.Point
+	}{
+		{"incube", geom.InCube(1500, 21)},
+		{"kuzmin", geom.Kuzmin(1500, 23)},
+	} {
+		refined := func(kind tables.Kind, workers int) *delaunay.Mesh {
+			defer parallel.SetNumWorkers(parallel.SetNumWorkers(workers))
+			m := delaunay.Build(in.pts)
+			Run(m, Config{MinAngleDeg: 20, Kind: kind})
+			return m
+		}
+		want := refined(tables.LinearD, 0)
+		if err := want.Check(); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		if len(want.Pts) == len(in.pts)+delaunay.NumSuper {
+			t.Fatalf("%s: refinement added no point", in.name)
+		}
+		for _, run := range []struct {
+			kind    tables.Kind
+			workers int
+		}{
+			{tables.LinearD, 0}, {tables.LinearD, 1}, {tables.LinearD, 2}, {tables.LinearD, 4},
+			{tables.SerialHI, 0},
+		} {
+			got := refined(run.kind, run.workers)
+			if !reflect.DeepEqual(got.Pts, want.Pts) || !reflect.DeepEqual(got.Tris, want.Tris) {
+				t.Errorf("%s: %s at %d workers refined to a different mesh (%d points, want %d)",
+					in.name, run.kind, run.workers, len(got.Pts), len(want.Pts))
+			}
+		}
 	}
 }

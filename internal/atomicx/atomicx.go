@@ -59,22 +59,6 @@ func Add(addr *uint64, delta uint64) uint64 {
 // the paper or this reproduction targets.
 const cacheLine = 64
 
-// PaddedCounter is a uint64 counter padded to a full cache line so that
-// arrays of counters (one per worker) do not false-share.
-type PaddedCounter struct {
-	v atomic.Uint64
-	_ [cacheLine - 8]byte
-}
-
-// Add adds delta and returns the new value.
-func (c *PaddedCounter) Add(delta uint64) uint64 { return c.v.Add(delta) }
-
-// Load returns the current value.
-func (c *PaddedCounter) Load() uint64 { return c.v.Load() }
-
-// Store sets the value.
-func (c *PaddedCounter) Store(v uint64) { c.v.Store(v) }
-
 // PaddedInt64 is an int64 counter padded to a full cache line. The
 // parallel runtime uses it for work-distribution hot words (the shared
 // block cursor and outstanding-block count of a loop dispatch): the two

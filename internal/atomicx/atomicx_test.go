@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"unsafe"
 )
 
 func TestWriteMinSequential(t *testing.T) {
@@ -98,21 +97,5 @@ func TestCASLoadStoreAdd(t *testing.T) {
 	Store(&x, 9)
 	if Add(&x, 3) != 12 {
 		t.Fatal("Add broken")
-	}
-}
-
-func TestPaddedCounterSize(t *testing.T) {
-	var c PaddedCounter
-	if size := int(unsafe.Sizeof(c)); size < 64 {
-		t.Fatalf("PaddedCounter is %d bytes; must fill a cache line", size)
-	}
-	c.Add(5)
-	c.Add(2)
-	if c.Load() != 7 {
-		t.Fatal("counter arithmetic broken")
-	}
-	c.Store(1)
-	if c.Load() != 1 {
-		t.Fatal("Store broken")
 	}
 }

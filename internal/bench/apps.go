@@ -56,12 +56,14 @@ func Table4Inputs(n int) []RefinementInput {
 	}
 }
 
-// Table4 measures the hash-table portion (Elements() + insertions) of a
-// bounded Delaunay-refinement run on the given points. The paper times
-// one iteration, which makes the workload identical across table kinds
-// (the same initial bad-triangle set); pass maxRounds=1 for that
-// methodology, or more rounds for a longer — but then
-// schedule-divergent — run.
+// Table4 measures the hash-table portion of a bounded
+// Delaunay-refinement run on the given points: each generation's
+// InsertAll of its bad triangles plus its Elements() call. The paper
+// times one iteration; pass maxRounds=1 for that methodology, or more
+// generations for a longer run. Every kind starts from the same bad
+// set. Each deterministic kind returns it in a schedule-free order and
+// refines to one mesh at any worker count; only the non-deterministic
+// kinds diverge across schedules.
 func Table4(kind tables.Kind, pts []geom.Point, maxRounds int) time.Duration {
 	m := delaunay.Build(pts)
 	st := refine.Run(m, refine.Config{

@@ -37,9 +37,8 @@ type Mesh struct {
 	hint int32 // walk start for the next location query
 
 	// scratch buffers reused across insertions
-	cavity   []int32
+	scratch  *CavityBuf
 	boundary []bEdge
-	inCavity map[int32]bool
 }
 
 type bEdge struct {
@@ -65,7 +64,7 @@ func New(pts []geom.Point) *Mesh {
 			{X: cx + 2*r, Y: cy - r},
 			{X: cx, Y: cy + 2*r},
 		}, pts...),
-		inCavity: make(map[int32]bool, 32),
+		scratch: NewCavityBuf(),
 	}
 	m.Tris = append(m.Tris, Tri{V: [3]int32{0, 1, 2}, N: [3]int32{NoTri, NoTri, NoTri}, Alive: true})
 	return m
@@ -98,8 +97,14 @@ func (m *Mesh) IsReal(t int32) bool {
 
 // Locate returns an alive triangle containing p (boundary inclusive),
 // walking from the hint.
-func (m *Mesh) Locate(p geom.Point) int32 {
-	t := m.hint
+func (m *Mesh) Locate(p geom.Point) int32 { return m.locateFrom(p, m.hint) }
+
+// locateFrom returns an alive triangle containing p, walking from the
+// triangle from (any alive triangle; a nearby one is faster, and an
+// invalid one starts at the last alive triangle). It only reads the
+// mesh, so many goroutines may locate on a quiescent mesh at once.
+func (m *Mesh) locateFrom(p geom.Point, from int32) int32 {
+	t := from
 	if t < 0 || t >= int32(len(m.Tris)) || !m.Tris[t].Alive {
 		t = m.someAlive()
 	}
@@ -153,42 +158,6 @@ func (m *Mesh) scanLocate(p geom.Point) int32 {
 	panic(fmt.Sprintf("delaunay: point %v not in any triangle", p))
 }
 
-// Cavity returns the alive triangles whose circumcircle contains p,
-// connected through the triangle containing p (the Bowyer–Watson
-// cavity), using the caller-visible point p. The result is stable
-// (deterministic BFS order) and valid until the next mutation.
-func (m *Mesh) Cavity(p geom.Point) []int32 {
-	t := m.Locate(p)
-	return m.cavityFrom(t, p)
-}
-
-func (m *Mesh) cavityFrom(t int32, p geom.Point) []int32 {
-	m.cavity = m.cavity[:0]
-	for k := range m.inCavity {
-		delete(m.inCavity, k)
-	}
-	stack := []int32{t}
-	m.inCavity[t] = true
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m.cavity = append(m.cavity, cur)
-		tr := &m.Tris[cur]
-		for e := 0; e < 3; e++ {
-			nt := tr.N[e]
-			if nt == NoTri || m.inCavity[nt] {
-				continue
-			}
-			ntr := &m.Tris[nt]
-			if geom.InCircle(m.Pts[ntr.V[0]], m.Pts[ntr.V[1]], m.Pts[ntr.V[2]], p) > 0 {
-				m.inCavity[nt] = true
-				stack = append(stack, nt)
-			}
-		}
-	}
-	return m.cavity
-}
-
 // duplicateOf returns a vertex of triangle t coincident with p, or -1.
 // Inserting a coincident point would create degenerate triangles, so
 // Insert and InsertPoint skip duplicates.
@@ -211,23 +180,26 @@ func (m *Mesh) Insert(v int32) {
 	if m.duplicateOf(t, p) >= 0 {
 		return
 	}
-	cav := m.cavityFrom(t, p)
-	m.retriangulate(v, cav)
+	m.retriangulate(v, m.cavityAt(t, p, m.scratch))
 }
 
 // InsertPoint appends p as a new vertex and inserts it, returning the
 // new vertex index and the triangles created. Used by refinement to add
-// circumcenters. If p coincides with an existing vertex, it returns
-// (that vertex, nil).
-func (m *Mesh) InsertPoint(p geom.Point) (int32, []int32) {
-	t := m.Locate(p)
+// circumcenters. The location walk starts at triangle from, or at the
+// hint when from is NoTri; any start gives the same mesh, and one whose
+// circumcircle contains p (refinement's bad triangle) is a short walk.
+// If p coincides with an existing vertex, it returns (that vertex, nil).
+func (m *Mesh) InsertPoint(p geom.Point, from int32) (int32, []int32) {
+	if from == NoTri {
+		from = m.hint
+	}
+	t := m.locateFrom(p, from)
 	if dup := m.duplicateOf(t, p); dup >= 0 {
 		return dup, nil
 	}
 	v := int32(len(m.Pts))
 	m.Pts = append(m.Pts, p)
-	cav := m.cavityFrom(t, p)
-	return v, m.retriangulate(v, cav)
+	return v, m.retriangulate(v, m.cavityAt(t, p, m.scratch))
 }
 
 // InSuperTriangle reports whether p lies strictly inside the bounding
@@ -248,7 +220,7 @@ func (m *Mesh) retriangulate(v int32, cav []int32) []int32 {
 		tr := &m.Tris[ct]
 		for e := 0; e < 3; e++ {
 			nt := tr.N[e]
-			if nt != NoTri && m.inCavity[nt] {
+			if nt != NoTri && m.scratch.seen[nt] {
 				continue
 			}
 			m.boundary = append(m.boundary, bEdge{
@@ -331,8 +303,9 @@ func (m *Mesh) setNeighbor(t, u, w, nt int32) {
 	panic("delaunay: setNeighbor: edge not found")
 }
 
-// CavityBuf holds per-goroutine scratch for LocateRO/CavityRO, letting
-// many goroutines compute cavities on a quiescent mesh concurrently (the
+// CavityBuf holds scratch for cavity computation. The mesh keeps one
+// for its own insertions; CavityRO takes the caller's, letting many
+// goroutines compute cavities on a quiescent mesh concurrently (the
 // refinement application's reservation phase reads the mesh from every
 // worker at once).
 type CavityBuf struct {
@@ -346,48 +319,21 @@ func NewCavityBuf() *CavityBuf {
 	return &CavityBuf{seen: make(map[int32]bool, 32)}
 }
 
-// LocateRO is Locate without touching the shared walk hint: safe for
-// concurrent use on a quiescent mesh. The caller provides the triangle
-// to start walking from (any alive triangle; a nearby one is faster).
-func (m *Mesh) LocateRO(p geom.Point, from int32) int32 {
-	t := from
-	if t < 0 || t >= int32(len(m.Tris)) || !m.Tris[t].Alive {
-		t = m.someAlive()
-	}
-	steps := 0
-	limit := 4*len(m.Tris) + 64
-walk:
-	for {
-		if steps++; steps > limit {
-			return m.scanLocate(p)
-		}
-		tr := &m.Tris[t]
-		for e := 0; e < 3; e++ {
-			u := m.Pts[tr.V[(e+1)%3]]
-			w := m.Pts[tr.V[(e+2)%3]]
-			if geom.Orient2D(u, w, p) < 0 {
-				nt := tr.N[e]
-				if nt == NoTri {
-					return m.scanLocate(p)
-				}
-				t = nt
-				continue walk
-			}
-		}
-		return t
-	}
+// CavityRO computes the Bowyer–Watson cavity of p — the alive
+// triangles whose circumcircle contains p, connected through the
+// triangle containing p — into the caller's buffer, starting the
+// location walk at from. Read-only and safe for concurrent use on a
+// quiescent mesh. The returned slice is owned by buf.
+func (m *Mesh) CavityRO(p geom.Point, from int32, buf *CavityBuf) []int32 {
+	return m.cavityAt(m.locateFrom(p, from), p, buf)
 }
 
-// CavityRO computes the Bowyer–Watson cavity of p into the caller's
-// buffer, starting the walk at from. Read-only and safe for concurrent
-// use on a quiescent mesh. The returned slice is owned by buf.
-func (m *Mesh) CavityRO(p geom.Point, from int32, buf *CavityBuf) []int32 {
-	t := m.LocateRO(p, from)
+// cavityAt grows p's cavity from t, the triangle containing p, into
+// buf (deterministic DFS order); buf.seen marks its members.
+func (m *Mesh) cavityAt(t int32, p geom.Point, buf *CavityBuf) []int32 {
 	buf.cav = buf.cav[:0]
 	buf.stack = buf.stack[:0]
-	for k := range buf.seen {
-		delete(buf.seen, k)
-	}
+	clear(buf.seen)
 	buf.stack = append(buf.stack, t)
 	buf.seen[t] = true
 	for len(buf.stack) > 0 {

@@ -1,6 +1,7 @@
 package delaunay
 
 import (
+	"reflect"
 	"testing"
 
 	"phasehash/internal/geom"
@@ -76,7 +77,7 @@ func TestInsertPointReturnsCavityFan(t *testing.T) {
 	pts := geom.InCube(500, 17)
 	m := Build(pts)
 	before := len(m.RealTriangles())
-	v, created := m.InsertPoint(geom.Point{X: 0.5, Y: 0.5000001})
+	v, created := m.InsertPoint(geom.Point{X: 0.5, Y: 0.5000001}, NoTri)
 	if v < NumSuper {
 		t.Fatal("InsertPoint returned a super vertex")
 	}
@@ -91,9 +92,38 @@ func TestInsertPointReturnsCavityFan(t *testing.T) {
 		t.Fatalf("triangle count did not grow: %d -> %d", before, after)
 	}
 	// Inserting the exact same point again is a no-op duplicate.
-	v2, created2 := m.InsertPoint(geom.Point{X: 0.5, Y: 0.5000001})
+	v2, created2 := m.InsertPoint(geom.Point{X: 0.5, Y: 0.5000001}, NoTri)
 	if v2 != v || created2 != nil {
 		t.Fatalf("duplicate insert returned (%d, %v), want (%d, nil)", v2, created2, v)
+	}
+}
+
+// TestInsertPointStartTriangle inserts circumcenters the way
+// refinement does, once walking from the triangle whose circumcircle
+// holds the point and once from the hint: the start of the location
+// walk must not change the mesh.
+func TestInsertPointStartTriangle(t *testing.T) {
+	pts := geom.InCube(2000, 19)
+	from, hinted := Build(pts), Build(pts)
+	inserted := 0
+	for i := 0; inserted < 500; i++ {
+		tri := int32(i * 7919 % len(from.Tris))
+		if !from.IsReal(tri) {
+			continue
+		}
+		cc := geom.Circumcenter(from.TriPoints(tri))
+		if !from.InSuperTriangle(cc) {
+			continue
+		}
+		from.InsertPoint(cc, tri)
+		hinted.InsertPoint(cc, NoTri)
+		inserted++
+	}
+	if err := from.Check(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(from.Pts, hinted.Pts) || !reflect.DeepEqual(from.Tris, hinted.Tris) {
+		t.Fatal("inserting from the start triangle built a different mesh than walking from the hint")
 	}
 }
 

@@ -196,8 +196,3 @@ func segBlocks(dst []span, n, seg int) []span {
 	}
 	return dst
 }
-
-// Sum is Reduce specialised to integer addition.
-func Sum(n int, f func(i int) int) int {
-	return Reduce(n, 0, func(a, b int) int { return a + b }, f)
-}

@@ -58,8 +58,8 @@ func TestReduce(t *testing.T) {
 	if got != want {
 		t.Fatalf("Reduce sum = %d, want %d", got, want)
 	}
-	if got := Sum(0, func(int) int { return 1 }); got != 0 {
-		t.Fatalf("empty Sum = %d", got)
+	if got := Reduce(0, 0, func(a, b int) int { return a + b }, func(int) int { return 1 }); got != 0 {
+		t.Fatalf("empty Reduce = %d", got)
 	}
 	// Max via Reduce.
 	xs := []int{3, 9, 2, 9, 1}
@@ -302,9 +302,8 @@ func TestSetNumWorkers(t *testing.T) {
 		t.Fatal("SetNumWorkers(1) ignored")
 	}
 	// Loops still work single-threaded.
-	total := Sum(1000, func(i int) int { return 1 })
-	if total != 1000 {
-		t.Fatalf("Sum = %d", total)
+	if total := Count(1000, func(int) bool { return true }); total != 1000 {
+		t.Fatalf("Count = %d", total)
 	}
 	SetNumWorkers(0) // resets to GOMAXPROCS
 	if NumWorkers() < 1 {
